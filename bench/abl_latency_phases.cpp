@@ -5,8 +5,8 @@
 // zero-latency (pure protocol logic), LAN, and the community-network
 // calibration used for Figs. 4–5. Attributes the framework's overhead to its
 // parts and shows how the network model moves the centralized/distributed
-// trade-off — the sensitivity analysis behind the DESIGN.md substitution
-// argument.
+// trade-off — the sensitivity analysis behind the calibrated network model
+// (src/sim/latency.hpp, dauct_bench/README.md).
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -8,9 +8,10 @@
 // 2k+1 of them; values averaged over repeated rounds.
 //
 // Expected shape (not absolute numbers — the substrate is a calibrated
-// virtual-time simulation, see DESIGN.md): centralized fastest; distributed
-// cost grows with both n (more bid data per round) and k (more providers
-// ingesting more copies); everything stays well under a second.
+// virtual-time simulation, see src/sim/latency.hpp and dauct_bench/README.md):
+// centralized fastest; distributed cost grows with both n (more bid data per
+// round) and k (more providers ingesting more copies); everything stays well
+// under a second.
 #include <cstdio>
 #include <cstdlib>
 

@@ -263,7 +263,11 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
   return best;
 }
 
-Assignment ScaledDpSolver::solve_one_trial(
+// Pinned to a 64-byte boundary: the knapsack loop below is a tight,
+// data-dependent branch whose speed depends on where it falls relative to
+// 32-byte fetch boundaries. Unpinned, code-size changes anywhere earlier in
+// the link (e.g. in crypto/) moved it and swung fig5_vcg latency by ~8%.
+[[gnu::aligned(64)]] Assignment ScaledDpSolver::solve_one_trial(
     const AuctionInstance& instance, Scratch& scratch,
     const std::vector<std::size_t>& provider_order) const {
   const std::vector<Item>& items = scratch.items;

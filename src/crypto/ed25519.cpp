@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "crypto/sha512.hpp"
 
@@ -11,28 +12,45 @@ namespace {
 
 using i64 = std::int64_t;
 using u8 = std::uint8_t;
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
 
-// --- Field arithmetic over GF(2^255 - 19), radix 2^16 ----------------------
-// 16 signed-64-bit limbs of 16 bits each, TweetNaCl layout: simple enough to
-// audit, fast enough that point addition (the unit of all costs here) is a
-// handful of microseconds.
+u64 load64_le(const u8* p) {
+  u64 v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
 
-using Fe = std::array<i64, 16>;
+void store64_le(u8* p, u64 v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<u8>(v >> (8 * i));
+}
 
-constexpr Fe kGf0{};
-constexpr Fe kGf1{1};
-// Curve constant d = -121665/121666, its double, the base point (X, Y), and
-// sqrt(-1) — limbs generated from the closed forms with exact integer math.
-constexpr Fe kD = {0x78a3, 0x1359, 0x4dca, 0x75eb, 0xd8ab, 0x4141, 0x0a4d, 0x0070,
-                   0xe898, 0x7779, 0x4079, 0x8cc7, 0xfe73, 0x2b6f, 0x6cee, 0x5203};
-constexpr Fe kD2 = {0xf159, 0x26b2, 0x9b94, 0xebd6, 0xb156, 0x8283, 0x149a, 0x00e0,
-                    0xd130, 0xeef3, 0x80f2, 0x198e, 0xfce7, 0x56df, 0xd9dc, 0x2406};
-constexpr Fe kBaseX = {0xd51a, 0x8f25, 0x2d60, 0xc956, 0xa7b2, 0x9525, 0xc760, 0x692c,
-                       0xdc5c, 0xfdd6, 0xe231, 0xc0a4, 0x53fe, 0xcd6e, 0x36d3, 0x2169};
-constexpr Fe kBaseY = {0x6658, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666,
-                       0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666};
-constexpr Fe kSqrtM1 = {0xa0b0, 0x4a0e, 0x1b27, 0xc4ee, 0xe478, 0xad2f, 0x1806, 0x2f43,
-                        0xd7a7, 0x3dfb, 0x0099, 0x2b4d, 0xdf0b, 0x4fc1, 0x2480, 0x2b83};
+// --- Field arithmetic over GF(2^255 - 19), radix 2^51 ----------------------
+// Five unsigned 64-bit limbs of 51 bits with 128-bit products (the
+// ed25519-donna / amd64-51 layout). Limb bounds are a convention, not a type:
+//   tight — every limb < 2^52: the output of fe_mul, fe_sq, fe_sub, fe_carry;
+//   loose — every limb < 2^54: a sum of up to four tight values (fe_add).
+// fe_mul and fe_sq accept loose inputs: every 128-bit column sum stays below
+// 2^115, so each carry fits a u64. fe_sub accepts loose inputs and carries,
+// so only additions are lazy.
+
+using Fe = std::array<u64, 5>;
+
+constexpr u64 kMask51 = (u64{1} << 51) - 1;
+
+constexpr Fe kZero{};
+constexpr Fe kOne{1};
+// d = -121665/121666, 2d, sqrt(-1), and the base point (x, 4/5).
+constexpr Fe kD = {0x34dca135978a3, 0x1a8283b156ebd, 0x5e7a26001c029, 0x739c663a03cbb,
+                   0x52036cee2b6ff};
+constexpr Fe kD2 = {0x69b9426b2f159, 0x35050762add7a, 0x3cf44c0038052, 0x6738cc7407977,
+                    0x2406d9dc56dff};
+constexpr Fe kSqrtM1 = {0x61b274a0ea0b0, 0x0d5a5fc8f189d, 0x7ef5e9cbd0c60, 0x78595a6804c9e,
+                        0x2b8324804fc1d};
+constexpr Fe kBaseX = {0x62d608f25d51a, 0x412a4b4f6592a, 0x75b7171a4b31d, 0x1ff60527118fe,
+                       0x216936d3cd6e5};
+constexpr Fe kBaseY = {0x6666666666658, 0x4cccccccccccc, 0x1999999999999, 0x3333333333333,
+                       0x6666666666666};
 
 // Group order L = 2^252 + 27742317777372353535851937790883648493, LE bytes.
 constexpr u8 kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
@@ -40,234 +58,452 @@ constexpr u8 kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
                        0,    0,    0,    0,    0,    0,    0,    0,
                        0,    0,    0,    0,    0,    0,    0,    0x10};
 
-void car25519(Fe& o) {
-  for (int i = 0; i < 16; ++i) {
-    o[i] += i64{1} << 16;
-    const i64 c = o[i] >> 16;
-    o[(i + 1) * (i < 15)] += c - 1 + 37 * (c - 1) * (i == 15);
-    o[i] -= c << 16;
-  }
+// The hot helpers below are force-inlined with their limb loops written
+// out: at -O2, GCC keeps five-iteration loops rolled and left these helpers
+// out of line (fe_reduce_wide's five 128-bit sums went through memory),
+// which made point additions ~2x slower.
+
+/// Weak reduction: limbs below 2^63 in, tight out.
+[[gnu::always_inline]] inline Fe fe_carry(const Fe& a) {
+  const u64 h1 = a[1] + (a[0] >> 51), h2 = a[2] + (h1 >> 51), h3 = a[3] + (h2 >> 51),
+            h4 = a[4] + (h3 >> 51);
+  return {(a[0] & kMask51) + 19 * (h4 >> 51), h1 & kMask51, h2 & kMask51, h3 & kMask51,
+          h4 & kMask51};
 }
 
-/// Constant-time conditional swap: b must be 0 or 1.
-void sel25519(Fe& p, Fe& q, i64 b) {
-  const i64 c = ~(b - 1);
-  for (int i = 0; i < 16; ++i) {
-    const i64 t = c & (p[i] ^ q[i]);
-    p[i] ^= t;
-    q[i] ^= t;
-  }
+[[gnu::always_inline]] inline Fe fe_add(const Fe& a, const Fe& b) {
+  return {a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]};
 }
 
-void pack25519(u8* o, const Fe& n) {
-  Fe t = n;
-  car25519(t);
-  car25519(t);
-  car25519(t);
-  for (int j = 0; j < 2; ++j) {
-    Fe m;
-    m[0] = t[0] - 0xffed;
-    for (int i = 1; i < 15; ++i) {
-      m[i] = t[i] - 0xffff - ((m[i - 1] >> 16) & 1);
-      m[i - 1] &= 0xffff;
-    }
-    m[15] = t[15] - 0x7fff - ((m[14] >> 16) & 1);
-    const i64 b = (m[15] >> 16) & 1;
-    m[14] &= 0xffff;
-    sel25519(t, m, 1 - b);
-  }
-  for (int i = 0; i < 16; ++i) {
-    o[2 * i] = static_cast<u8>(t[i] & 0xff);
-    o[2 * i + 1] = static_cast<u8>(t[i] >> 8);
-  }
+/// a - b computed as a + 16p - b, so loose b never borrows.
+[[gnu::always_inline]] inline Fe fe_sub(const Fe& a, const Fe& b) {
+  constexpr u64 k16p0 = 16 * (kMask51 - 18), k16p = 16 * kMask51;
+  return fe_carry({a[0] + k16p0 - b[0], a[1] + k16p - b[1], a[2] + k16p - b[2],
+                   a[3] + k16p - b[3], a[4] + k16p - b[4]});
 }
 
-bool eq25519(const Fe& a, const Fe& b) {
+Fe fe_neg(const Fe& a) { return fe_sub(kZero, a); }
+
+/// Fold the five 128-bit column sums of a product back into tight limbs.
+[[gnu::always_inline]] inline Fe fe_reduce_wide(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
+  r1 += static_cast<u64>(r0 >> 51);
+  r2 += static_cast<u64>(r1 >> 51);
+  r3 += static_cast<u64>(r2 >> 51);
+  r4 += static_cast<u64>(r3 >> 51);
+  Fe o = {static_cast<u64>(r0) & kMask51, static_cast<u64>(r1) & kMask51,
+          static_cast<u64>(r2) & kMask51, static_cast<u64>(r3) & kMask51,
+          static_cast<u64>(r4) & kMask51};
+  o[0] += 19 * static_cast<u64>(r4 >> 51);
+  o[1] += o[0] >> 51;
+  o[0] &= kMask51;
+  return o;
+}
+
+Fe fe_mul(const Fe& a, const Fe& b) {
+  const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+  const u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3], b4 = b[4];
+  const u64 b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3, b4_19 = 19 * b4;
+  const auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
+  return fe_reduce_wide(
+      m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+      m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+      m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+      m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
+      m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0));
+}
+
+/// a^2: the cross terms are doubled instead of computed twice (15 products).
+Fe fe_sq(const Fe& a) {
+  const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+  const u64 a0_2 = 2 * a0, a1_2 = 2 * a1;
+  const u64 a1_38 = 38 * a1, a2_38 = 38 * a2, a3_38 = 38 * a3;
+  const u64 a3_19 = 19 * a3, a4_19 = 19 * a4;
+  const auto m = [](u64 x, u64 y) { return static_cast<u128>(x) * y; };
+  return fe_reduce_wide(m(a0, a0) + m(a1_38, a4) + m(a2_38, a3),
+                        m(a0_2, a1) + m(a2_38, a4) + m(a3_19, a3),
+                        m(a0_2, a2) + m(a1, a1) + m(a3_38, a4),
+                        m(a0_2, a3) + m(a1_2, a2) + m(a4_19, a4),
+                        m(a0_2, a4) + m(a1_2, a3) + m(a2, a2));
+}
+
+/// a^(2^n), n >= 1.
+Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
+
+/// Load 255 bits little-endian; bit 255 (the x sign) is ignored, and values
+/// in [p, 2^255) are kept as unreduced field elements.
+Fe fe_frombytes(const u8* s) {
+  return {load64_le(s) & kMask51, (load64_le(s + 6) >> 3) & kMask51,
+          (load64_le(s + 12) >> 6) & kMask51, (load64_le(s + 19) >> 1) & kMask51,
+          (load64_le(s + 24) >> 12) & kMask51};
+}
+
+/// Canonical (fully reduced) little-endian encoding.
+void fe_tobytes(u8* s, const Fe& a) {
+  Fe h = fe_carry(a);  // value < 2^255 + 2^18 < 2p
+  // q = 1 iff h >= p, i.e. iff h + 19 carries out of bit 255.
+  u64 q = (h[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (h[i] + q) >> 51;
+  h[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    h[i + 1] += h[i] >> 51;
+    h[i] &= kMask51;
+  }
+  h[4] &= kMask51;  // drops the 2^255 that cancels against -q·p
+  store64_le(s, h[0] | h[1] << 51);
+  store64_le(s + 8, h[1] >> 13 | h[2] << 38);
+  store64_le(s + 16, h[2] >> 26 | h[3] << 25);
+  store64_le(s + 24, h[3] >> 39 | h[4] << 12);
+}
+
+bool fe_equal(const Fe& a, const Fe& b) {
   u8 c[32], d[32];
-  pack25519(c, a);
-  pack25519(d, b);
+  fe_tobytes(c, a);
+  fe_tobytes(d, b);
   return std::memcmp(c, d, 32) == 0;
 }
 
-u8 par25519(const Fe& a) {
-  u8 d[32];
-  pack25519(d, a);
-  return d[0] & 1;
+u8 fe_parity(const Fe& a) {
+  u8 s[32];
+  fe_tobytes(s, a);
+  return s[0] & 1;
 }
 
-void unpack25519(Fe& o, const u8* n) {
-  for (int i = 0; i < 16; ++i) o[i] = n[2 * i] + (static_cast<i64>(n[2 * i + 1]) << 8);
-  o[15] &= 0x7fff;
+/// f = g if flag (0 or 1), without a branch or a flag-dependent address.
+[[gnu::always_inline]] inline void fe_cmov(Fe& f, const Fe& g, u64 flag) {
+  const u64 mask = 0 - flag;
+  f[0] ^= mask & (f[0] ^ g[0]);
+  f[1] ^= mask & (f[1] ^ g[1]);
+  f[2] ^= mask & (f[2] ^ g[2]);
+  f[3] ^= mask & (f[3] ^ g[3]);
+  f[4] ^= mask & (f[4] ^ g[4]);
 }
 
-void fe_add(Fe& o, const Fe& a, const Fe& b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] + b[i];
+/// The shared head of the inversion and square-root chains: returns
+/// z^(2^250 - 1) and sets z11 = z^11 (ref10's addition chain).
+Fe fe_pow250(const Fe& z, Fe& z11) {
+  const Fe z2 = fe_sq(z);
+  const Fe z9 = fe_mul(z, fe_sq_n(z2, 2));
+  z11 = fe_mul(z2, z9);
+  const Fe e5 = fe_mul(z9, fe_sq(z11));        // 2^5 - 1
+  const Fe e10 = fe_mul(fe_sq_n(e5, 5), e5);   // 2^10 - 1
+  const Fe e20 = fe_mul(fe_sq_n(e10, 10), e10);
+  const Fe e40 = fe_mul(fe_sq_n(e20, 20), e20);
+  const Fe e50 = fe_mul(fe_sq_n(e40, 10), e10);
+  const Fe e100 = fe_mul(fe_sq_n(e50, 50), e50);
+  const Fe e200 = fe_mul(fe_sq_n(e100, 100), e100);
+  return fe_mul(fe_sq_n(e200, 50), e50);       // 2^250 - 1
 }
 
-void fe_sub(Fe& o, const Fe& a, const Fe& b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] - b[i];
+/// z^(p-2) = z^(2^255 - 21): 254 squarings, 11 multiplications.
+Fe fe_inv(const Fe& z) {
+  Fe z11;
+  const Fe e250 = fe_pow250(z, z11);
+  return fe_mul(fe_sq_n(e250, 5), z11);
 }
 
-void fe_mul(Fe& o, const Fe& a, const Fe& b) {
-  i64 t[31] = {};
-  for (int i = 0; i < 16; ++i) {
-    for (int j = 0; j < 16; ++j) t[i + j] += a[i] * b[j];
-  }
-  for (int i = 0; i < 15; ++i) t[i] += 38 * t[i + 16];
-  for (int i = 0; i < 16; ++i) o[i] = t[i];
-  car25519(o);
-  car25519(o);
+/// z^((p-5)/8) = z^(2^252 - 3), the square-root helper of decompression.
+Fe fe_pow2523(const Fe& z) {
+  Fe z11;
+  const Fe e250 = fe_pow250(z, z11);
+  return fe_mul(fe_sq_n(e250, 2), z);
 }
 
-void fe_sqr(Fe& o, const Fe& a) { fe_mul(o, a, a); }
+// --- Group arithmetic: ref10's coordinate systems ----------------------------
+// P2 (X:Y:Z), P3 extended (X:Y:Z:T) with T = XY/Z, P1P1 completed
+// ((X:Z), (Y:T)), Cached (Y+X, Y-X, Z, 2dT) for additions of a point used
+// many times, and Niels (y+x, y-x, 2dxy) for affine table entries.
 
-void fe_inv(Fe& o, const Fe& in) {
-  Fe c = in;
-  for (int a = 253; a >= 0; --a) {
-    fe_sqr(c, c);
-    if (a != 2 && a != 4) fe_mul(c, c, in);
-  }
-  o = c;
+struct P2 {
+  Fe X, Y, Z;
+};
+struct P3 {
+  Fe X, Y, Z, T;
+};
+struct P1P1 {
+  Fe X, Y, Z, T;
+};
+struct Cached {
+  Fe YplusX, YminusX, Z, T2d;
+};
+struct Niels {
+  Fe yplusx, yminusx, xy2d;
+};
+
+const P3 kIdentity = {kZero, kOne, kOne, kZero};
+
+P2 to_p2(const P1P1& p) { return {fe_mul(p.X, p.T), fe_mul(p.Y, p.Z), fe_mul(p.Z, p.T)}; }
+
+P3 to_p3(const P1P1& p) {
+  return {fe_mul(p.X, p.T), fe_mul(p.Y, p.Z), fe_mul(p.Z, p.T), fe_mul(p.X, p.Y)};
 }
 
-/// c = in^((p-5)/8), the square-root helper of point decompression.
-void pow2523(Fe& o, const Fe& in) {
-  Fe c = in;
-  for (int a = 250; a >= 0; --a) {
-    fe_sqr(c, c);
-    if (a != 1) fe_mul(c, c, in);
-  }
-  o = c;
+Cached to_cached(const P3& p) {
+  return {fe_add(p.Y, p.X), fe_sub(p.Y, p.X), p.Z, fe_mul(p.T, kD2)};
 }
 
-// --- Group arithmetic: extended twisted-Edwards coordinates -----------------
+Cached negate(const Cached& q) { return {q.YminusX, q.YplusX, q.Z, fe_neg(q.T2d)}; }
 
-using Point = std::array<Fe, 4>;  ///< (X, Y, Z, T) with T = XY/Z
+Niels negate(const Niels& q) { return {q.yminusx, q.yplusx, fe_neg(q.xy2d)}; }
 
-const Point kIdentity = {kGf0, kGf1, kGf1, kGf0};
-
-/// p += q (the complete a=-1 addition law; also correct for p == q).
-void point_add(Point& p, const Point& q) {
-  Fe a, b, c, d, t, e, f, g, h;
-  fe_sub(a, p[1], p[0]);
-  fe_sub(t, q[1], q[0]);
-  fe_mul(a, a, t);
-  fe_add(b, p[0], p[1]);
-  fe_add(t, q[0], q[1]);
-  fe_mul(b, b, t);
-  fe_mul(c, p[3], q[3]);
-  fe_mul(c, c, kD2);
-  fe_mul(d, p[2], q[2]);
-  fe_add(d, d, d);
-  fe_sub(e, b, a);
-  fe_sub(f, d, c);
-  fe_add(g, d, c);
-  fe_add(h, b, a);
-  fe_mul(p[0], e, f);
-  fe_mul(p[1], h, g);
-  fe_mul(p[2], g, f);
-  fe_mul(p[3], e, h);
+/// 2p (dbl-2008-hwcd for a = -1).
+P1P1 dbl(const P2& p) {
+  const Fe xx = fe_sq(p.X);
+  const Fe yy = fe_sq(p.Y);
+  const Fe zz = fe_sq(p.Z);
+  const Fe sum = fe_sq(fe_add(p.X, p.Y));
+  P1P1 r;
+  r.Y = fe_add(yy, xx);
+  r.Z = fe_sub(yy, xx);
+  r.X = fe_sub(sum, r.Y);
+  r.T = fe_sub(fe_add(zz, zz), r.Z);
+  return r;
 }
 
-void point_cswap(Point& p, Point& q, i64 b) {
-  for (int i = 0; i < 4; ++i) sel25519(p[i], q[i], b);
+P1P1 dbl(const P3& p) { return dbl(P2{p.X, p.Y, p.Z}); }
+
+/// Shared tail of the complete a = -1 addition law (add-2008-hwcd-3):
+/// pp = (Y1+X1)(Y2+X2), mm = (Y1-X1)(Y2-X2), tt = 2d·T1·T2, zz = 2·Z1·Z2.
+P1P1 add_tail(const Fe& pp, const Fe& mm, const Fe& tt, const Fe& zz) {
+  return {fe_sub(pp, mm), fe_add(pp, mm), fe_add(zz, tt), fe_sub(zz, tt)};
 }
 
-void point_pack(u8* r, const Point& p) {
-  Fe tx, ty, zi;
-  fe_inv(zi, p[2]);
-  fe_mul(tx, p[0], zi);
-  fe_mul(ty, p[1], zi);
-  pack25519(r, ty);
-  r[31] ^= static_cast<u8>(par25519(tx) << 7);
+/// p + q (complete: also correct for p == q).
+P1P1 add(const P3& p, const Cached& q) {
+  const Fe zz = fe_mul(p.Z, q.Z);
+  return add_tail(fe_mul(fe_add(p.Y, p.X), q.YplusX), fe_mul(fe_sub(p.Y, p.X), q.YminusX),
+                  fe_mul(p.T, q.T2d), fe_add(zz, zz));
+}
+
+/// p + q for affine q (Z2 = 1): one multiplication fewer.
+P1P1 madd(const P3& p, const Niels& q) {
+  return add_tail(fe_mul(fe_add(p.Y, p.X), q.yplusx), fe_mul(fe_sub(p.Y, p.X), q.yminusx),
+                  fe_mul(p.T, q.xy2d), fe_add(p.Z, p.Z));
+}
+
+/// Canonical 32-byte encoding of (X:Y:Z): y, with x's parity in bit 255.
+void point_pack(u8* r, const Fe& X, const Fe& Y, const Fe& Z) {
+  const Fe zi = fe_inv(Z);
+  fe_tobytes(r, fe_mul(Y, zi));
+  r[31] ^= static_cast<u8>(fe_parity(fe_mul(X, zi)) << 7);
 }
 
 /// Decompress `n` into -P (x negated; the form verification consumes).
-/// False iff `n` is not the encoding of a curve point.
-bool point_unpack_neg(Point& r, const u8* n) {
-  Fe t, chk, num, den, den2, den4, den6;
-  r[2] = kGf1;
-  unpack25519(r[1], n);
-  fe_sqr(num, r[1]);
-  fe_mul(den, num, kD);
-  fe_sub(num, num, r[2]);
-  fe_add(den, r[2], den);
-
-  fe_sqr(den2, den);
-  fe_sqr(den4, den2);
-  fe_mul(den6, den4, den2);
-  fe_mul(t, den6, num);
-  fe_mul(t, t, den);
-
-  pow2523(t, t);
-  fe_mul(t, t, num);
-  fe_mul(t, t, den);
-  fe_mul(t, t, den);
-  fe_mul(r[0], t, den);
-
-  fe_sqr(chk, r[0]);
-  fe_mul(chk, chk, den);
-  if (!eq25519(chk, num)) fe_mul(r[0], r[0], kSqrtM1);
-
-  fe_sqr(chk, r[0]);
-  fe_mul(chk, chk, den);
-  if (!eq25519(chk, num)) return false;
-
-  if (par25519(r[0]) == (n[31] >> 7)) fe_sub(r[0], kGf0, r[0]);
-
-  fe_mul(r[3], r[0], r[1]);
+/// False iff `n` is not the encoding of a curve point. Like RFC 8032's
+/// decoder except that y >= p is reduced and x = 0 with the sign bit set is
+/// accepted — the reference's (and TweetNaCl's) acceptance set, kept so
+/// both implementations agree on every input.
+bool point_unpack_neg(P3& r, const u8* n) {
+  r.Y = fe_frombytes(n);
+  r.Z = kOne;
+  const Fe yy = fe_sq(r.Y);
+  const Fe num = fe_sub(yy, kOne);                // y^2 - 1
+  const Fe den = fe_add(fe_mul(yy, kD), kOne);    // d·y^2 + 1, never 0
+  const Fe den2 = fe_sq(den);
+  const Fe den3 = fe_mul(den2, den);
+  const Fe den7 = fe_mul(fe_sq(den2), den3);
+  // x = num·den^3·(num·den^7)^((p-5)/8), then fix up by sqrt(-1) if needed.
+  Fe x = fe_mul(fe_mul(fe_pow2523(fe_mul(num, den7)), num), den3);
+  if (!fe_equal(fe_mul(fe_sq(x), den), num)) x = fe_mul(x, kSqrtM1);
+  if (!fe_equal(fe_mul(fe_sq(x), den), num)) return false;
+  if (fe_parity(x) == (n[31] >> 7)) x = fe_neg(x);
+  r.X = x;
+  r.T = fe_mul(x, r.Y);
   return true;
 }
 
-/// p = s·q, constant-time conditional-swap ladder (secret scalars).
-void scalarmult_ct(Point& p, Point& q, const u8* s) {
-  p = kIdentity;
-  for (int i = 255; i >= 0; --i) {
-    const i64 b = (s[i / 8] >> (i & 7)) & 1;
-    point_cswap(p, q, b);
-    point_add(q, p);
-    point_add(p, p);
-    point_cswap(p, q, b);
+/// Montgomery-trick conversion of many points to affine Niels form (one
+/// inversion in all); only the precomputed tables use it.
+std::vector<Niels> to_niels(const std::vector<P3>& pts) {
+  std::vector<Fe> prefix(pts.size());
+  Fe acc = kOne;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    prefix[i] = acc;
+    acc = fe_mul(acc, pts[i].Z);
   }
-}
-
-/// p = s·q over the low `bits` bits of s, variable-time 4-bit windows
-/// (public scalars only: verification). ~1.5x the ladder's speed at 256
-/// bits, 2x again for the 128-bit batch coefficients.
-void scalarmult_vartime(Point& p, const Point& q, const u8* s, int bits) {
-  Point table[16];
-  table[0] = kIdentity;
-  table[1] = q;
-  for (int i = 2; i < 16; ++i) {
-    table[i] = table[i - 1];
-    point_add(table[i], q);
+  Fe inv = fe_inv(acc);
+  std::vector<Niels> out(pts.size());
+  for (std::size_t i = pts.size(); i-- > 0;) {
+    const Fe zi = fe_mul(inv, prefix[i]);
+    inv = fe_mul(inv, pts[i].Z);
+    const Fe x = fe_mul(pts[i].X, zi), y = fe_mul(pts[i].Y, zi);
+    out[i] = {fe_carry(fe_add(y, x)), fe_sub(y, x), fe_mul(fe_mul(x, y), kD2)};
   }
-  p = kIdentity;
-  const int nibbles = (bits + 3) / 4;
-  for (int i = nibbles - 1; i >= 0; --i) {
-    for (int d = 0; d < 4; ++d) point_add(p, p);
-    const u8 nib = (s[i / 2] >> (4 * (i & 1))) & 0xf;
-    if (nib != 0) point_add(p, table[nib]);
+  return out;
+}
+
+P3 base_point() { return {kBaseX, kBaseY, kOne, fe_mul(kBaseX, kBaseY)}; }
+
+// --- Secret scalars: constant-time fixed-base comb -------------------------
+// a·B = sum_i e_i·16^i·B with signed radix-16 digits e_i in [-8, 8]. Row j of
+// the table holds k·256^j·B for k = 1..8, so the odd digits are summed,
+// multiplied by 16 with four doublings, and the even digits added on top:
+// 64 mixed additions and 4 doublings. Every lookup reads all 8 entries of
+// its row and negates branch-free, so neither the control flow nor the
+// memory addresses depend on the scalar.
+
+using CombRow = std::array<Niels, 8>;
+
+const std::array<CombRow, 32>& comb_table() {
+  static const std::array<CombRow, 32> table = [] {
+    std::vector<P3> pts;
+    pts.reserve(256);
+    P3 row_base = base_point();
+    for (int j = 0; j < 32; ++j) {
+      const Cached c = to_cached(row_base);
+      P3 acc = row_base;
+      pts.push_back(acc);
+      for (int k = 1; k < 8; ++k) {
+        acc = to_p3(add(acc, c));
+        pts.push_back(acc);
+      }
+      for (int d = 0; d < 8; ++d) row_base = to_p3(dbl(row_base));
+    }
+    const std::vector<Niels> niels = to_niels(pts);
+    std::array<CombRow, 32> t;
+    for (int j = 0; j < 32; ++j) std::copy_n(niels.begin() + 8 * j, 8, t[j].begin());
+    return t;
+  }();
+  return table;
+}
+
+[[gnu::always_inline]] inline void niels_cmov(Niels& t, const Niels& u, u64 flag) {
+  fe_cmov(t.yplusx, u.yplusx, flag);
+  fe_cmov(t.yminusx, u.yminusx, flag);
+  fe_cmov(t.xy2d, u.xy2d, flag);
+}
+
+/// b·row[0] for a digit b in [-8, 8], in constant time.
+Niels comb_select(const CombRow& row, int b) {
+  const int neg = static_cast<int>(static_cast<unsigned>(b) >> 31);
+  const int babs = b - 2 * (-neg & b);
+  Niels t = {kOne, kOne, kZero};  // the identity
+  for (int k = 0; k < 8; ++k) {
+    const u64 hit = (static_cast<u64>(babs ^ (k + 1)) - 1) >> 63;  // babs == k + 1
+    niels_cmov(t, row[k], hit);
   }
+  niels_cmov(t, negate(t), neg);
+  return t;
 }
 
-Point base_point() {
-  Point b;
-  b[0] = kBaseX;
-  b[1] = kBaseY;
-  b[2] = kGf1;
-  fe_mul(b[3], kBaseX, kBaseY);
-  return b;
+/// a·B for a < 2^255 (clamped or reduced scalars), constant time.
+P3 scalarmult_base(const u8* a) {
+  const auto& table = comb_table();
+  int e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = a[i] & 15;
+    e[2 * i + 1] = a[i] >> 4;
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry * 16;
+  }
+  e[63] += carry;
+
+  P3 h = kIdentity;
+  for (int i = 1; i < 64; i += 2) h = to_p3(madd(h, comb_select(table[i / 2], e[i])));
+  P2 s = to_p2(dbl(h));
+  s = to_p2(dbl(s));
+  s = to_p2(dbl(s));
+  h = to_p3(dbl(s));
+  for (int i = 0; i < 64; i += 2) h = to_p3(madd(h, comb_select(table[i / 2], e[i])));
+  return h;
 }
 
-void scalarbase_ct(Point& p, const u8* s) {
-  Point q = base_point();
-  scalarmult_ct(p, q, s);
+// --- Public scalars: variable-time interleaved wNAF (Straus) ---------------
+// sum_k c_k·P_k + b·B shares one doubling chain across all terms: each
+// variable point brings a width-5 table of odd multiples (P, 3P, ..., 15P),
+// the base point a static width-8 table (B, 3B, ..., 127B). Only
+// verification runs this; all of its inputs are public.
+
+constexpr int kVarWidth = 5;
+constexpr int kBaseWidth = 8;
+
+using Naf = std::array<std::int8_t, 256>;
+
+/// Width-w non-adjacent form of a scalar s < 2^255: every digit is 0 or odd
+/// with |digit| < 2^(w-1), and any w consecutive digits hold at most one
+/// nonzero.
+Naf wnaf(const u8* s, int w) {
+  const u64 x[5] = {load64_le(s), load64_le(s + 8), load64_le(s + 16), load64_le(s + 24), 0};
+  const u64 width = u64{1} << w, window_mask = width - 1;
+  Naf naf{};
+  u64 carry = 0;
+  for (int pos = 0; pos < 256;) {
+    const int idx = pos / 64, bit = pos % 64;
+    const u64 bits = bit < 64 - w ? x[idx] >> bit : (x[idx] >> bit) | (x[idx + 1] << (64 - bit));
+    const u64 window = carry + (bits & window_mask);
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
+    }
+    if (window < width / 2) {
+      carry = 0;
+      naf[pos] = static_cast<std::int8_t>(window);
+    } else {
+      carry = 1;
+      naf[pos] = static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(width));
+    }
+    pos += w;
+  }
+  return naf;
 }
 
-void scalarbase_vartime(Point& p, const u8* s) {
-  const Point q = base_point();
-  scalarmult_vartime(p, q, s, 256);
+/// One variable-base term c·P of a multi-scalar multiplication.
+struct VarTerm {
+  Naf naf;
+  std::array<Cached, 1 << (kVarWidth - 2)> odd;  ///< P, 3P, ..., 15P
+
+  VarTerm(const u8* c, const P3& p) : naf(wnaf(c, kVarWidth)) {
+    const Cached p2 = to_cached(to_p3(dbl(p)));
+    odd[0] = to_cached(p);
+    P3 acc = p;
+    for (std::size_t k = 1; k < odd.size(); ++k) {
+      acc = to_p3(add(acc, p2));
+      odd[k] = to_cached(acc);
+    }
+  }
+};
+
+const std::vector<Niels>& base_odd_multiples() {
+  static const std::vector<Niels> table = [] {
+    const P3 b = base_point();
+    const Cached b2 = to_cached(to_p3(dbl(b)));
+    std::vector<P3> pts = {b};
+    for (int k = 1; k < (1 << (kBaseWidth - 2)); ++k) pts.push_back(to_p3(add(pts.back(), b2)));
+    return to_niels(pts);
+  }();
+  return table;
+}
+
+/// sum_k terms[k] + b·B, variable time (public scalars and points only).
+P2 multiscalar_vartime(std::span<const VarTerm> terms, const u8* b) {
+  const Naf b_naf = wnaf(b, kBaseWidth);
+  const auto& b_odd = base_odd_multiples();
+  const auto all_zero_at = [&](int i) {
+    return b_naf[i] == 0 &&
+           std::all_of(terms.begin(), terms.end(), [i](const VarTerm& t) { return t.naf[i] == 0; });
+  };
+  int top = 255;
+  while (top >= 0 && all_zero_at(top)) --top;
+  P2 r = {kZero, kOne, kOne};
+  for (int i = top; i >= 0; --i) {
+    P1P1 t = dbl(r);
+    for (const VarTerm& term : terms) {
+      const int d = term.naf[i];
+      if (d > 0) t = add(to_p3(t), term.odd[d / 2]);
+      if (d < 0) t = add(to_p3(t), negate(term.odd[-d / 2]));
+    }
+    const int d = b_naf[i];
+    if (d > 0) t = madd(to_p3(t), b_odd[d / 2]);
+    if (d < 0) t = madd(to_p3(t), negate(b_odd[-d / 2]));
+    r = to_p2(t);
+  }
+  return r;
 }
 
 // --- Scalar arithmetic mod L ------------------------------------------------
@@ -333,11 +569,10 @@ KeyPair keypair_from_seed(const Seed& seed) {
   h[0] &= 248;
   h[31] &= 127;
   h[31] |= 64;
-  Point p;
-  scalarbase_ct(p, h.data());
+  const P3 p = scalarmult_base(h.data());
   KeyPair kp;
   kp.seed = seed;
-  point_pack(kp.public_key.data(), p);
+  point_pack(kp.public_key.data(), p.X, p.Y, p.Z);
   return kp;
 }
 
@@ -353,10 +588,9 @@ Signature sign(const KeyPair& kp, BytesView message) {
   Digest64 r = hasher.finish();
   reduce64(r.data());
 
-  Point p;
-  scalarbase_ct(p, r.data());
+  const P3 p = scalarmult_base(r.data());
   Signature sig{};
-  point_pack(sig.data(), p);
+  point_pack(sig.data(), p.X, p.Y, p.Z);
 
   const Digest64 k = challenge(sig.data(), kp.public_key, message);
 
@@ -373,39 +607,38 @@ Signature sign(const KeyPair& kp, BytesView message) {
 
 bool verify(const PublicKey& pk, BytesView message, const Signature& sig) {
   if (!scalar_canonical(sig.data() + 32)) return false;
-  Point minus_a;
+  P3 minus_a;
   if (!point_unpack_neg(minus_a, pk.data())) return false;
 
   const Digest64 k = challenge(sig.data(), pk, message);
-
-  Point p;
-  scalarmult_vartime(p, minus_a, k.data(), 256);  // p = H(R,A,M)·(-A)
-  Point sb;
-  scalarbase_vartime(sb, sig.data() + 32);        // s·B
-  point_add(p, sb);                               // p = s·B - H(R,A,M)·A
+  const VarTerm term(k.data(), minus_a);
+  // s·B - H(R,A,M)·A
+  const P2 p = multiscalar_vartime(std::span(&term, 1), sig.data() + 32);
 
   u8 t[32];
-  point_pack(t, p);
+  point_pack(t, p.X, p.Y, p.Z);
   return std::memcmp(sig.data(), t, 32) == 0;
 }
 
 bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
   if (items.empty()) return true;
 
-  // Accumulate sum z_i·(-R_i) + sum (z_i·h_i mod L)·(-A_i) into `acc` and
-  // sum z_i·s_i into byte-product limbs; the batch passes iff adding
-  // (sum z_i·s_i)·B lands back on the identity.
+  // Check sum z_i·(-R_i) + sum (z_i·h_i mod L)·(-A_i) + (sum z_i·s_i)·B
+  // is the identity, as one multi-scalar multiplication over 2m+1 points.
+  // Items are decoded, and coefficients drawn, in order with an early exit
+  // on the first malformed item, so the Rng advances exactly as it always has.
   i64 s_sum[64] = {};
-  Point acc = kIdentity;
+  std::vector<VarTerm> terms;
+  terms.reserve(2 * items.size());
 
   for (const BatchItem& item : items) {
     const u8* sig = item.signature->data();
     if (!scalar_canonical(sig + 32)) return false;
-    Point minus_a, minus_r;
+    P3 minus_a, minus_r;
     if (!point_unpack_neg(minus_a, item.public_key->data())) return false;
     if (!point_unpack_neg(minus_r, sig)) return false;
 
-    u8 z[16];
+    u8 z[32] = {};  // 128-bit coefficient, zero-extended for wnaf()
     do {
       std::uint64_t lo = rng.next_u64(), hi = rng.next_u64();
       for (int i = 0; i < 8; ++i) {
@@ -430,26 +663,15 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
     u8 w[32];
     modL(w, zh);
 
-    Point t;
-    scalarmult_vartime(t, minus_r, z, 128);  // z_i·(-R_i): half-length scalar
-    point_add(acc, t);
-    scalarmult_vartime(t, minus_a, w, 256);  // (z_i·h_i)·(-A_i)
-    point_add(acc, t);
+    terms.emplace_back(z, minus_r);
+    terms.emplace_back(w, minus_a);
   }
 
   u8 s_total[32];
   modL(s_total, s_sum);
-  Point sb;
-  scalarbase_vartime(sb, s_total);
-  point_add(acc, sb);
-
-  u8 t[32];
-  point_pack(t, acc);
-  if (t[0] != 1) return false;  // identity encodes as 0x01 then 31 zero bytes
-  for (int i = 1; i < 32; ++i) {
-    if (t[i] != 0) return false;
-  }
-  return true;
+  const P2 acc = multiscalar_vartime(terms, s_total);
+  // (X:Y:Z) is the identity iff Y == Z (y = 1 forces x = 0 on the curve).
+  return fe_equal(acc.Y, acc.Z);
 }
 
 }  // namespace dauct::crypto::ed25519

@@ -1,29 +1,37 @@
 // Ed25519 signatures (RFC 8032), implemented from scratch.
 //
 // Vendored next to sha256/hmac so the signing layer has no external
-// dependency: a compact, allocation-free implementation in the TweetNaCl
-// style (radix-2^16 field elements, extended twisted-Edwards coordinates,
-// the complete a=-1 addition law). Secret-scalar multiplications (key
-// generation, signing) run the constant-time conditional-swap ladder;
-// verification — public data — uses a 4-bit-window variable-time multiply,
-// roughly 1.5x faster per point multiplication.
+// dependency. The arithmetic follows ref10 / ed25519-donna (Bernstein et
+// al., "High-speed high-security signatures", CHES 2011): a radix-2^51
+// field (five 51-bit limbs, 128-bit products) and ref10's extended
+// twisted-Edwards coordinate systems with the complete a=-1 addition law.
+//
+// Secret scalars (key generation, signing) go through a fixed-base comb:
+// signed radix-16 digits over a 32×8 table of affine multiples of B, built
+// once on first use. Every lookup scans all 8 entries of its row with
+// branch-free masked moves and negates branch-free, so neither control flow
+// nor memory addresses depend on the secret. Verification — public data
+// only — is variable time: one doubling chain shared by a width-5 wNAF of
+// the key and a width-8 wNAF over a static table of odd multiples of B.
 //
 // verify_batch() implements small-exponent batch verification: for random
 // 128-bit coefficients z_i it checks
 //
 //     (sum z_i s_i) B  ==  sum z_i R_i + sum (z_i h_i) A_i
 //
-// in one multi-scalar accumulation, amortizing the shared base-point term
-// and halving the R_i multiplications (128- vs 256-bit scalars) — the
-// round-batch amortization the auth layer benches (BM_auth_verify_batch).
-// A failing batch says only "at least one bad signature": callers fall back
-// to individual verify() to attribute blame.
+// as one interleaved-wNAF (Straus) multi-scalar multiplication over all
+// 2m+1 points, so the m signatures share one doubling chain of at most 256
+// steps and the R_i terms need only 128 bits. A failing batch says only
+// "at least one bad signature": callers fall back to individual verify() to
+// attribute blame.
 //
 // Signatures are deterministic (RFC 8032 nonce derivation), which the
 // golden-fingerprint equivalence tests rely on. Non-canonical signatures
-// (s >= L) are rejected. This implementation trades side-channel hardening
-// beyond the CT ladder (no cache-line scrubbing, no table masking) for
-// compactness — fine for the research simulator, called out in docs/AUTH.md.
+// (s >= L) are rejected. Keys, signatures, verdicts and the Rng draws of
+// verify_batch are pinned to the original implementation, retained as
+// ed25519_reference.hpp, by tests/ed25519_equivalence_test.cpp. Secret
+// intermediates are not wiped from the stack; docs/AUTH.md has the
+// side-channel statement.
 #pragma once
 
 #include <array>

@@ -79,6 +79,7 @@ void Sha512::compress(const std::uint8_t* block) {
 }
 
 Sha512& Sha512::update(BytesView data) {
+  if (data.empty()) return *this;  // an empty view may carry a null pointer
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   len_lo_ += n;
