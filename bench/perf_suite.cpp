@@ -10,7 +10,7 @@
 //                         provider symmetry breaking)
 //   scaled_dp             ReferenceScaledDpSolver vs ScaledDpSolver
 //                         (trial-scoped buffer reuse, provider-permutation
-//                         trial memoization)
+//                         trial memoization, branch-free SIMD knapsack row)
 //   payload_encode_hash   seed-style encode (nested temporary buffers,
 //                         body→frame copy, scalar SHA-256) vs the optimized
 //                         path (exact-size single-buffer encode, hardware-
@@ -82,19 +82,30 @@ void BM_exact_solver_opt(State& state) {
 }
 TINYBENCH(BM_exact_solver_opt)->Arg(24);
 
+// Args: users / providers / ε in thousandths. 50/8/60 is the fig5_vcg shape
+// (dauct_bench), whose solves are almost all of that workload's wall time.
+auction::AuctionInstance scaled_dp_instance(const State& state) {
+  return make_instance(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)), 11);
+}
+
+double scaled_dp_epsilon(const State& state) {
+  return static_cast<double>(state.range(2)) / 1000.0;
+}
+
 void BM_scaled_dp_ref(State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 11);
-  const auction::reference::ReferenceScaledDpSolver solver(0.1);
+  const auto inst = scaled_dp_instance(state);
+  const auction::reference::ReferenceScaledDpSolver solver(scaled_dp_epsilon(state));
   for (auto _ : state) DoNotOptimize(solver.solve_all(inst, 42));
 }
-TINYBENCH(BM_scaled_dp_ref)->Arg(32);
+TINYBENCH(BM_scaled_dp_ref)->Args({32, 5, 100})->Args({50, 8, 60});
 
 void BM_scaled_dp_opt(State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 11);
-  const auction::ScaledDpSolver solver(0.1);
+  const auto inst = scaled_dp_instance(state);
+  const auction::ScaledDpSolver solver(scaled_dp_epsilon(state));
   for (auto _ : state) DoNotOptimize(solver.solve_all(inst, 42));
 }
-TINYBENCH(BM_scaled_dp_opt)->Arg(32);
+TINYBENCH(BM_scaled_dp_opt)->Args({32, 5, 100})->Args({50, 8, 60});
 
 // ---------------------------------------------------------------------------
 // Payload encode + hash round trip: the per-message cost of producing a

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numeric>
-#include <thread>
+
+#include "auction/knapsack_row.hpp"
 
 namespace dauct::auction {
 
@@ -179,20 +181,20 @@ struct DpItem {
 
 /// Reusable per-trial buffers: one arena instead of fresh allocations per
 /// provider, with `items` filled once per solve and shared read-only across
-/// trials (the active set is seed-independent). `take` stays a flat *byte*
-/// matrix: a one-bit-per-cell variant was tried and measured ~45% slower
-/// here — the register bookkeeping for bit packing beats the 8× smaller
-/// zeroing on the DP's store-heavy inner loop.
+/// trials (the active set is seed-independent). `take` is a flat *byte*
+/// matrix that only grows: the row kernel writes every cell in [weight, grid]
+/// of its row, so a provider only zeroes each row's [0, weight) prefix and
+/// bytes left by earlier providers or trials are never read. (A one-bit-per-
+/// cell variant was tried on the scalar loop and measured ~45% slower.)
 struct ScaledDpSolver::Scratch {
   std::vector<Item> items;  // filled once per solve, read-only per trial
   std::vector<char> placed;
   std::vector<std::int64_t> dp;
   std::vector<DpItem> dp_items;
-  std::vector<char> take;  // take[t * (grid+1) + w]
+  std::vector<char> take;  // take[t * (grid+1) + w], grow-only
 };
 
-ScaledDpSolver::ScaledDpSolver(double epsilon, std::size_t parallel_trials)
-    : epsilon_(epsilon), parallel_trials_(std::max<std::size_t>(1, parallel_trials)) {
+ScaledDpSolver::ScaledDpSolver(double epsilon) : epsilon_(epsilon) {
   assert(epsilon > 0.0 && epsilon <= 1.0);
   trials_ = static_cast<std::size_t>(std::ceil(1.0 / epsilon));
 }
@@ -204,10 +206,9 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
   // on nothing but (seed, t). A trial's *only* random input is its shuffled
   // provider order, so trials that draw the same permutation are memoized
   // (with few providers — the paper's regime — collisions are frequent:
-  // ⌈1/ε⌉ draws from m! permutations), and distinct trials can run
-  // concurrently. Neither changes any result: the reduction below picks the
-  // earliest trial achieving the maximum welfare, exactly like the reference
-  // serial loop.
+  // ⌈1/ε⌉ draws from m! permutations). That changes no result: the reduction
+  // below keeps the earliest trial achieving the maximum welfare, exactly
+  // like the reference loop.
   crypto::Rng rng(seed);
   std::vector<std::vector<std::size_t>> orders(trials_);
   std::vector<std::size_t> dup_of(trials_);
@@ -228,46 +229,22 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
     }
   }
 
-  std::vector<Assignment> results(trials_);
-  const std::size_t workers = std::min(parallel_trials_, trials_);
-  if (workers <= 1) {
-    Scratch scratch;
-    active_items(instance, active, scratch.items);
-    for (std::size_t t = 0; t < trials_; ++t) {
-      if (dup_of[t] == t) results[t] = solve_one_trial(instance, scratch, orders[t]);
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w]() {
-        Scratch scratch;
-        active_items(instance, active, scratch.items);
-        for (std::size_t t = w; t < trials_; t += workers) {
-          if (dup_of[t] == t) results[t] = solve_one_trial(instance, scratch, orders[t]);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-
+  Scratch scratch;
+  active_items(instance, active, scratch.items);
   Assignment best;
   best.provider_of.assign(instance.bids.size(), -1);
   best.welfare = Money::from_micros(-1);
   for (std::size_t t = 0; t < trials_; ++t) {
     // A duplicated trial can never beat its original (identical welfare,
-    // later index), so it never has to be materialized at all.
+    // later index), so it never has to be solved at all.
     if (dup_of[t] != t) continue;
-    if (results[t].welfare > best.welfare) best = std::move(results[t]);
+    Assignment result = solve_one_trial(instance, scratch, orders[t]);
+    if (result.welfare > best.welfare) best = std::move(result);
   }
   return best;
 }
 
-// Pinned to a 64-byte boundary: the knapsack loop below is a tight,
-// data-dependent branch whose speed depends on where it falls relative to
-// 32-byte fetch boundaries. Unpinned, code-size changes anywhere earlier in
-// the link (e.g. in crypto/) moved it and swung fig5_vcg latency by ~8%.
-[[gnu::aligned(64)]] Assignment ScaledDpSolver::solve_one_trial(
+Assignment ScaledDpSolver::solve_one_trial(
     const AuctionInstance& instance, Scratch& scratch,
     const std::vector<std::size_t>& provider_order) const {
   const std::vector<Item>& items = scratch.items;
@@ -305,30 +282,26 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
     }
     if (dp_items.empty()) continue;
 
-    // 0/1 knapsack over grid cells. Raw pointers hoisted out of the loops:
-    // the take rows are char stores, which alias everything, so indexing
-    // through the vectors would force the compiler to reload their data
-    // pointers on every iteration.
+    // 0/1 knapsack over grid cells, one branch-free row-kernel call per
+    // item. The kernel fills each take row's [weight, grid] cells; only the
+    // prefix below the item's weight needs zeroing here.
+    const std::size_t stride = grid + 1;
     std::fill(scratch.dp.begin(), scratch.dp.end(), 0);
-    scratch.take.assign(dp_items.size() * (grid + 1), 0);
+    if (scratch.take.size() < dp_items.size() * stride) {
+      scratch.take.resize(dp_items.size() * stride);
+    }
     std::int64_t* const dp = scratch.dp.data();
     for (std::size_t t = 0; t < dp_items.size(); ++t) {
       const DpItem di = dp_items[t];
-      char* const row = scratch.take.data() + t * (grid + 1);
-      for (std::size_t w = grid; w >= di.weight; --w) {
-        const std::int64_t cand = dp[w - di.weight] + di.value;
-        if (cand > dp[w]) {
-          dp[w] = cand;
-          row[w] = 1;
-        }
-        if (w == di.weight) break;  // avoid size_t underflow
-      }
+      char* const row = scratch.take.data() + t * stride;
+      std::memset(row, 0, di.weight);
+      detail::knapsack_row(dp, row, grid, di.weight, di.value);
     }
 
     // Reconstruct the chosen subset.
     std::size_t w = grid;
     for (std::size_t t = dp_items.size(); t-- > 0;) {
-      if (scratch.take[t * (grid + 1) + w]) {
+      if (scratch.take[t * stride + w]) {
         const auto& di = dp_items[t];
         scratch.placed[di.item_idx] = 1;
         out.provider_of[items[di.item_idx].bidder] = static_cast<std::int32_t>(j);

@@ -75,38 +75,34 @@ class ExactSolver final : public WelfareSolver {
 ///
 /// Hot-path layout: the active item set is materialized once per solve (it is
 /// seed-independent), every trial reuses a single scratch arena (DP row, flat
-/// take-matrix, perturbation buffers) instead of allocating per provider, and
-/// trials can optionally run on a small thread pool. All modes
-/// return bit-identical Assignments: trials fork independent RNG streams and
-/// the winner is reduced in trial order, so thread count never changes the
-/// outcome (enforced against ReferenceScaledDpSolver by the equivalence
-/// tests).
+/// grow-only take-matrix, perturbation buffers) instead of allocating per
+/// provider, trials that draw the same provider permutation are solved once,
+/// and each item's DP row goes through a branch-free kernel
+/// (auction/knapsack_row.hpp) dispatched once at startup to AVX2 or portable
+/// scalar code. Every path returns bit-identical Assignments (enforced against
+/// ReferenceScaledDpSolver by the equivalence tests).
 class ScaledDpSolver final : public WelfareSolver {
  public:
   /// `epsilon` controls the capacity grid (⌈n/ε⌉ cells) and the number of
-  /// perturbed trials (⌈1/ε⌉). Must be in (0, 1]. `parallel_trials` > 1 runs
-  /// up to that many trials on concurrent threads (1 = serial, the default;
-  /// results are identical either way).
-  explicit ScaledDpSolver(double epsilon, std::size_t parallel_trials = 1);
+  /// perturbed trials (⌈1/ε⌉). Must be in (0, 1].
+  explicit ScaledDpSolver(double epsilon);
 
   Assignment solve(const AuctionInstance& instance, const std::vector<bool>& active,
                    std::uint64_t seed) const override;
 
   double epsilon() const { return epsilon_; }
   std::size_t trials() const { return trials_; }
-  std::size_t parallel_trials() const { return parallel_trials_; }
 
  private:
   struct Scratch;  // per-trial reusable buffers; defined in welfare.cpp
 
   /// One perturbed trial: deterministic in (instance, active item set,
-  /// provider_order) — the basis for trial memoization and parallelism.
+  /// provider_order) — the basis for trial memoization.
   Assignment solve_one_trial(const AuctionInstance& instance, Scratch& scratch,
                              const std::vector<std::size_t>& provider_order) const;
 
   double epsilon_;
   std::size_t trials_;
-  std::size_t parallel_trials_;
 };
 
 }  // namespace dauct::auction

@@ -356,7 +356,9 @@ MinimizeResult minimize(const Scenario& failing, FuzzVerdict verdict,
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < sc.faults.links.size(); ++i) {
-      sim::LinkFault& f = sc.faults.links[i];
+      // A copy, not a reference: a step that sticks move-assigns `sc`,
+      // which frees the vector a reference would point into.
+      const sim::LinkFault f = sc.faults.links[i];
       // Instance filters generalize away first: a rule that still fails when
       // applied to EVERY instance shouldn't carry the narrowing.
       if (f.instance != sim::kAnyInstance) {
@@ -392,7 +394,7 @@ MinimizeResult minimize(const Scenario& failing, FuzzVerdict verdict,
       }
     }
     for (std::size_t i = 0; i < sc.faults.cuts.size(); ++i) {
-      sim::LinkCut& cut = sc.faults.cuts[i];
+      const sim::LinkCut cut = sc.faults.cuts[i];  // copy: see links above
       if (cut.instance != sim::kAnyInstance) {
         changed |= try_step(sc, [i](Scenario& s) {
           s.faults.cuts[i].instance = sim::kAnyInstance;
@@ -406,7 +408,7 @@ MinimizeResult minimize(const Scenario& failing, FuzzVerdict verdict,
       }
     }
     for (std::size_t i = 0; i < sc.faults.partitions.size(); ++i) {
-      sim::Partition& p = sc.faults.partitions[i];
+      const sim::Partition p = sc.faults.partitions[i];  // copy: see links above
       if (p.instance != sim::kAnyInstance) {
         changed |= try_step(sc, [i](Scenario& s) {
           s.faults.partitions[i].instance = sim::kAnyInstance;
@@ -427,7 +429,7 @@ MinimizeResult minimize(const Scenario& failing, FuzzVerdict verdict,
       }
     }
     for (std::size_t i = 0; i < sc.faults.crashes.size(); ++i) {
-      sim::CrashEvent& crash = sc.faults.crashes[i];
+      const sim::CrashEvent crash = sc.faults.crashes[i];  // copy: see links above
       // Simplify amnesia to plain crash-recover first: if the failure
       // survives without the WAL-replay machinery, the repro shouldn't
       // drag it in. (When the step retires the last amnesia crash, the

@@ -64,7 +64,7 @@ struct LinkFault {
   /// namespace, e.g. "i0g0/"). Runtime-internal — never parsed from .scn;
   /// note that instance-confined rules cannot touch unscoped traffic (the
   /// link's rl/* control frames, cross-instance launch batches).
-  std::string topic_scope;
+  std::string topic_scope = {};
 
   bool matches(NodeId f, NodeId t, std::string_view topic, SimTime depart) const;
 };
@@ -79,7 +79,7 @@ struct LinkCut {
   /// an instance-confined cut severs only that instance's topic namespace
   /// while co-tenant instances keep flowing over the shared link.
   std::uint64_t instance = kAnyInstance;
-  std::string topic_scope;
+  std::string topic_scope = {};
 };
 
 /// Network partition during [from, until): messages crossing the boundary
@@ -90,7 +90,7 @@ struct Partition {
   SimTime until = kSimForever;
   /// Instance filter + compiled topic prefix, same contract as LinkFault.
   std::uint64_t instance = kAnyInstance;
-  std::string topic_scope;
+  std::string topic_scope = {};
 };
 
 /// What a crashed node keeps across its down window.

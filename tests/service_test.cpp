@@ -206,9 +206,15 @@ TEST(ServiceEquivalence, TwinEqualityHoldsUnderEveryTransportLayerVariant) {
       ASSERT_TRUE(twin.global_outcome.ok());
       EXPECT_EQ(digest_of(inst.outcome), digest_of(twin.global_outcome));
     }
-    if (v.wal) EXPECT_GT(run.wal_stats.records_appended, 0u);
-    if (v.auth) EXPECT_GT(run.auth_stats.signed_sends, 0u);
-    if (v.reliability) EXPECT_GT(run.reliability_stats.tracked, 0u);
+    if (v.wal) {
+      EXPECT_GT(run.wal_stats.records_appended, 0u);
+    }
+    if (v.auth) {
+      EXPECT_GT(run.auth_stats.signed_sends, 0u);
+    }
+    if (v.reliability) {
+      EXPECT_GT(run.reliability_stats.tracked, 0u);
+    }
   }
 }
 

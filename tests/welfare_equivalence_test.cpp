@@ -6,6 +6,13 @@
 // a mixed deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "auction/knapsack_row.hpp"
 #include "auction/welfare.hpp"
 #include "auction/welfare_reference.hpp"
 #include "auction/workload.hpp"
@@ -97,17 +104,83 @@ TEST(ScaledDpEquivalence, ActiveMasks) {
   }
 }
 
-TEST(ScaledDpEquivalence, ParallelTrialsMatchSerial) {
-  // Thread count must be invisible in the result (and in the serde bytes the
-  // providers cross-validate).
-  const ScaledDpSolver serial(0.1, 1);
-  const ScaledDpSolver parallel(0.1, 4);
+// The reference solver's row loop, verbatim: the contract every
+// knapsack_row body must meet on a row whose [weight, grid] cells start at 0.
+void reference_row(std::int64_t* dp, char* row, std::size_t grid, std::size_t weight,
+                   std::int64_t value) {
+  for (std::size_t w = grid; w >= weight; --w) {
+    const std::int64_t cand = dp[w - weight] + value;
+    if (cand > dp[w]) {
+      dp[w] = cand;
+      row[w] = 1;
+    }
+    if (w == weight) break;
+  }
+}
+
+TEST(ScaledDpEquivalence, RowKernelsMatchReferenceLoop) {
+  std::vector<std::pair<const char*, detail::KnapsackRowFn>> kernels = {
+      {"scalar", &detail::knapsack_row_scalar}};
+  if (detail::KnapsackRowFn avx2 = detail::knapsack_row_avx2()) {
+    kernels.emplace_back("avx2", avx2);
+  }
+  // Grid sizes with grid + 1 ≡ 0, 1, 2, 3 (mod 4), plus the fig5 grid (834).
+  const std::size_t grids[] = {16, 17, 18, 19, 63, 64, 834};
+  crypto::Rng rng(99);
+  for (const auto& [name, kernel] : kernels) {
+    for (const std::size_t grid : grids) {
+      // Weights 1..9 cover every lane remainder and the chunks whose reads
+      // overlap their own stores; grid − 1 and grid give two- and one-cell rows.
+      std::vector<std::size_t> weights = {1, 2, 3, 4, 5, 6, 7, 8, 9, grid - 1, grid};
+      for (int extra = 0; extra < 4; ++extra) weights.push_back(1 + rng.next_below(grid));
+      for (const std::size_t weight : weights) {
+        for (int rep = 0; rep < 3; ++rep) {
+          // Small values make ties (cand == dp[w], no take) frequent.
+          const std::uint64_t span = rep == 0 ? 4 : 1'000'000;
+          std::vector<std::int64_t> dp_ref(grid + 1);
+          for (auto& c : dp_ref) c = static_cast<std::int64_t>(rng.next_below(span));
+          const auto value = static_cast<std::int64_t>(rng.next_below(span));
+          std::vector<std::int64_t> dp_opt = dp_ref;
+          // The [0, weight) prefix holds a pattern both must leave alone; the
+          // kernel's [weight, grid] cells start as garbage it must overwrite.
+          std::vector<char> row_ref(grid + 1, 0);
+          for (std::size_t w = 0; w < weight; ++w) {
+            row_ref[w] = static_cast<char>(w % 7 + 2);
+          }
+          std::vector<char> row_opt = row_ref;
+          std::fill(row_opt.begin() + static_cast<std::ptrdiff_t>(weight), row_opt.end(),
+                    static_cast<char>(0x5a));
+
+          reference_row(dp_ref.data(), row_ref.data(), grid, weight, value);
+          kernel(dp_opt.data(), row_opt.data(), grid, weight, value);
+          ASSERT_EQ(dp_opt, dp_ref) << name << " grid " << grid << " weight " << weight;
+          ASSERT_EQ(row_opt, row_ref) << name << " grid " << grid << " weight " << weight;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScaledDpEquivalence, Fig5ShapeClarkeMasks) {
+  // The fig5_vcg shape (n=50, m=8, ε=0.06) through one solver instance:
+  // full solves and Clarke re-solves (one bidder knocked out, per-bidder
+  // seed offset as in standard_auction.cpp) across many seeds. Item sets
+  // differ per provider and per mask, so a take-row byte left stale in the
+  // grow-only buffer would change some reconstruction.
+  const ScaledDpSolver opt(0.06);
+  const reference::ReferenceScaledDpSolver ref(0.06);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const AuctionInstance inst = random_instance(30, 5, seed);
-    const Assignment a = serial.solve_all(inst, seed);
-    const Assignment b = parallel.solve_all(inst, seed);
-    EXPECT_EQ(a, b) << "seed " << seed;
-    EXPECT_EQ(serde::encode_assignment(a), serde::encode_assignment(b));
+    const AuctionInstance inst = random_instance(50, 8, seed);
+    EXPECT_EQ(opt.solve_all(inst, seed), ref.solve_all(inst, seed)) << "seed " << seed;
+    for (std::size_t i = seed; i < inst.bids.size(); i += 4) {
+      std::vector<bool> mask(inst.bids.size(), true);
+      mask[i] = false;
+      const std::uint64_t s = seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+      const Assignment a = opt.solve(inst, mask, s);
+      const Assignment b = ref.solve(inst, mask, s);
+      EXPECT_EQ(a, b) << "seed " << seed << " without bidder " << i;
+      EXPECT_EQ(serde::encode_assignment(a), serde::encode_assignment(b));
+    }
   }
 }
 
