@@ -584,31 +584,22 @@ std::string digest_of_service(const ServiceRunResult& s) {
 
 /// Aggregate a service run into the single-run result shape so every
 /// [expect] key keeps its meaning: global outcome ok iff ALL instances
-/// cleared (else the first ⊥ — its reason drives abort_reason), stats and
-/// the proof carried over verbatim.
+/// cleared (else the first ⊥ — its reason drives abort_reason); the shared
+/// run stats carry over as they are.
 SimRunResult aggregate_service(const ServiceRunResult& s) {
   SimRunResult r;
-  r.global_outcome = auction::AuctionOutcome(
-      Bottom{AbortReason::kTimeout, "service run produced no instances"});
-  bool all_ok = !s.instances.empty();
+  static_cast<RunStats&>(r) = s;
+  r.global_outcome =
+      s.instances.empty()
+          ? auction::AuctionOutcome(Bottom{AbortReason::kTimeout,
+                                           "service run produced no instances"})
+          : s.instances.front().outcome;
   for (const auto& inst : s.instances) {
     if (!inst.outcome.ok()) {
-      all_ok = false;
       r.global_outcome = inst.outcome;
       break;
     }
   }
-  if (all_ok) r.global_outcome = s.instances.front().outcome;
-  r.makespan = s.makespan;
-  r.traffic = s.traffic;
-  r.fault_stats = s.fault_stats;
-  r.reliability_stats = s.reliability_stats;
-  r.auth_stats = s.auth_stats;
-  r.wal_stats = s.wal_stats;
-  r.equivocation_proof = s.equivocation_proof;
-  r.stalled = s.stalled;
-  r.event_budget_exhausted = s.event_budget_exhausted;
-  r.events_dispatched = s.events_dispatched;
   return r;
 }
 
@@ -1033,7 +1024,7 @@ ScenarioParse parse_scenario(std::string_view text) {
   }
   // [wal] corrupt damages the live tail at an amnesia crash; without one it
   // would never fire — a config mistake, not a request. (enable=true is
-  // already enforced section-locally, and amnesia implies no [service].)
+  // already enforced section-locally.)
   if (ctx.sc.wal_fault.enable &&
       std::none_of(ctx.sc.faults.crashes.begin(), ctx.sc.faults.crashes.end(),
                    [](const sim::CrashEvent& c) {
@@ -1058,18 +1049,6 @@ ScenarioParse parse_scenario(std::string_view text) {
                 std::to_string(*ctx.sc.expect.min_instances_ok) +
                 " exceeds [service] instances " +
                 std::to_string(ctx.sc.instances)};
-  }
-  if (service) {
-    // Amnesia recovery rebuilds ONE auction's chain from its log; the
-    // service plane shares links/WAL across instances, so a rebuild would
-    // tear down every instance's transport at once. Not supported.
-    for (const auto& c : ctx.sc.faults.crashes) {
-      if (c.mode == sim::CrashMode::kAmnesia) {
-        return {std::nullopt,
-                "[crash] mode=amnesia is not supported with [service] "
-                "(per-node durable state is shared across instances)"};
-      }
-    }
   }
   return {std::move(ctx.sc), std::string()};
 }

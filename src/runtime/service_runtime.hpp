@@ -9,10 +9,14 @@
 // settling instance t launches instance t + depth in the same virtual instant
 // — consensus rounds of the next epoch overlap settlement of the previous.
 //
+// This is the only simulated distributed runtime: SimRuntime::run_distributed
+// is the instances == 1, depth-1 run of it (bare topics, the classic client
+// batch, no straggler drop), so the single-auction golden fingerprints pin
+// that path directly. Each node's stack (link, signer, validator, WAL) is
+// shared by every instance; an amnesia crash rebuilds the stack and every
+// instance's engine on that node and replays them all from the one log.
+//
 // Equivalence contract (pinned by tests/service_test.cpp):
-//  * instances == 1 routes through this runtime byte-identically to
-//    SimRuntime::run_distributed — same digest, makespan, and traffic as the
-//    golden fingerprints;
 //  * instance i of an N-instance run reaches the same result digest as a
 //    standalone run at seed derive_instance_seed(base_seed, i) (its "twin").
 //    Virtual timings differ (instances contend for node clocks); results do
@@ -44,9 +48,7 @@ struct ServiceDeviation {
 struct ServiceRunConfig {
   /// Transport/fault/crypto configuration shared by every instance. The base
   /// seed drives the scheduler and derives each instance's twin seed;
-  /// base.deviations (if any) apply to all instances. Amnesia crash recovery
-  /// is not supported in service mode (scenario validation rejects it); an
-  /// amnesia window degrades to a plain crash-recover pause.
+  /// base.deviations (if any) apply to all instances.
   SimRunConfig base;
   std::size_t instances = 1;
   /// Concurrent-instance bound: instances 0..depth-1 launch together at
@@ -68,23 +70,18 @@ struct InstanceRunResult {
   bool settled = false;    ///< all m result reports reached the client
   sim::SimTime launched_at = 0;
   sim::SimTime settled_at = 0;
+  /// Phase breakdown: virtual time at which each provider finished this
+  /// instance's bid agreement / produced its final output. Zero if never
+  /// (and empty if the instance never launched).
+  std::vector<sim::SimTime> bid_agreement_done_at;
+  std::vector<sim::SimTime> provider_done_at;
 };
 
-struct ServiceRunResult {
+/// RunStats::makespan is the last settlement instant when every instance
+/// settled, else the virtual time the event queue drained; stalled means
+/// some instance never finished (counts as ⊥).
+struct ServiceRunResult : RunStats {
   std::vector<InstanceRunResult> instances;
-  /// Last settlement instant when every instance settled; else the virtual
-  /// time the event queue drained (the single-instance identity value equals
-  /// SimRunResult::makespan exactly).
-  sim::SimTime makespan = 0;
-  sim::TrafficStats traffic;
-  sim::FaultStats fault_stats;
-  net::ReliabilityStats reliability_stats;  ///< summed over the shared links
-  net::AuthStats auth_stats;
-  store::WalStats wal_stats;
-  std::optional<net::EquivocationProof> equivocation_proof;
-  bool stalled = false;  ///< some instance never finished (counts as ⊥)
-  bool event_budget_exhausted = false;
-  std::uint64_t events_dispatched = 0;
   std::size_t settled_ok = 0;  ///< instances whose combined outcome is ok
 
   /// Service throughput in auctions per virtual second (0 if nothing

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-#include "crypto/sha256.hpp"
-#include "net/sim_transport.hpp"
+#include "runtime/service_runtime.hpp"
 #include "runtime/submission_codec.hpp"
 #include "serde/auction_codec.hpp"
-#include "serde/codec.hpp"
 
 namespace dauct::runtime {
 
@@ -36,546 +33,19 @@ sim::SimTime SimRunResult::provider_makespan() const {
 
 SimRunResult SimRuntime::run_distributed(const core::DistributedAuctioneer& auctioneer,
                                          const auction::AuctionInstance& instance) {
-  const std::size_t m = auctioneer.spec().m;
-  const std::size_t n = auctioneer.spec().num_bidders;
-  const NodeId client = static_cast<NodeId>(m);
-
-  sim::Scheduler scheduler(m + 1, config_.latency, config_.seed, config_.cost_mode);
-  scheduler.set_cpu_scale(config_.cpu_scale);
-  if (config_.faults) scheduler.install_fault_plan(*config_.faults);
-
-  // Endpoints and engines. The per-provider chain, outermost (engine-facing)
-  // first: [DeviantEndpoint →] [SignerEndpoint →] [AuthTamperEndpoint →]
-  // [ReliableLink →] SimEndpoint — deviation shapes what the engine sends
-  // *before* the signer signs it (a byzantine node signs its tampered output
-  // with its own key: the stolen-key equivocator), the wire adversary injects
-  // *after* signing (it holds no key, so its frames cannot verify), and the
-  // link is the last hop before the wire, tracking the frames actually sent.
-  // With reliability and auth off no wrapper exists and the chain is
-  // byte-identical to the original runtime.
-  //
-  // The chain is held per node in a rebuildable bundle: an amnesia recovery
-  // (sim::CrashMode::kAmnesia) destroys one node's bundle — its memory — and
-  // reconstructs it from the surviving write-ahead log. Members are declared
-  // innermost-last so destruction runs engine-first, wire-endpoint-last.
-  crypto::Rng seeder(config_.seed ^ 0xd15742u);
-  std::shared_ptr<const net::KeyDirectory> key_dir;
-  net::AuthStats auth_stats;
-  if (config_.auth.enable) {
-    key_dir = std::make_shared<net::KeyDirectory>(m, config_.seed);
-  }
-  struct NodeChain {
-    std::unique_ptr<net::SimEndpoint> endpoint;
-    std::unique_ptr<net::ReliableLink> link;
-    std::unique_ptr<adversary::AuthTamperEndpoint> tamperer;
-    std::unique_ptr<net::SignerEndpoint> signer;
-    std::unique_ptr<net::MessageValidator> validator;
-    std::unique_ptr<adversary::DeviantEndpoint> deviant;
-    std::unique_ptr<core::ProviderEngine> engine;
-  };
-  std::vector<NodeChain> chains(m);
-  // Endpoint seeds, drawn up front in node order — the same seeder stream as
-  // ever (one draw per provider), and the value a rebuild must reuse for
-  // replay re-execution to be exact (recorded in the WAL meta record).
-  std::vector<std::uint64_t> endpoint_seeds(m);
-  for (NodeId j = 0; j < m; ++j) endpoint_seeds[j] = seeder.next_u64();
-
-  // Per-provider delivery bookkeeping. Topics are interned once here; the
-  // per-message dispatch below is integer compares.
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
-  std::vector<bool> started(m, false);
-  std::vector<bool> reported(m, false);
-  std::vector<sim::SimTime> ba_done(m, 0), eng_done(m, 0);
-  std::vector<bool> result_seen(m, false);
-  std::size_t results_at_client = 0;
-  sim::SimTime client_done_at = 0;
-
-  // Durability. The MemStorage "disks" live outside the chains: an amnesia
-  // crash destroys a chain, never its storage. Stats of Wal/link objects a
-  // rebuild destroys are folded into accumulators so the run totals survive.
-  const bool wal_on = config_.wal.enable;
-  std::vector<std::shared_ptr<store::MemStorage>> storages(wal_on ? m : 0);
-  // Lying-disk decorators (store::FaultyStorage), armed per amnesia-crashing
-  // node when wal_fault is enabled. The Wal writes through the decorator;
-  // the MemStorage underneath is still the "disk" that survives the crash.
-  std::vector<std::shared_ptr<store::FaultyStorage>> faulty_disks(wal_on ? m : 0);
-  std::vector<std::unique_ptr<store::Wal>> wals(wal_on ? m : 0);
-  std::vector<bool> replaying(m, false);
-  std::vector<std::uint64_t> wal_delivered(m, 0);
-  store::WalStats wal_stats_acc;
-  net::ReliabilityStats rel_stats_acc;
-
-  const auto expected_meta = [&](NodeId j) {
-    store::WalMeta meta;
-    meta.run_seed = config_.seed;
-    meta.node = j;
-    meta.providers = m;
-    meta.users = n;
-    meta.k = auctioneer.spec().k;
-    meta.endpoint_seed = endpoint_seeds[j];
-    return meta;
-  };
-
-  /// Durably record a round decision — skipped during replay (the record is
-  /// already in the log; the suppressed branches cannot re-fire anyway, since
-  /// ba_done/reported survive the rebuild).
-  const auto journal_decision = [&](NodeId j, store::DecisionKind kind, bool ok,
-                                    const crypto::Digest& digest) {
-    if (!wal_on || replaying[j]) return;
-    store::Decision d;
-    d.kind = kind;
-    d.ok = ok;
-    d.digest = digest;
-    if (key_dir) {
-      // Sign kind ‖ digest with the node's run key: the decision record is
-      // then transferable evidence of what this provider committed to.
-      Bytes msg;
-      msg.reserve(1 + digest.size());
-      msg.push_back(static_cast<std::uint8_t>(kind));
-      msg.insert(msg.end(), digest.begin(), digest.end());
-      const auto sig = crypto::ed25519::sign(key_dir->pair(j), BytesView(msg));
-      d.signature.assign(sig.begin(), sig.end());
-    }
-    const Bytes enc = store::encode_decision(d);
-    wals[j]->append(store::RecordType::kDecision, BytesView(enc));
-    wals[j]->commit();
-  };
-
-  // Progress bookkeeping shared by the delivery path, the replay path, and
-  // the reliability give-up path (an engine can reach done() from a
-  // retransmit timer, with no delivery in flight to piggyback the result
-  // report on).
-  const auto note_progress = [&](NodeId j) {
-    core::ProviderEngine& engine = *chains[j].engine;
-    if (ba_done[j] == 0 && engine.agreed_bids().has_value()) {
-      ba_done[j] = scheduler.now();
-      if (wal_on && !replaying[j]) {
-        serde::Writer w;
-        const auto& bids = *engine.agreed_bids();
-        w.varint(bids.size());
-        for (const auto& b : bids) serde::write_bid(w, b);
-        const Bytes enc = w.take();
-        journal_decision(j, store::DecisionKind::kBidsAgreed, true,
-                         crypto::sha256(BytesView(enc)));
-      }
-    }
-    if (eng_done[j] == 0 && engine.done()) {
-      eng_done[j] = scheduler.now();
-    }
-    if (engine.done() && !reported[j]) {
-      reported[j] = true;
-      const auto& out = *engine.outcome();
-      serde::Writer w;
-      w.boolean(out.ok());
-      if (out.ok()) {
-        w.bytes(serde::encode_result(out.value()));
-      } else {
-        w.u8(static_cast<std::uint8_t>(out.bottom().reason));
-      }
-      Bytes payload = w.take();
-      if (wal_on) {
-        // The digest covers the exact report the client receives — the pin
-        // the kill-restart equivalence checks compare.
-        journal_decision(j, store::DecisionKind::kOutcome, out.ok(),
-                         crypto::sha256(BytesView(payload)));
-      }
-      scheduler.send(net::Message{j, client, result_topic, std::move(payload)});
-    }
-  };
-
-  /// Application dispatch: the engine-facing tail shared by live deliveries
-  /// and WAL replay. `msg` is post-link, post-validator.
-  const auto dispatch_app = [&](NodeId j, const net::Message& msg) {
-    core::ProviderEngine& engine = *chains[j].engine;
-    if (msg.topic == bids_topic) {
-      // Idempotent against a (faulty) network duplicating the client batch:
-      // the engine starts exactly once.
-      auto subs = decode_submissions(BytesView(msg.payload));
-      if (subs && !started[j]) {
-        started[j] = true;
-        journal_decision(j, store::DecisionKind::kStarted, true,
-                         net::payload_digest(msg.payload));
-        engine.start(sanitize_submissions(*subs, auctioneer.spec().limits));
-      }
-    } else {
-      engine.on_message(msg);
-    }
-    note_progress(j);
-  };
-
-  /// Validator + engine dispatch for a post-link message — the journaled
-  /// form. Replay re-enters here: a fresh validator re-verifies every logged
-  /// signature, so a WAL tampered with below the CRC still cannot smuggle a
-  /// forged frame into the rebuilt engine.
-  const auto dispatch_verified = [&](NodeId j, const net::Message& in) {
-    net::Message verified;
-    const net::Message* delivered = &in;
-    if (net::MessageValidator* v = chains[j].validator.get()) {
-      verified = in;
-      switch (v->on_deliver(verified)) {
-        case net::MessageValidator::Action::kDrop:
-          return;
-        case net::MessageValidator::Action::kAbort:
-          chains[j].engine->abort(
-              Bottom{v->proof() ? AbortReason::kEquivocationDetected
-                                : AbortReason::kProtocolViolation,
-                     v->abort_detail()});
-          note_progress(j);
-          return;
-        case net::MessageValidator::Action::kDeliver:
-          break;
-      }
-      delivered = &verified;
-    }
-    dispatch_app(j, *delivered);
-  };
-
-  /// Write-ahead append of one post-link delivery: durable before dispatch.
-  /// The logged form keeps the signature header (auth on) — replay re-runs
-  /// the validator, and the link's dedup digests (computed pre-validator)
-  /// line up with the restored keys.
-  const auto journal_message = [&](NodeId j, const net::Message& msg) {
-    if (!wal_on) return;
-    wals[j]->append_message_record(msg.from, msg.topic.str(),
-                                   BytesView(msg.payload));
-    wals[j]->commit();
-    ++wal_delivered[j];
-  };
-
-  /// Periodic consistency checkpoint, appended *after* dispatch so the flags
-  /// describe the state the preceding message records produce on replay.
-  const auto maybe_snapshot = [&](NodeId j) {
-    if (!wal_on || config_.wal.snapshot_every == 0) return;
-    if (wal_delivered[j] % config_.wal.snapshot_every != 0) return;
-    store::Snapshot s;
-    s.messages_delivered = wal_delivered[j];
-    s.started = started[j];
-    s.bids_agreed = chains[j].engine->agreed_bids().has_value();
-    s.done = chains[j].engine->done();
-    const Bytes enc = store::encode_snapshot(s);
-    wals[j]->append(store::RecordType::kSnapshot, BytesView(enc));
-    wals[j]->commit();
-  };
-
-  const auto build_chain = [&](NodeId j) {
-    NodeChain& c = chains[j];
-    c.endpoint =
-        std::make_unique<net::SimEndpoint>(scheduler, j, m, endpoint_seeds[j]);
-    blocks::Endpoint* ep = c.endpoint.get();
-    if (config_.reliability.enable) {
-      c.link = std::make_unique<net::ReliableLink>(*ep, config_.reliability);
-      ep = c.link.get();
-      c.link->set_on_give_up([&, j](NodeId to, const net::Topic& topic,
-                                    std::size_t attempts) {
-        chains[j].engine->abort(Bottom{
-            AbortReason::kDeliveryFailed,
-            "provider " + std::to_string(to) + " unreachable on '" +
-                topic.str() + "' after " + std::to_string(attempts) +
-                " attempts"});
-        note_progress(j);
-      });
-    }
-    if (config_.auth.enable) {
-      if (config_.auth_adversary.node == j &&
-          config_.auth_adversary.mode != adversary::AuthTamperMode::kNone) {
-        c.tamperer = std::make_unique<adversary::AuthTamperEndpoint>(
-            *ep, config_.auth_adversary.mode);
-        ep = c.tamperer.get();
-      }
-      c.signer = std::make_unique<net::SignerEndpoint>(*ep, key_dir, &auth_stats);
-      ep = c.signer.get();
-      c.validator = std::make_unique<net::MessageValidator>(
-          j, key_dir, config_.auth, config_.seed ^ (0xba7c4000u + j),
-          &auth_stats);
-    }
-    if (auto it = config_.deviations.find(j); it != config_.deviations.end()) {
-      c.deviant = std::make_unique<adversary::DeviantEndpoint>(*ep, it->second);
-      ep = c.deviant.get();
-    }
-    auction::Ask ask =
-        j < instance.asks.size() ? instance.asks[j] : auction::Ask{j, {}, {}};
-    c.engine = auctioneer.make_engine(*ep, ask);
-  };
-
-  const auto has_amnesia_crash = [&](NodeId j) {
-    if (!config_.faults) return false;
-    for (const auto& c : config_.faults->crashes) {
-      if (c.node == j && c.mode == sim::CrashMode::kAmnesia) return true;
-    }
-    return false;
-  };
-  const auto wal_sink = [&](NodeId j) -> std::shared_ptr<store::Storage> {
-    if (faulty_disks[j]) return faulty_disks[j];
-    return storages[j];
-  };
-  for (NodeId j = 0; j < m; ++j) {
-    build_chain(j);
-    if (wal_on) {
-      storages[j] = std::make_shared<store::MemStorage>();
-      if (config_.wal_fault.enable && has_amnesia_crash(j)) {
-        store::StorageFaultConfig fc = config_.wal_fault;
-        fc.seed = config_.wal_fault.seed ^ (0x57a6e000u + j);  // per-node stream
-        faulty_disks[j] = std::make_shared<store::FaultyStorage>(storages[j], fc);
-      }
-      wals[j] = std::make_unique<store::Wal>(wal_sink(j));
-      wals[j]->open();  // fresh storage: nothing to scan
-      const Bytes enc = store::encode_meta(expected_meta(j));
-      wals[j]->append(store::RecordType::kMeta, BytesView(enc));
-      wals[j]->commit();
-    }
-  }
-
-  /// Amnesia recovery (docs/DURABILITY.md): destroy the node's memory,
-  /// rebuild the chain over the same endpoint seed, replay the surviving
-  /// log through the real dispatch path, then sweep peers for the gap.
-  const auto rebuild_node = [&](NodeId j) {
-    // The process died: no timer armed by the lost state may ever run — the
-    // objects behind those callbacks are about to be destroyed.
-    scheduler.bump_incarnation(j);
-    if (chains[j].link) rel_stats_acc += chains[j].link->stats();
-    wal_stats_acc += wals[j]->stats();
-    started[j] = false;  // re-derived by replay (the bids batch is in the log)
-    chains[j] = NodeChain{};
-    build_chain(j);
-    // Power-loss damage lands now, before the log is reopened: no appends
-    // happen inside the down window (the injector drops deliveries to a down
-    // node), so damaging at the rebuild instant ≡ damaging at the crash.
-    if (faulty_disks[j]) faulty_disks[j]->crash();
-    wals[j] = std::make_unique<store::Wal>(wal_sink(j));
-    const store::WalScan scan = wals[j]->open();
-    // Identity gate: a log that does not name this exact run and node is
-    // foreign state — replaying it would silently diverge. Cannot happen
-    // in-sim (this run wrote it), but recovery refuses exactly like the CLI.
-    std::string why;
-    bool meta_ok = false;
-    if (!scan.records.empty() &&
-        scan.records.front().type == store::RecordType::kMeta) {
-      if (const auto meta = store::decode_meta(BytesView(scan.records.front().payload))) {
-        meta_ok = store::meta_matches(*meta, expected_meta(j), &why);
-      } else {
-        why = "meta record undecodable";
-      }
-    } else {
-      why = "no meta record";
-    }
-    if (!meta_ok) {
-      chains[j].engine->abort(
-          Bottom{AbortReason::kProtocolViolation, "wal recovery refused: " + why});
-      note_progress(j);
-      return;
-    }
-    replaying[j] = true;
-    std::uint64_t replayed = 0;
-    for (std::size_t i = 1; i < scan.records.size(); ++i) {
-      const store::WalRecord& rec = scan.records[i];
-      if (rec.type == store::RecordType::kMessage) {
-        auto lm = store::decode_message(BytesView(rec.payload));
-        if (!lm) continue;  // framing passed CRC but the payload is malformed
-        net::Message msg{lm->from, j, net::Topic(lm->topic),
-                         SharedBytes(std::move(lm->payload))};
-        // Dedup key first: post-replay wire copies of an already-consumed
-        // message (peer retransmits, rejoin answers) must be suppressed, not
-        // double-delivered to the rebuilt engine.
-        if (chains[j].link) chains[j].link->restore_delivered(msg);
-        ++replayed;
-        ++wals[j]->stats().messages_replayed;
-        dispatch_verified(j, msg);
-      } else if (rec.type == store::RecordType::kSnapshot) {
-        const auto s = store::decode_snapshot(BytesView(rec.payload));
-        if (!s) continue;
-        ++wals[j]->stats().snapshots_checked;
-        const bool match =
-            s->messages_delivered == replayed && s->started == started[j] &&
-            s->bids_agreed == chains[j].engine->agreed_bids().has_value() &&
-            s->done == chains[j].engine->done();
-        if (!match) {
-          ++wals[j]->stats().snapshot_mismatches;
-          DAUCT_WARN("wal replay: snapshot checkpoint mismatch at node "
-                     << j << " after " << replayed << " messages");
-        }
-      }
-      // Decision records are durable commitments, not replay inputs.
-    }
-    wal_delivered[j] = replayed;
-    replaying[j] = false;
-    // Close the gap: ask every peer to re-send its cached frames for this
-    // node. Everything already consumed pre-crash dedups against the keys
-    // restored above; what the node never saw finally arrives.
-    if (chains[j].link) chains[j].link->request_rejoin();
-  };
-
-  // Arm one rebuild per amnesia crash window, due at the recovery instant.
-  // Scheduled before the first event, so its queue sequence number is lower
-  // than any same-instant delivery or deferred timer: the node is whole
-  // again before the world talks to it.
-  if (config_.faults && wal_on) {
-    for (const auto& c : config_.faults->crashes) {
-      if (c.mode != sim::CrashMode::kAmnesia) continue;
-      if (c.recover_at == sim::kSimForever || c.node >= m) continue;
-      scheduler.schedule_timer(c.recover_at, c.node,
-                               [&, j = c.node] { rebuild_node(j); });
-    }
-  }
-
-  for (NodeId j = 0; j < m; ++j) {
-    scheduler.set_deliver(j, [&, j](const net::Message& raw) {
-      // The reliable link consumes its control traffic (acks, re-requests)
-      // and retransmitted duplicates before the engine can misread them,
-      // and strips its wire header (piggybacked ack vectors) in place — the
-      // copy is an alias (refcounted payload), not a byte copy.
-      net::Message unwrapped;
-      const net::Message* carried = &raw;
-      if (net::ReliableLink* link = chains[j].link.get()) {
-        unwrapped = raw;
-        if (!link->on_deliver(unwrapped)) return;
-        carried = &unwrapped;
-      }
-      // Write-ahead: the delivery is durable before the engine sees it, so
-      // a crash between the two replays it instead of losing it.
-      journal_message(j, *carried);
-      // The validator then verifies and strips the signature header (auth
-      // on) — rejected and replayed frames die here; equivocation aborts.
-      dispatch_verified(j, *carried);
-      maybe_snapshot(j);
-    });
-  }
-
-  scheduler.set_deliver(client, [&](const net::Message& msg) {
-    // One result per provider (duplicate-safe, same reason as above).
-    if (msg.topic == result_topic && msg.from < m && !result_seen[msg.from]) {
-      result_seen[msg.from] = true;
-      ++results_at_client;
-      if (results_at_client == m) client_done_at = scheduler.now();
-    }
-  });
-
-  // The client submits every bidder's (behaviour-shaped) bids to every
-  // provider at t = 0 — one batch message per provider, as in the paper's
-  // prototype.
-  crypto::Rng bidder_rng(config_.seed ^ 0xb1dde5u);
-  const auto honest = adversary::honest_bidder();
-  // Batches are always built in canonical forward order so behaviour RNG
-  // draws are identical whatever frame tricks follow — a reordered or
-  // replayed injection submits byte-identical bids to its trick-free twin.
-  std::vector<Bytes> batches(m);
-  for (NodeId j = 0; j < m; ++j) {
-    std::vector<std::optional<auction::Bid>> subs(n);
-    for (std::size_t i = 0; i < n && i < instance.bids.size(); ++i) {
-      const adversary::BidderBehaviour* behaviour = honest.get();
-      if (auto it = config_.bidder_script.find(static_cast<BidderId>(i));
-          it != config_.bidder_script.end()) {
-        behaviour = it->second.get();
-      }
-      subs[i] = behaviour->bid_for(instance.bids[i], j, bidder_rng);
-    }
-    batches[j] = encode_submissions(subs);
-  }
-  for (NodeId idx = 0; idx < m; ++idx) {
-    const NodeId j = config_.bid_frames.reorder ? static_cast<NodeId>(m - 1 - idx)
-                                                : idx;
-    const int copies = config_.bid_frames.replay ? 2 : 1;
-    for (int rep = 0; rep < copies; ++rep) {
-      scheduler.inject(sim::kSimStart,
-                       net::Message{client, j, bids_topic, batches[j]});
-    }
-  }
-
-  const bool overflow = scheduler.run_some(config_.max_events);
-  if (overflow) {
-    DAUCT_WARN("sim runtime: event budget exhausted; treating run as stalled");
-  }
-
-  // Batch verification delivers optimistically; flush what never reached a
-  // full round. A failure here is late detection: it overrides whatever
-  // outcome the provider computed from the forged input.
-  std::vector<std::optional<Bottom>> late_auth_abort(m);
-  for (NodeId j = 0; j < m; ++j) {
-    if (net::MessageValidator* v = chains[j].validator.get();
-        v && v->finalize() == net::MessageValidator::Action::kAbort) {
-      late_auth_abort[j] =
-          Bottom{v->proof() ? AbortReason::kEquivocationDetected
-                            : AbortReason::kProtocolViolation,
-                 v->abort_detail()};
-    }
-  }
-
+  // One instance at depth 1 through the service plane: its identity path
+  // (bare topics, the classic client batch) is the single-auction run.
+  ServiceRunConfig svc;
+  svc.base = config_;
+  ServiceRunResult run = ServiceRuntime(std::move(svc))
+                             .run(auctioneer, std::span(&instance, 1));
+  InstanceRunResult& inst = run.instances.front();
   SimRunResult result;
-  result.event_budget_exhausted = overflow;
-  result.events_dispatched = scheduler.events_dispatched();
-  result.provider_outcomes.reserve(m);
-  for (NodeId j = 0; j < m; ++j) {
-    if (late_auth_abort[j]) {
-      result.provider_outcomes.push_back(
-          auction::AuctionOutcome(*late_auth_abort[j]));
-    } else if (chains[j].engine->done()) {
-      result.provider_outcomes.push_back(*chains[j].engine->outcome());
-    } else if (overflow) {
-      // Distinct from a drained-queue stall: events were still pending when
-      // the budget ran out, i.e. the run was cut off, not out of moves. The
-      // fuzz oracle treats this ⊥ as a liveness violation (a plan that can
-      // spin past any budget must not pass as "explicit abort").
-      result.stalled = true;
-      result.provider_outcomes.push_back(auction::AuctionOutcome(Bottom{
-          AbortReason::kEventBudgetExceeded,
-          "event budget (" + std::to_string(config_.max_events) +
-              ") exhausted before the provider finished"}));
-    } else {
-      result.stalled = true;
-      result.provider_outcomes.push_back(auction::AuctionOutcome(
-          Bottom{AbortReason::kTimeout, "provider never finished"}));
-    }
-  }
-  result.global_outcome =
-      core::combine_outcomes(std::span(result.provider_outcomes));
-  result.makespan = results_at_client == m ? client_done_at : scheduler.now();
-  result.traffic = scheduler.traffic();
-  if (const auto* fs = scheduler.fault_stats()) result.fault_stats = *fs;
-  result.reliability_stats = rel_stats_acc;
-  for (const auto& c : chains) {
-    if (c.link) result.reliability_stats += c.link->stats();
-  }
-  if (wal_on) {
-    result.wal_stats = wal_stats_acc;
-    for (const auto& w : wals) result.wal_stats += w->stats();
-    for (const auto& d : faulty_disks) {
-      if (!d) continue;
-      result.storage_fault_stats.syncs_dropped += d->stats().syncs_dropped;
-      result.storage_fault_stats.crashes += d->stats().crashes;
-      result.storage_fault_stats.torn_bytes += d->stats().torn_bytes;
-      result.storage_fault_stats.flipped_bytes += d->stats().flipped_bytes;
-    }
-  }
-  if (config_.auth.enable) {
-    result.auth_stats = auth_stats;
-    // Prefer a proof a receiver assembled locally (it saw both conflicting
-    // frames); otherwise run the auditor sweep, which cross-references every
-    // receiver's records and catches split equivocation.
-    for (NodeId j = 0; j < m && !result.equivocation_proof; ++j) {
-      if (chains[j].validator && chains[j].validator->proof()) {
-        result.equivocation_proof = chains[j].validator->proof();
-      }
-    }
-    if (!result.equivocation_proof) {
-      std::vector<const net::MessageValidator*> vs;
-      for (NodeId j = 0; j < m; ++j) {
-        if (chains[j].validator) vs.push_back(chains[j].validator.get());
-      }
-      result.equivocation_proof = net::audit_equivocation(vs, *key_dir);
-    }
-    if (result.equivocation_proof && !result.global_outcome.ok()) {
-      // A transferable proof is the strongest statement about why the run
-      // died: surface it as the global reason (the engine-level mismatch it
-      // provoked stays visible in the per-provider outcomes).
-      result.global_outcome = auction::AuctionOutcome(
-          Bottom{AbortReason::kEquivocationDetected,
-                 "transferable equivocation proof against provider p" +
-                     std::to_string(result.equivocation_proof->signer) +
-                     " on topic '" + result.equivocation_proof->topic + "'"});
-    }
-  }
-  result.bid_agreement_done_at = std::move(ba_done);
-  result.provider_done_at = std::move(eng_done);
+  result.provider_outcomes = std::move(inst.provider_outcomes);
+  result.global_outcome = std::move(inst.outcome);
+  result.bid_agreement_done_at = std::move(inst.bid_agreement_done_at);
+  result.provider_done_at = std::move(inst.provider_done_at);
+  static_cast<RunStats&>(result) = std::move(run);
   return result;
 }
 

@@ -9,7 +9,10 @@
 // experiment instances."
 //
 // Two execution shapes:
-//  * run_distributed — the m-provider simulation of the auctioneer;
+//  * run_distributed — the m-provider simulation of the auctioneer. It is
+//    the one-instance, depth-1 run of the service plane
+//    (runtime/service_runtime.hpp), which owns the only per-node stack:
+//    reliability, signing, the write-ahead log and amnesia recovery;
 //  * run_centralized — the trusted-auctioneer baseline (client → auctioneer
 //    node → client).
 //
@@ -76,7 +79,8 @@ struct SimRunConfig {
   /// Durable provider state (store/wal.hpp): every engine-consumed delivery
   /// is appended to a per-provider write-ahead log *before* dispatch, and an
   /// amnesia crash (sim::CrashMode::kAmnesia) recovers by rebuilding the
-  /// node's whole chain and replaying the log. Disabled (the default)
+  /// node's stack and every instance's engine on it, then replaying the log.
+  /// Disabled (the default)
   /// constructs nothing — byte-identical to the pre-WAL runtime,
   /// golden-pinned. In the simulator the log lives in MemStorage: the
   /// "disk" survives the crashed "process" deterministically.
@@ -92,9 +96,10 @@ struct SimRunConfig {
   std::uint64_t max_events = 50'000'000;
 };
 
-struct SimRunResult {
-  std::vector<auction::AuctionOutcome> provider_outcomes;
-  auction::AuctionOutcome global_outcome{Bottom{}};
+/// What every simulated run reports, single-auction or service: timing,
+/// traffic, each layer's counters, and liveness. SimRunResult and
+/// ServiceRunResult both extend it.
+struct RunStats {
   sim::SimTime makespan = 0;       ///< client-observed end-to-end time
   sim::TrafficStats traffic;
   sim::FaultStats fault_stats;     ///< zeros unless a fault plan was installed
@@ -119,7 +124,14 @@ struct SimRunResult {
   /// callers (tests, the fuzzer) position a budget between a clean run's
   /// appetite and a pathological one's.
   std::uint64_t events_dispatched = 0;
-  std::uint64_t shared_seed = 0;   ///< common-coin value (distributed runs)
+};
+
+struct SimRunResult : RunStats {
+  std::vector<auction::AuctionOutcome> provider_outcomes;
+  auction::AuctionOutcome global_outcome{Bottom{}};
+  /// Common-coin value the trusted auctioneer drew (run_centralized only;
+  /// distributed providers agree on theirs inside the protocol).
+  std::uint64_t shared_seed = 0;
 
   /// Phase breakdown (distributed runs): virtual time at which each provider
   /// finished bid agreement / produced its final output. Zero if never.

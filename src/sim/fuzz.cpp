@@ -436,19 +436,6 @@ FuzzCase PlanFuzzer::generate(std::uint64_t index,
     c.instances = static_cast<std::size_t>(s.range(2, b.max_instances));
     c.pipeline_depth = static_cast<std::size_t>(
         s.range(1, std::min(b.max_pipeline_depth, c.instances)));
-    // Scenario validation rejects amnesia with [service] (per-node durable
-    // state is shared across instances), so degrade those crashes to the
-    // plain in-memory recover mode. Record each degradation: replay tooling
-    // must print what the generator changed (see FuzzCase::degradations).
-    for (CrashEvent& crash : c.faults.crashes) {
-      if (crash.mode == CrashMode::kAmnesia) {
-        crash.mode = CrashMode::kRecover;
-        c.degradations.push_back(
-            "amnesia crash on node " + std::to_string(crash.node) +
-            " degraded to recover (amnesia is invalid with [service])");
-      }
-    }
-
     // --- instance-scoped fault rules ---
     // Confine a coin's worth of rules to one auction instance's topic
     // namespace; the service runtime compiles instance → topic_scope. The
@@ -491,8 +478,7 @@ FuzzCase PlanFuzzer::generate(std::uint64_t index,
   }
 
   // --- in-flight WAL corruption ---
-  // Only meaningful when an amnesia crash survived the draws above (service
-  // degradation already ran, so the check is deterministic): recovery then
+  // Only meaningful when an amnesia crash was drawn above: recovery then
   // replays from a live tail FaultyStorage damaged at the crash instant.
   const bool any_amnesia = std::any_of(
       c.faults.crashes.begin(), c.faults.crashes.end(),

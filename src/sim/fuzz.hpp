@@ -81,9 +81,8 @@ struct FuzzBounds {
   double p_auth_adversary = 0.4;     ///< given auth and k budget left
   double p_deviation = 0.35;         ///< at least one deviant, given k budget
   /// Route the case through the multi-auction service plane
-  /// (runtime/service_runtime.hpp). Amnesia crashes degrade to plain
-  /// recover in service cases — scenario validation rejects amnesia with
-  /// [service] because per-node durable state is shared across instances.
+  /// (runtime/service_runtime.hpp). Amnesia crashes stay amnesia: recovery
+  /// replays every co-tenant instance from the node's one WAL.
   double p_service = 0.35;
   /// Given a service case: per fault rule (link / cut / partition /
   /// deviation), P(the rule gets an instance= filter confining it to one
@@ -94,7 +93,7 @@ struct FuzzBounds {
   /// no k budget is spent — Definition 1 promises the outcome excludes their
   /// bids no matter how many misbehave.
   double p_bidder_adversary = 0.3;
-  /// Given wal + a surviving amnesia crash: P(the recovering node's storage
+  /// Given wal + an amnesia crash: P(the recovering node's storage
   /// is wrapped in store::FaultyStorage so recovery replays a damaged live
   /// tail — dropped fsyncs plus torn-write/bit-flip crash damage).
   double p_wal_corrupt = 0.3;
@@ -185,12 +184,6 @@ struct FuzzCase {
   double wal_sync_drop = 0.0;
   double wal_torn = 0.0;
   double wal_flip = 0.0;
-
-  /// Plan degradations the generator applied to keep the case valid (e.g.
-  /// amnesia → recover in service mode). Replay tooling must surface these —
-  /// a shard log that silently diverges from the emitted scenario is a
-  /// debugging trap (ISSUE 10 satellite).
-  std::vector<std::string> degradations;
 };
 
 class PlanFuzzer {

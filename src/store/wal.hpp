@@ -275,6 +275,8 @@ struct Snapshot {
   bool started = false;
   bool bids_agreed = false;
   bool done = false;
+
+  bool operator==(const Snapshot&) const = default;
 };
 
 // --- Record payload codecs (serde framing, defensive decode) ---------------

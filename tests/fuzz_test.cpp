@@ -126,18 +126,11 @@ TEST(PlanFuzzer, EveryCaseRespectsTheDeclaredBounds) {
     }
     EXPECT_LE(adversarial.size(), c.k) << "k budget exceeded";
 
-    // Service-plane draws: a service case stays inside the declared caps and
-    // never carries amnesia (scenario validation rejects amnesia with
-    // [service]; the generator degrades those crashes to plain recover and
-    // records the degradation).
+    // Service-plane draws: a service case stays inside the declared caps.
     if (c.instances > 1) {
       EXPECT_LE(c.instances, b.max_instances);
       EXPECT_GE(c.pipeline_depth, 1u);
       EXPECT_LE(c.pipeline_depth, std::min(b.max_pipeline_depth, c.instances));
-      for (const sim::CrashEvent& cr : c.faults.crashes) {
-        EXPECT_NE(cr.mode, sim::CrashMode::kAmnesia)
-            << "amnesia crash in a service case";
-      }
     } else {
       EXPECT_EQ(c.instances, 1u);
       EXPECT_EQ(c.pipeline_depth, 1u);
@@ -225,8 +218,9 @@ TEST(PlanFuzzer, ServiceCasesAppearAndMapOntoTheScenario) {
 TEST(PlanFuzzer, AmnesiaCrashesActuallyAppearInTheStream) {
   // Coverage sanity: at default bounds the stream must contain amnesia-mode
   // crashes (p_wal · p_reliability · the recover coin make them common
-  // enough that 300 cases without one means the post-pass is dead code) —
-  // and turning allow_amnesia off must eliminate them entirely.
+  // enough that 300 cases without one means the post-pass is dead code),
+  // service cases included — and turning allow_amnesia off must eliminate
+  // them entirely.
   PlanFuzzer fuzzer(FuzzBounds{}, 17);
   int amnesia = 0;
   for (int i = 0; i < 300; ++i) {
@@ -244,6 +238,27 @@ TEST(PlanFuzzer, AmnesiaCrashesActuallyAppearInTheStream) {
       EXPECT_EQ(cr.mode, sim::CrashMode::kRecover);
     }
   }
+
+  // Service cases keep theirs too (one WAL replays every co-tenant
+  // instance), each inside a scenario the strict parser accepts.
+  FuzzBounds service;
+  service.p_service = 1.0;
+  PlanFuzzer multi(service, 17);
+  int service_amnesia = 0;
+  for (int i = 0; i < 200; ++i) {
+    const FuzzCase c = multi.next();
+    ASSERT_GT(c.instances, 1u);
+    if (std::none_of(c.faults.crashes.begin(), c.faults.crashes.end(),
+                     [](const sim::CrashEvent& cr) {
+                       return cr.mode == sim::CrashMode::kAmnesia;
+                     })) {
+      continue;
+    }
+    ++service_amnesia;
+    const auto parsed = runtime::parse_scenario(scn_of(c));
+    EXPECT_TRUE(parsed.ok()) << "case " << c.index << ": " << parsed.error;
+  }
+  EXPECT_GT(service_amnesia, 0) << "200 service cases without one amnesia crash";
 }
 
 /// Bounds that force every new adversarial axis on, so a short stream is
@@ -312,39 +327,6 @@ TEST(PlanFuzzer, AdversaryAxesActuallyAppearInTheStream) {
       EXPECT_EQ(f.instance, sim::kAnyInstance);
     }
   }
-}
-
-// S1 regression: a degraded plan (amnesia crash drawn into a [service] case,
-// demoted to plain recover) must record the degradation, and nth() must
-// replay the degraded (seed, index) pair byte-identically — the CLI prints
-// these lines so an operator replaying a repro sees what changed.
-TEST(PlanFuzzer, DegradedCaseIsRecordedAndReplaysByteIdentically) {
-  const std::uint64_t seed = 7;
-  PlanFuzzer stream(FuzzBounds{}, seed);
-  std::optional<std::uint64_t> degraded_index;
-  std::vector<std::string> degradations;
-  std::string text;
-  for (int i = 0; i < 400 && !degraded_index; ++i) {
-    const FuzzCase c = stream.next();
-    if (!c.degradations.empty()) {
-      degraded_index = c.index;
-      degradations = c.degradations;
-      text = scn_of(c);
-    }
-  }
-  ASSERT_TRUE(degraded_index.has_value())
-      << "400 default-bounds cases with no degraded amnesia crash — the "
-         "degradation path is dead code";
-
-  const PlanFuzzer replay(FuzzBounds{}, seed);
-  const FuzzCase again = replay.nth(*degraded_index);
-  EXPECT_EQ(again.degradations, degradations);
-  EXPECT_FALSE(again.degradations.empty());
-  EXPECT_GT(again.instances, 1u);  // only service cases degrade
-  EXPECT_EQ(scn_of(again), text);
-  // The record is human-actionable: it names the node and the reason.
-  EXPECT_NE(again.degradations[0].find("degraded to recover"),
-            std::string::npos);
 }
 
 TEST(PlanFuzzer, EveryGeneratedScenarioSurvivesTheStrictScnParser) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 
 #include "core/adapters.hpp"
 #include "crypto/sha256.hpp"
@@ -538,6 +539,142 @@ TEST(ScenarioLibrary, EveryShippedScenarioParsesRunsAndSelfChecks) {
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end())
       << "duplicate scenario names";
+}
+
+/// One shipped scenario's observable run, recorded when the single-auction
+/// and service runtimes were still two separate implementations. Every
+/// field is pinned exactly: the merge onto one simulated runtime must not
+/// move a result byte, a virtual instant, a frame, an event, a WAL record, a
+/// retransmit, a signature, or a verification.
+struct ScenarioFingerprint {
+  const char* file;
+  const char* result_sha256;  ///< "" when the run ends in ⊥
+  std::int64_t makespan;
+  std::uint64_t messages, bytes, events;
+  std::uint64_t wal_records, wal_bytes;
+  std::uint64_t retransmits, signed_sends;
+  std::uint64_t verified;  ///< signatures checked, eagerly or in a batch
+};
+
+constexpr ScenarioFingerprint kScenarioFingerprints[] = {
+    {"amnesia_beyond_k.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     54291050, 499, 52640, 1046, 220, 21745, 26, 0, 0},
+    {"auth_forged_frame.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     25175098, 220, 39995, 220, 0, 0, 0, 35, 175},
+    {"auth_replayed_round.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     25242756, 215, 39350, 215, 0, 0, 0, 35, 175},
+    {"auth_stolen_key.scn",
+     "",
+     13116905, 110, 23625, 110, 0, 0, 0, 24, 100},
+    {"beyond_k.scn",
+     "",
+     12716503, 90, 14530, 90, 0, 0, 0, 0, 0},
+    {"bidder_adversary_replay.scn",
+     "5753a88188e069bb29854472fa7c5841baa7c31a497fdf712763511dc9ff75d8",
+     23224735, 72, 7344, 72, 0, 0, 0, 0, 0},
+    {"byzantine_echo.scn",
+     "",
+     12754748, 110, 17125, 110, 0, 0, 0, 0, 0},
+    {"clean.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+    {"dup_storm.scn",
+     "c177b1d45156bce029fded7ef8f1904755669db505152eca59301afc4d822fe7",
+     25635224, 360, 38050, 823, 0, 0, 0, 0, 0},
+    {"dup_storm_legacy.scn",
+     "",
+     10539819, 90, 14270, 104, 0, 0, 0, 0, 0},
+    {"flaky_provider.scn",
+     "368b37bd280db1853216186dc97d795433405f7bbfb83eb6839ef50ee403cdf1",
+     40223359, 381, 43148, 787, 0, 0, 14, 0, 0},
+    {"k_crash.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+    {"kill_restart.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     33875682, 392, 40821, 833, 220, 21745, 10, 0, 0},
+    {"lossy_extreme.scn",
+     "",
+     40025683, 888, 87606, 1268, 0, 0, 243, 0, 0},
+    {"lossy_lan.scn",
+     "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f",
+     5678102, 1146, 230858, 2358, 0, 0, 25, 0, 0},
+    {"multi_instance_clean.scn",
+     "721ae4a1bdd4802872cb7b9c168dd6c77a49fa1ec9b5eda0e5b14107f8145b1c",
+     49898848, 273, 34029, 273, 0, 0, 0, 0, 0},
+    {"multi_instance_faulty.scn",
+     "",
+     113195971, 471, 50612, 1009, 0, 0, 20, 0, 0},
+    {"partition_heal.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+    {"partition_stall.scn",
+     "",
+     6779738, 35, 6155, 21, 0, 0, 0, 0, 0},
+    {"slow_wan.scn",
+     "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
+     74108722, 185, 25520, 185, 0, 0, 0, 0, 0},
+    {"wal_torn_tail.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     33875682, 392, 40821, 833, 222, 22297, 10, 0, 0},
+    // Added with service-mode amnesia recovery (no earlier value exists).
+    {"service_amnesia.scn",
+     "bc0a75069e83d4f56198fe00b229ca484c2ae5259857c41d2653561c32ab357f",
+     58040481, 1679, 175306, 3512, 865, 89660, 28, 0, 0},
+};
+
+TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {
+  const auto files = scenario_files();
+  std::size_t pinned = 0;
+  for (const auto& path : files) {
+    const std::string file = path.filename().string();
+    SCOPED_TRACE(file);
+    const auto text = testutil::slurp_file(path);
+    ASSERT_TRUE(text.has_value());
+    const auto parsed = runtime::parse_scenario(*text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const auto out = runtime::run_scenario(*parsed.scenario);
+    const auto& r = out.run;
+    const ScenarioFingerprint got{
+        file.c_str(),          out.result_digest.c_str(),
+        r.makespan,            r.traffic.messages,
+        r.traffic.bytes,       r.events_dispatched,
+        r.wal_stats.records_appended, r.wal_stats.bytes_appended,
+        r.reliability_stats.retransmits, r.auth_stats.signed_sends,
+        r.auth_stats.verified_eager + r.auth_stats.verified_batched};
+    const std::string row =
+        std::string("{\"") + got.file + "\", \"" + got.result_sha256 + "\", " +
+        std::to_string(got.makespan) + ", " + std::to_string(got.messages) +
+        ", " + std::to_string(got.bytes) + ", " + std::to_string(got.events) +
+        ", " + std::to_string(got.wal_records) + ", " +
+        std::to_string(got.wal_bytes) + ", " + std::to_string(got.retransmits) +
+        ", " + std::to_string(got.signed_sends) + ", " +
+        std::to_string(got.verified) + "},";
+    const ScenarioFingerprint* want = nullptr;
+    for (const auto& f : kScenarioFingerprints) {
+      if (file == f.file) want = &f;
+    }
+    if (!want) {
+      ADD_FAILURE() << "no pinned fingerprint; this run is:\n" << row;
+      continue;
+    }
+    ++pinned;
+    EXPECT_EQ(out.result_digest, want->result_sha256) << row;
+    EXPECT_EQ(got.makespan, want->makespan) << row;
+    EXPECT_EQ(got.messages, want->messages) << row;
+    EXPECT_EQ(got.bytes, want->bytes) << row;
+    EXPECT_EQ(got.events, want->events) << row;
+    EXPECT_EQ(got.wal_records, want->wal_records) << row;
+    EXPECT_EQ(got.wal_bytes, want->wal_bytes) << row;
+    EXPECT_EQ(got.retransmits, want->retransmits) << row;
+    EXPECT_EQ(got.signed_sends, want->signed_sends) << row;
+    EXPECT_EQ(got.verified, want->verified) << row;
+  }
+  EXPECT_EQ(pinned, std::size(kScenarioFingerprints))
+      << "a pinned scenario file is missing from the library";
 }
 
 TEST(ScenarioLibrary, CleanScenarioReproducesTheGoldenFingerprint) {

@@ -113,8 +113,10 @@ TEST(ServiceEquivalence, SingleInstanceThroughServicePlanePinsEveryGoldenFingerp
 }
 
 TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
-  // Reliability + batch auth + WAL all on: the service plane must still be
-  // byte-identical to SimRuntime under the same configuration.
+  // Reliability + batch auth + WAL all on. run_distributed is the
+  // one-instance service run, so comparing the two would compare the code
+  // with itself; both are pinned to literals recorded when the single-auction
+  // runtime was a separate implementation.
   const auto auctioneer = make_auctioneer(12, 3, 1);
   const auto workload = testutil::make_instance(12, 3, 99);
 
@@ -136,11 +138,23 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   ASSERT_EQ(service.instances.size(), 1u);
   ASSERT_TRUE(service.instances[0].outcome.ok());
   ASSERT_TRUE(direct.global_outcome.ok());
-  EXPECT_EQ(digest_of(service.instances[0].outcome),
-            digest_of(direct.global_outcome));
-  EXPECT_EQ(service.makespan, direct.makespan);
-  EXPECT_EQ(service.traffic.messages, direct.traffic.messages);
-  EXPECT_EQ(service.traffic.bytes, direct.traffic.bytes);
+  const runtime::RunStats* runs[] = {&service, &direct};
+  for (const runtime::RunStats* r : runs) {
+    EXPECT_EQ(r->makespan, 24722779);
+    EXPECT_EQ(r->traffic.messages, 117u);
+    EXPECT_EQ(r->traffic.bytes, 16263u);
+    EXPECT_EQ(r->events_dispatched, 264u);
+    EXPECT_EQ(r->wal_stats.records_appended, 84u);
+    EXPECT_EQ(r->wal_stats.bytes_appended, 12462u);
+    EXPECT_EQ(r->auth_stats.signed_sends, 21u);
+    EXPECT_EQ(r->auth_stats.verified_batched, 63u);
+    EXPECT_EQ(r->auth_stats.batches, 21u);
+    EXPECT_EQ(r->reliability_stats.tracked, 63u);
+  }
+  const char* kDigest =
+      "f1d6f93bac3f9d5370147b8154b3301df58ffef33ca23762075848d133590da1";
+  EXPECT_EQ(digest_of(service.instances[0].outcome), kDigest);
+  EXPECT_EQ(digest_of(direct.global_outcome), kDigest);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,6 +353,105 @@ TEST(ServiceIsolation, ShippedIsolationScenarioHoldsItsExpectations) {
   EXPECT_FALSE(run.service->instances[1].outcome.ok());
   EXPECT_TRUE(run.service->instances[3].settled);
   EXPECT_EQ(run.service->settled_ok, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Durability: one WAL per node recovers every co-tenant instance.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceDurability, AmnesiaCrashReplaysEveryCoTenantInstanceFromOneWal) {
+  // scenarios/service_amnesia.scn: provider 2 loses its memory after
+  // instance 0 settled and while instances 1-3 are still live on it. The
+  // rebuild replays all four from the node's one log.
+  const auto text = testutil::slurp_file(
+      std::filesystem::path(DAUCT_SCENARIO_DIR) / "service_amnesia.scn");
+  ASSERT_TRUE(text.has_value());
+  const auto parsed = runtime::parse_scenario(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const runtime::Scenario& sc = *parsed.scenario;
+  ASSERT_EQ(sc.faults.crashes.size(), 1u);
+  const sim::CrashEvent& crash = sc.faults.crashes[0];
+  ASSERT_EQ(crash.mode, sim::CrashMode::kAmnesia);
+
+  const auto run = runtime::run_scenario(sc);
+  EXPECT_TRUE(run.ok()) << (run.failures.empty() ? "" : run.failures.front());
+  ASSERT_TRUE(run.service.has_value());
+  ASSERT_TRUE(run.clean_service.has_value());
+  const runtime::ServiceRunResult& svc = *run.service;
+  ASSERT_EQ(svc.instances.size(), 4u);
+
+  // The replay really ran, and every checkpoint in it agreed.
+  EXPECT_GT(svc.wal_stats.messages_replayed, 0u);
+  EXPECT_GT(svc.wal_stats.snapshots_checked, 0u);
+  EXPECT_EQ(svc.wal_stats.snapshot_mismatches, 0u);
+
+  // An instance that settled before the crash keeps its outcome: its engine
+  // on the crashed node was rebuilt from the log and reached done again.
+  const runtime::InstanceRunResult& early = svc.instances[0];
+  ASSERT_TRUE(early.settled);
+  EXPECT_LT(early.settled_at, crash.at);
+  ASSERT_TRUE(early.outcome.ok());
+  ASSERT_TRUE(early.provider_outcomes[crash.node].ok());
+  EXPECT_EQ(digest_of(early.outcome),
+            digest_of(run.clean_service->instances[0].outcome));
+
+  // Every instance matches its standalone twin.
+  const auto auctioneer = make_auctioneer(sc.users, sc.providers, sc.k);
+  const auto workloads =
+      derived_workloads(sc.users, sc.providers, sc.seed, sc.instances);
+  runtime::SimRunConfig base;
+  base.seed = sc.seed;
+  base.reliability = sc.reliability;
+  base.wal = sc.wal;
+  for (const runtime::InstanceRunResult& inst : svc.instances) {
+    SCOPED_TRACE("instance " + std::to_string(inst.id));
+    ASSERT_TRUE(inst.outcome.ok());
+    const auto twin = run_twin(base, inst.derived_seed, *auctioneer,
+                               workloads[inst.id]);
+    ASSERT_TRUE(twin.global_outcome.ok());
+    EXPECT_EQ(digest_of(inst.outcome), digest_of(twin.global_outcome));
+  }
+}
+
+TEST(ServiceDurability, AmnesiaInALongStreamKeepsGenerationPrefixesUnique) {
+  // Eight sequential instances all use pipeline slot 0, so without signing
+  // its generation tag would cycle mod 4 and instance 4 would reuse
+  // instance 0's prefix. An amnesia crash in the plan turns the cycle off:
+  // replay routes each logged record by its prefix alone, and a reused
+  // prefix would hand instance 0's records to instance 4.
+  const auto auctioneer = make_auctioneer(12, 5, 2);
+  const auto workloads = derived_workloads(12, 5, 7, 8);
+
+  runtime::ServiceRunConfig svc;
+  svc.base.seed = 7;
+  svc.base.reliability.enable = true;
+  svc.base.wal.enable = true;
+  svc.instances = 8;
+  svc.pipeline_depth = 1;
+  sim::FaultPlan plan;
+  plan.seed = 11;
+  sim::CrashEvent crash;
+  crash.node = 2;
+  crash.at = sim::from_millis(140);  // inside instance 5's epoch
+  crash.recover_at = sim::from_millis(144);
+  crash.mode = sim::CrashMode::kAmnesia;
+  plan.crashes.push_back(crash);
+  svc.base.faults = plan;
+  const auto run = runtime::ServiceRuntime(svc).run(*auctioneer, workloads);
+
+  ASSERT_EQ(run.instances.size(), 8u);
+  EXPECT_GT(run.wal_stats.messages_replayed, 0u);
+  EXPECT_EQ(run.wal_stats.snapshot_mismatches, 0u);
+  std::set<std::string> prefixes;
+  for (const runtime::InstanceRunResult& inst : run.instances) {
+    SCOPED_TRACE("instance " + std::to_string(inst.id));
+    EXPECT_TRUE(prefixes.insert(inst.topic_prefix).second);
+    ASSERT_TRUE(inst.outcome.ok());
+    const auto twin = run_twin(svc.base, inst.derived_seed, *auctioneer,
+                               workloads[inst.id]);
+    ASSERT_TRUE(twin.global_outcome.ok());
+    EXPECT_EQ(digest_of(inst.outcome), digest_of(twin.global_outcome));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -246,10 +246,6 @@ int main(int argc, char** argv) {
   for (std::uint64_t i = 0; i < opt.plans; ++i) {
     const std::uint64_t index = opt.index + i;
     const sim::FuzzCase c = fuzzer.nth(index);
-    for (const std::string& d : c.degradations) {
-      std::printf("# degraded: index %llu: %s\n",
-                  static_cast<unsigned long long>(index), d.c_str());
-    }
     const runtime::Scenario sc = runtime::scenario_from_case(c);
     const runtime::FuzzReport report = runtime::run_oracle(sc);
     if (runtime::fuzz_violation(report.verdict)) {
