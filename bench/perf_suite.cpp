@@ -25,14 +25,17 @@
 // tests/ed25519_equivalence_test.cpp, so the speedups below are like-for-like.
 //
 // Usage: perf_suite [--min-time-ms=N] [--json=PATH] [--filter=SUBSTR]
-// (JSON defaults to ./BENCH_dauct.json)
+// (JSON defaults to ./BENCH_dauct.json; its "host" section records usable
+// CPUs, compiler, build type and the commit the binary was configured at)
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
 
+#include "auction/standard_auction.hpp"
 #include "auction/welfare.hpp"
 #include "blocks/block.hpp"
+#include "common/parallel.hpp"
 #include "auction/welfare_reference.hpp"
 #include "auction/workload.hpp"
 #include "core/adapters.hpp"
@@ -106,6 +109,24 @@ void BM_scaled_dp_opt(State& state) {
   for (auto _ : state) DoNotOptimize(solver.solve_all(inst, 42));
 }
 TINYBENCH(BM_scaled_dp_opt)->Args({32, 5, 100})->Args({50, 8, 60});
+
+// One fig5_vcg payment chunk: the 13 strided bidders {0, 4, ..., 48} of the
+// first of p = 4 groups at 50 users / 8 providers / ε = 0.06, one Clarke
+// re-solve each, spread over the host worker pool (so the point scales with
+// the host header's usable CPUs, like BM_scaled_dp_opt).
+void BM_standard_payments(State& state) {
+  const auto inst = scaled_dp_instance(state);
+  auction::StandardAuctionParams params;
+  params.epsilon = scaled_dp_epsilon(state);
+  params.seed = 42;
+  const auction::Assignment assignment = auction::standard_allocate(inst, params);
+  std::vector<BidderId> chunk;
+  for (BidderId i = 0; i < inst.bids.size(); i += 4) chunk.push_back(i);
+  for (auto _ : state) {
+    DoNotOptimize(auction::standard_payments(inst, params, assignment, chunk));
+  }
+}
+TINYBENCH(BM_standard_payments)->Args({50, 8, 60});
 
 // ---------------------------------------------------------------------------
 // Payload encode + hash round trip: the per-message cost of producing a
@@ -815,6 +836,23 @@ TINYBENCH(BM_service_p99)
 
 // ---------------------------------------------------------------------------
 
+/// "host" JSON section: the numbers below are only comparable with numbers
+/// taken under the same header (pool-backed points scale with usable CPUs).
+std::string host_json() {
+  std::string compiler =
+#if defined(__clang__)
+      "clang " __clang_version__;
+#elif defined(__GNUC__)
+      "gcc " __VERSION__;
+#else
+      "unknown";
+#endif
+  std::erase_if(compiler, [](char c) { return c == '"' || c == '\\'; });
+  return "  \"host\": {\"usable_cpus\": " + std::to_string(host::usable_cpus()) +
+         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" +
+         DAUCT_PERF_BUILD_TYPE + "\", \"git_sha\": \"" + DAUCT_PERF_GIT_SHA + "\"}";
+}
+
 /// "speedups" JSON section from matching *_ref / *_opt result pairs.
 std::string speedups_json(const std::vector<tinybench::Result>& results) {
   std::string out = "  \"speedups\": {";
@@ -846,7 +884,8 @@ int main(int argc, char** argv) {
 
   const auto results = tinybench::run_all(opt);
   tinybench::print_table(results);
-  if (!tinybench::write_json(results, opt.json_path, speedups_json(results))) {
+  if (!tinybench::write_json(results, opt.json_path,
+                             host_json() + ",\n" + speedups_json(results))) {
     return 1;
   }
   std::printf("\nwrote %s (%zu benchmarks)\n", opt.json_path.c_str(), results.size());

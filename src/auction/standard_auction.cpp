@@ -1,5 +1,9 @@
 #include "auction/standard_auction.hpp"
 
+#include <numeric>
+
+#include "common/parallel.hpp"
+
 namespace dauct::auction {
 
 std::unique_ptr<WelfareSolver> make_solver(const StandardAuctionParams& params) {
@@ -43,6 +47,17 @@ Money standard_payment(const AuctionInstance& instance,
   return payment;
 }
 
+std::vector<Money> standard_payments(const AuctionInstance& instance,
+                                     const StandardAuctionParams& params,
+                                     const Assignment& assignment,
+                                     std::span<const BidderId> bidders) {
+  std::vector<Money> payments(bidders.size(), kZeroMoney);
+  host::parallel_for(bidders.size(), [&](std::size_t j) {
+    payments[j] = standard_payment(instance, params, assignment, bidders[j]);
+  });
+  return payments;
+}
+
 AuctionResult standard_assemble(const AuctionInstance& instance,
                                 const Assignment& assignment,
                                 const std::vector<Money>& user_payments) {
@@ -66,11 +81,10 @@ AuctionResult standard_assemble(const AuctionInstance& instance,
 AuctionResult run_standard_auction(const AuctionInstance& instance,
                                    const StandardAuctionParams& params) {
   const Assignment assignment = standard_allocate(instance, params);
-  std::vector<Money> payments(instance.bids.size(), kZeroMoney);
-  for (std::size_t i = 0; i < instance.bids.size(); ++i) {
-    payments[i] = standard_payment(instance, params, assignment, static_cast<BidderId>(i));
-  }
-  return standard_assemble(instance, assignment, payments);
+  std::vector<BidderId> everyone(instance.bids.size());
+  std::iota(everyone.begin(), everyone.end(), BidderId{0});
+  return standard_assemble(instance, assignment,
+                           standard_payments(instance, params, assignment, everyone));
 }
 
 }  // namespace dauct::auction

@@ -11,8 +11,8 @@
 //              (one welfare *re-solve without that user* per payment: the
 //              computationally dominant, embarrassingly parallel part);
 //   Task 3   — gather payments and emit (x, p).
-// The three functions below are those tasks; run_standard_auction() chains
-// them sequentially (the trusted-auctioneer/centralized execution).
+// The functions below are those tasks; run_standard_auction() chains them
+// in one process (the trusted-auctioneer/centralized execution).
 //
 // Truthfulness: with ExactSolver the mechanism is exactly VCG (dominant-
 // strategy truthful; verified by property tests). With ScaledDpSolver it is
@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "auction/types.hpp"
 #include "auction/welfare.hpp"
@@ -58,6 +60,15 @@ Assignment standard_allocate(const AuctionInstance& instance,
 Money standard_payment(const AuctionInstance& instance,
                        const StandardAuctionParams& params,
                        const Assignment& assignment, BidderId i);
+
+/// Task 2 chunk: the Clarke payments of `bidders`, in order — one
+/// standard_payment() each. The re-solves are independent, so they run on the
+/// host worker pool (common/parallel.hpp); each payment is written by index,
+/// so the vector equals the sequential loop's.
+std::vector<Money> standard_payments(const AuctionInstance& instance,
+                                     const StandardAuctionParams& params,
+                                     const Assignment& assignment,
+                                     std::span<const BidderId> bidders);
 
 /// Task 3: assemble the final result from the assignment and payments.
 /// `user_payments` must have one entry per bidder (zero for losers).

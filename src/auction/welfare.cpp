@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "auction/knapsack_row.hpp"
+#include "common/parallel.hpp"
 
 namespace dauct::auction {
 
@@ -177,77 +178,25 @@ struct DpItem {
   std::int64_t value;
 };
 
-}  // namespace
-
-/// Reusable per-trial buffers: one arena instead of fresh allocations per
-/// provider, with `items` filled once per solve and shared read-only across
-/// trials (the active set is seed-independent). `take` is a flat *byte*
-/// matrix that only grows: the row kernel writes every cell in [weight, grid]
-/// of its row, so a provider only zeroes each row's [0, weight) prefix and
-/// bytes left by earlier providers or trials are never read. (A one-bit-per-
-/// cell variant was tried on the scalar loop and measured ~45% slower.)
-struct ScaledDpSolver::Scratch {
-  std::vector<Item> items;  // filled once per solve, read-only per trial
+/// Reusable per-trial buffers: one arena per thread instead of fresh
+/// allocations per provider, trial or solve (a trial never nests another on
+/// the same thread). `take` is a flat *byte* matrix that only grows: the row
+/// kernel writes every cell in [weight, grid] of its row, so a provider only
+/// zeroes each row's [0, weight) prefix and bytes left by earlier providers
+/// or trials are never read. (A one-bit-per-cell variant was tried on the
+/// scalar loop and measured ~45% slower.)
+struct TrialScratch {
   std::vector<char> placed;
   std::vector<std::int64_t> dp;
   std::vector<DpItem> dp_items;
   std::vector<char> take;  // take[t * (grid+1) + w], grow-only
 };
 
-ScaledDpSolver::ScaledDpSolver(double epsilon) : epsilon_(epsilon) {
-  assert(epsilon > 0.0 && epsilon <= 1.0);
-  trials_ = static_cast<std::size_t>(std::ceil(1.0 / epsilon));
-}
-
-Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
-                                 const std::vector<bool>& active,
-                                 std::uint64_t seed) const {
-  // The RNG is only ever fork()ed (const), so trial t's perturbation depends
-  // on nothing but (seed, t). A trial's *only* random input is its shuffled
-  // provider order, so trials that draw the same permutation are memoized
-  // (with few providers — the paper's regime — collisions are frequent:
-  // ⌈1/ε⌉ draws from m! permutations). That changes no result: the reduction
-  // below keeps the earliest trial achieving the maximum welfare, exactly
-  // like the reference loop.
-  crypto::Rng rng(seed);
-  std::vector<std::vector<std::size_t>> orders(trials_);
-  std::vector<std::size_t> dup_of(trials_);
-  for (std::size_t t = 0; t < trials_; ++t) {
-    crypto::Rng trial_rng = rng.fork(t);
-    std::vector<std::size_t>& order = orders[t];
-    order.resize(instance.asks.size());
-    std::iota(order.begin(), order.end(), 0);
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[trial_rng.next_below(i)]);
-    }
-    dup_of[t] = t;
-    for (std::size_t u = 0; u < t; ++u) {
-      if (orders[u] == order) {
-        dup_of[t] = u;
-        break;
-      }
-    }
-  }
-
-  Scratch scratch;
-  active_items(instance, active, scratch.items);
-  Assignment best;
-  best.provider_of.assign(instance.bids.size(), -1);
-  best.welfare = Money::from_micros(-1);
-  for (std::size_t t = 0; t < trials_; ++t) {
-    // A duplicated trial can never beat its original (identical welfare,
-    // later index), so it never has to be solved at all.
-    if (dup_of[t] != t) continue;
-    Assignment result = solve_one_trial(instance, scratch, orders[t]);
-    if (result.welfare > best.welfare) best = std::move(result);
-  }
-  return best;
-}
-
-Assignment ScaledDpSolver::solve_one_trial(
-    const AuctionInstance& instance, Scratch& scratch,
-    const std::vector<std::size_t>& provider_order) const {
-  const std::vector<Item>& items = scratch.items;
+/// One perturbed trial: deterministic in (instance, active item set,
+/// provider_order) — the basis for trial memoization.
+Assignment solve_trial(const AuctionInstance& instance, const std::vector<Item>& items,
+                       double epsilon, const std::vector<std::size_t>& provider_order) {
+  thread_local TrialScratch scratch;
   Assignment out;
   out.provider_of.assign(instance.bids.size(), -1);
   out.welfare = kZeroMoney;
@@ -257,7 +206,7 @@ Assignment ScaledDpSolver::solve_one_trial(
   // Capacity grid: ⌈n/ε⌉ cells per provider (at least 16). Demands are
   // rounded *up* to cells, so any DP-feasible packing is truly feasible.
   const std::size_t grid =
-      std::max<std::size_t>(16, static_cast<std::size_t>(std::ceil(n / epsilon_)));
+      std::max<std::size_t>(16, static_cast<std::size_t>(std::ceil(n / epsilon)));
 
   scratch.placed.assign(n, 0);
   scratch.dp.resize(grid + 1);
@@ -313,6 +262,57 @@ Assignment ScaledDpSolver::solve_one_trial(
 
   out.welfare = Money::from_micros(welfare);
   return out;
+}
+
+}  // namespace
+
+ScaledDpSolver::ScaledDpSolver(double epsilon) : epsilon_(epsilon) {
+  assert(epsilon > 0.0 && epsilon <= 1.0);
+  trials_ = static_cast<std::size_t>(std::ceil(1.0 / epsilon));
+}
+
+Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
+                                 const std::vector<bool>& active,
+                                 std::uint64_t seed) const {
+  // The RNG is only ever fork()ed (const), so trial t's perturbation depends
+  // on nothing but (seed, t). A trial's *only* random input is its shuffled
+  // provider order, so trials that draw the same permutation are memoized
+  // (with few providers — the paper's regime — collisions are frequent:
+  // ⌈1/ε⌉ draws from m! permutations): a duplicated trial can never beat its
+  // original (identical welfare, later index), so it is never solved.
+  crypto::Rng rng(seed);
+  std::vector<std::vector<std::size_t>> orders(trials_);
+  std::vector<std::size_t> unique;  // trial indices to solve, ascending
+  for (std::size_t t = 0; t < trials_; ++t) {
+    crypto::Rng trial_rng = rng.fork(t);
+    std::vector<std::size_t>& order = orders[t];
+    order.resize(instance.asks.size());
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[trial_rng.next_below(i)]);
+    }
+    if (std::find(orders.begin(), orders.begin() + t, order) == orders.begin() + t) {
+      unique.push_back(t);
+    }
+  }
+
+  // The unique trials are independent; they run on the host pool, and the
+  // reduction below keeps the earliest trial achieving the maximum welfare,
+  // exactly like the reference loop — the schedule changes no result.
+  std::vector<Item> items;
+  active_items(instance, active, items);
+  std::vector<Assignment> results(unique.size());
+  host::parallel_for(unique.size(), [&](std::size_t u) {
+    results[u] = solve_trial(instance, items, epsilon_, orders[unique[u]]);
+  });
+
+  Assignment best;
+  best.provider_of.assign(instance.bids.size(), -1);
+  best.welfare = Money::from_micros(-1);
+  for (Assignment& result : results) {
+    if (result.welfare > best.welfare) best = std::move(result);
+  }
+  return best;
 }
 
 }  // namespace dauct::auction

@@ -74,13 +74,15 @@ class ExactSolver final : public WelfareSolver {
 /// (1−ε)-style scaled dynamic program with randomized perturbed trials.
 ///
 /// Hot-path layout: the active item set is materialized once per solve (it is
-/// seed-independent), every trial reuses a single scratch arena (DP row, flat
-/// grow-only take-matrix, perturbation buffers) instead of allocating per
-/// provider, trials that draw the same provider permutation are solved once,
-/// and each item's DP row goes through a branch-free kernel
-/// (auction/knapsack_row.hpp) dispatched once at startup to AVX2 or portable
-/// scalar code. Every path returns bit-identical Assignments (enforced against
-/// ReferenceScaledDpSolver by the equivalence tests).
+/// seed-independent), trials that draw the same provider permutation are
+/// solved once, the remaining unique trials run on the host worker pool
+/// (common/parallel.hpp), each reusing its thread's scratch arena (DP row,
+/// flat grow-only take-matrix) instead of allocating per provider, and each
+/// item's DP row goes through a branch-free kernel (auction/knapsack_row.hpp)
+/// dispatched once at startup to AVX2 or portable scalar code. Trial results
+/// are reduced in trial order (the earliest maximum wins) whatever the
+/// schedule, so every path returns bit-identical Assignments (enforced
+/// against ReferenceScaledDpSolver by the equivalence tests).
 class ScaledDpSolver final : public WelfareSolver {
  public:
   /// `epsilon` controls the capacity grid (⌈n/ε⌉ cells) and the number of
@@ -94,13 +96,6 @@ class ScaledDpSolver final : public WelfareSolver {
   std::size_t trials() const { return trials_; }
 
  private:
-  struct Scratch;  // per-trial reusable buffers; defined in welfare.cpp
-
-  /// One perturbed trial: deterministic in (instance, active item set,
-  /// provider_order) — the basis for trial memoization.
-  Assignment solve_one_trial(const AuctionInstance& instance, Scratch& scratch,
-                             const std::vector<std::size_t>& provider_order) const;
-
   double epsilon_;
   std::size_t trials_;
 };

@@ -86,12 +86,10 @@ TaskGraph StandardAuctionAdapter::build(std::size_t num_bidders, std::size_t m,
       if (!assignment) return {};  // diverging bytes → caught by transfer/output
       auto p = params;
       p.seed = ctx.shared_seed;
-      std::vector<Money> chunk;
-      for (std::size_t i = gi; i < n; i += c) {
-        chunk.push_back(auction::standard_payment(*ctx.instance, p, *assignment,
-                                                  static_cast<BidderId>(i)));
-      }
-      return serde::encode_money_vector(chunk);
+      std::vector<BidderId> chunk;
+      for (std::size_t i = gi; i < n; i += c) chunk.push_back(static_cast<BidderId>(i));
+      return serde::encode_money_vector(
+          auction::standard_payments(*ctx.instance, p, *assignment, chunk));
     };
     g.add_task(std::move(t2));
   }

@@ -51,6 +51,10 @@ class ProviderEngine {
   bool done() const { return outcome_.has_value(); }
   const std::optional<auction::AuctionOutcome>& outcome() const { return outcome_; }
 
+  /// The common-coin value the allocator ran with (valid once past the coin
+  /// phase, e.g. when outcome() is ok; tests/metrics).
+  std::uint64_t shared_seed() const { return allocator_.shared_seed(); }
+
   /// The agreed bid vector (valid after bid agreement; tests/metrics).
   const std::optional<std::vector<auction::Bid>>& agreed_bids() const {
     return agreed_bids_;

@@ -848,7 +848,16 @@ ServiceRunResult ServiceRuntime::run(
     }
     inst.res.outcome =
         core::combine_outcomes(std::span(inst.res.provider_outcomes));
-    if (inst.res.outcome.ok()) ++result.settled_ok;
+    if (inst.res.outcome.ok()) {
+      ++result.settled_ok;
+      for (NodeId j = 0; j < m; ++j) {
+        const auction::AuctionOutcome& o = inst.res.provider_outcomes[j];
+        if (o.ok() && o.value() == inst.res.outcome.value()) {
+          inst.res.shared_seed = inst.nodes[j].bundle.engine->shared_seed();
+          break;
+        }
+      }
+    }
     if (!inst.res.settled) all_settled = false;
     result.instances.push_back(std::move(inst.res));
   }

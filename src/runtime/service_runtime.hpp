@@ -64,6 +64,10 @@ struct InstanceRunResult {
   core::InstanceId id = 0;
   std::uint64_t derived_seed = 0;  ///< the twin's SimRunConfig::seed
   std::string topic_prefix;        ///< "" on the single-instance identity path
+  /// Common-coin value the instance ran with, as an agreeing provider (one
+  /// whose outcome is the combined ok outcome) reports it; 0 when the
+  /// instance ended in ⊥.
+  std::uint64_t shared_seed = 0;
   std::vector<auction::AuctionOutcome> provider_outcomes;
   auction::AuctionOutcome outcome{Bottom{}};  ///< combine_outcomes of the above
   bool launched = false;   ///< false: its pipeline slot never freed up

@@ -45,6 +45,7 @@ SimRunResult SimRuntime::run_distributed(const core::DistributedAuctioneer& auct
   result.global_outcome = std::move(inst.outcome);
   result.bid_agreement_done_at = std::move(inst.bid_agreement_done_at);
   result.provider_done_at = std::move(inst.provider_done_at);
+  result.shared_seed = inst.shared_seed;
   static_cast<RunStats&>(result) = std::move(run);
   return result;
 }

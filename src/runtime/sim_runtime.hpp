@@ -129,8 +129,10 @@ struct RunStats {
 struct SimRunResult : RunStats {
   std::vector<auction::AuctionOutcome> provider_outcomes;
   auction::AuctionOutcome global_outcome{Bottom{}};
-  /// Common-coin value the trusted auctioneer drew (run_centralized only;
-  /// distributed providers agree on theirs inside the protocol).
+  /// Common-coin value the run used: the trusted auctioneer's draw
+  /// (run_centralized), or the coin an agreeing provider reports
+  /// (run_distributed; 0 when the run ended in ⊥). Replaying
+  /// AuctionAdapter::run_centralized with it must give the same result.
   std::uint64_t shared_seed = 0;
 
   /// Phase breakdown (distributed runs): virtual time at which each provider

@@ -2,17 +2,18 @@
 
 #include <cassert>
 #include <cmath>
-#include <ctime>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 
 namespace dauct::sim {
 
 namespace {
+// CPU spent on this thread's behalf: its own thread CPU plus what host-pool
+// helpers spent on its parallel_for items (common/parallel.hpp), so a
+// handler that fans out is charged everything it made the host do.
 SimTime thread_cpu_now() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<SimTime>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+  return static_cast<SimTime>(host::thread_cpu_ns() + host::helper_cpu_ns());
 }
 }  // namespace
 

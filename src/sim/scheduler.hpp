@@ -8,9 +8,12 @@
 //  * each node has a virtual clock;
 //  * delivering a message to node j starts a handler at
 //    max(delivery_time, clock[j]) — nodes process sequentially;
-//  * the handler's real CPU time is measured (CLOCK_THREAD_CPUTIME_ID) and
-//    charged to clock[j] (CostMode::kMeasured), or charged zero
-//    (CostMode::kZero, fully deterministic for logic tests);
+//  * the CPU time spent on the handler's behalf is measured and charged to
+//    clock[j] (CostMode::kMeasured), or charged zero (CostMode::kZero, fully
+//    deterministic for logic tests). "On its behalf" is the handler thread's
+//    own CPU (CLOCK_THREAD_CPUTIME_ID) plus the CPU that host-pool helpers
+//    spent on its parallel_for items (common/parallel.hpp): a handler that
+//    fans out finishes sooner in wall time, never in virtual time;
 //  * messages sent during the handler depart at the handler's end time and
 //    arrive after a sampled link latency.
 //
@@ -38,7 +41,7 @@
 namespace dauct::sim {
 
 enum class CostMode {
-  kMeasured,  ///< charge real handler CPU time (benchmarks)
+  kMeasured,  ///< charge the CPU spent on the handler's behalf (benchmarks)
   kZero,      ///< charge nothing (deterministic logic tests)
 };
 

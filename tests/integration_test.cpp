@@ -4,6 +4,8 @@
 // shared engine logic on the virtual-time runtime.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "adversary/resilience_harness.hpp"
 #include "auction/double_auction.hpp"
 #include "core/adapters.hpp"
@@ -126,6 +128,28 @@ TEST(DistributedStandard, ParallelGroupsProduceSameResultAsSequential) {
   ASSERT_TRUE(run_p1.global_outcome.ok());
   ASSERT_TRUE(run_p2.global_outcome.ok());
   EXPECT_EQ(run_p1.global_outcome.value(), run_p2.global_outcome.value());
+}
+
+TEST(DistributedStandard, Fig5ShapeMatchesTrustedAuctioneerUnderTheAgreedCoin) {
+  // Definition 1 on the fig5_vcg shape (n=50, m=8, k=1, ε=0.06) with
+  // measured costs, so every solve fans out over the host worker pool: the
+  // distributed (x, p⃗) must equal the trusted auctioneer's output under the
+  // coin the providers agreed on.
+  const auto auctioneer = make_standard(8, 1, 50, /*exact=*/false, 0.06);
+  std::set<std::uint64_t> coins;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto instance = testutil::make_instance(50, 8, seed, /*standard=*/true);
+    SimRunConfig config;
+    config.seed = seed;
+    config.cost_mode = sim::CostMode::kMeasured;
+    const auto run = SimRuntime(config).run_distributed(auctioneer, instance);
+    ASSERT_TRUE(run.global_outcome.ok()) << "seed " << seed;
+    EXPECT_EQ(run.global_outcome.value(),
+              auctioneer.adapter().run_centralized(instance, run.shared_seed))
+        << "seed " << seed;
+    coins.insert(run.shared_seed);
+  }
+  EXPECT_EQ(coins.size(), 5u);  // a real coin per run, not a constant
 }
 
 TEST(DistributedDouble, AgreementModesAllWork) {

@@ -111,6 +111,26 @@ TEST(StandardAuction, TaskDecompositionMatchesMonolith) {
   EXPECT_EQ(manual, monolith);
 }
 
+TEST(StandardAuction, PaymentChunkEqualsPerBidderPayments) {
+  // standard_payments spreads a chunk's re-solves over the host pool and
+  // writes each payment by index: the vector equals the sequential loop's,
+  // for any bidder order (strided chunks, duplicates, out-of-range ids).
+  const AuctionInstance inst = small_cloud(3, 30, 5);
+  StandardAuctionParams params;
+  params.epsilon = 0.1;
+  params.seed = 77;
+  const Assignment assignment = standard_allocate(inst, params);
+  const std::vector<BidderId> chunk = {29, 1, 4, 7, 4, 0, 13, 1000};
+  const std::vector<Money> payments =
+      standard_payments(inst, params, assignment, chunk);
+  ASSERT_EQ(payments.size(), chunk.size());
+  for (std::size_t j = 0; j < chunk.size(); ++j) {
+    EXPECT_EQ(payments[j], standard_payment(inst, params, assignment, chunk[j]))
+        << "bidder " << chunk[j];
+  }
+  EXPECT_TRUE(standard_payments(inst, params, assignment, {}).empty());
+}
+
 // VCG truthfulness with the exact solver: dominant-strategy, so no value
 // misreport may increase utility on any instance.
 class VcgTruthfulness : public ::testing::TestWithParam<std::uint64_t> {};
