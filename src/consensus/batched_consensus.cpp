@@ -117,15 +117,37 @@ void BatchedConsensus::maybe_decide() {
     }
   }
 
-  // All received identical vote sets. Decide per slot by strict majority of
-  // exact values; fallback = empty bytes (neutral) when no majority. The
-  // vote payloads stay in the collector's shared buffers, so the per-sender
-  // slot vectors are views, not copies.
   const std::size_t m = endpoint_.num_providers();
+  const auto& votes = votes_.payloads();
+
+  // Unanimous fast path (the honest case): every provider voted the same
+  // bytes, so every slot's strict majority is vote 0's value. One decode, no
+  // per-slot grouping. The digests screen; the bytes confirm.
+  bool unanimous = true;
+  for (NodeId j = 1; j < m && unanimous; ++j) {
+    unanimous = vote_digests_[j] == vote_digests_[0] && votes[j] == votes[0];
+  }
+  if (unanimous) {
+    auto slots = decode_slot_views(votes[0].view(), num_slots_);
+    if (!slots) {
+      abort(AbortReason::kProtocolViolation, "undecodable agreed vote");
+      return;
+    }
+    std::vector<Bytes> decided;
+    decided.reserve(num_slots_);
+    for (const BytesView v : *slots) decided.emplace_back(v.begin(), v.end());
+    result_ = Outcome<std::vector<Bytes>>(std::move(decided));
+    return;
+  }
+
+  // Otherwise decide per slot by strict majority of exact values; fallback =
+  // empty bytes (neutral) when no majority. The vote payloads stay in the
+  // collector's shared buffers, so the per-sender slot vectors are views,
+  // not copies.
   std::vector<std::vector<BytesView>> votes_by_sender;
   votes_by_sender.reserve(m);
   for (NodeId j = 0; j < m; ++j) {
-    auto slots = decode_slot_views(votes_.payloads()[j].view(), num_slots_);
+    auto slots = decode_slot_views(votes[j].view(), num_slots_);
     if (!slots) {
       abort(AbortReason::kProtocolViolation, "undecodable agreed vote");
       return;

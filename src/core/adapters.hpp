@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "auction/standard_auction.hpp"
@@ -30,6 +31,20 @@ class AuctionAdapter {
   /// reproduce distribution-for-distribution).
   virtual auction::AuctionResult run_centralized(const auction::AuctionInstance& instance,
                                                  std::uint64_t seed) const = 0;
+
+  /// True if the TaskSpec::compute bodies of this adapter's graphs may run
+  /// concurrently with each other (several providers' handlers run at once
+  /// in the simulator and the thread runtime). False, the default, makes
+  /// every allocator built from this adapter take compute_mutex() around
+  /// each call — for adapters that instrument compute without locking.
+  virtual bool reentrant_compute() const { return false; }
+
+  /// Serializes compute calls of a non-reentrant adapter. One per adapter:
+  /// allocators of unrelated adapters never wait on each other.
+  std::mutex& compute_mutex() const { return compute_mutex_; }
+
+ private:
+  mutable std::mutex compute_mutex_;
 };
 
 /// Double auction (§5.2.1): a single task executed by all providers — the
@@ -42,6 +57,7 @@ class DoubleAuctionAdapter final : public AuctionAdapter {
   TaskGraph build(std::size_t num_bidders, std::size_t m, std::size_t k) const override;
   auction::AuctionResult run_centralized(const auction::AuctionInstance& instance,
                                          std::uint64_t seed) const override;
+  bool reentrant_compute() const override { return true; }
 };
 
 /// Standard auction (§5.2.2, Algorithm 1): Task 1 computes the allocation at
@@ -59,6 +75,7 @@ class StandardAuctionAdapter final : public AuctionAdapter {
   TaskGraph build(std::size_t num_bidders, std::size_t m, std::size_t k) const override;
   auction::AuctionResult run_centralized(const auction::AuctionInstance& instance,
                                          std::uint64_t seed) const override;
+  bool reentrant_compute() const override { return true; }
 
   const auction::StandardAuctionParams& params() const { return params_; }
 

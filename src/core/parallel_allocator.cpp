@@ -14,11 +14,12 @@ std::string task_prefix(const std::string& prefix, TaskId id) {
 
 ParallelAllocator::ParallelAllocator(blocks::Endpoint& endpoint,
                                      std::string topic_prefix, TaskGraph graph,
-                                     std::size_t k)
+                                     std::size_t k, std::mutex* compute_lock)
     : endpoint_(endpoint),
       prefix_(std::move(topic_prefix)),
       graph_(std::move(graph)),
       k_(k),
+      compute_lock_(compute_lock),
       input_validation_(endpoint_, blocks::topic_join(prefix_, "iv")),
       coin_(endpoint_, blocks::topic_join(prefix_, "coin")),
       output_agreement_(endpoint_, blocks::topic_join(prefix_, "out")) {
@@ -103,6 +104,8 @@ void ParallelAllocator::progress() {
           dep_results.push_back(*states_[d].local_result);
         }
         if (ready) {
+          std::unique_lock<std::mutex> serialized;
+          if (compute_lock_) serialized = std::unique_lock(*compute_lock_);
           st.local_result = spec.compute(dep_results, context_);
           st.computed = true;
           advanced = true;

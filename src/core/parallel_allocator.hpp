@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "blocks/block.hpp"
 #include "blocks/common_coin.hpp"
@@ -31,9 +32,12 @@ class ParallelAllocator {
   /// `graph` must have been validated for (m, k). `decode_input` turns the
   /// validated input bytes into the AuctionInstance the task context exposes;
   /// it returns false on malformed input (→ ⊥, an honest provider never
-  /// feeds malformed bytes to its own allocator).
+  /// feeds malformed bytes to its own allocator). A non-null `compute_lock`
+  /// is held around every TaskSpec::compute call (non-reentrant adapters,
+  /// AuctionAdapter::reentrant_compute()).
   ParallelAllocator(blocks::Endpoint& endpoint, std::string topic_prefix,
-                    TaskGraph graph, std::size_t k);
+                    TaskGraph graph, std::size_t k,
+                    std::mutex* compute_lock = nullptr);
 
   /// Start with this provider's input bytes (the agreed bids + asks).
   void start(Bytes input);
@@ -64,6 +68,7 @@ class ParallelAllocator {
   std::string prefix_;
   TaskGraph graph_;
   std::size_t k_;
+  std::mutex* compute_lock_;
 
   blocks::InputValidation input_validation_;
   blocks::CommonCoin coin_;

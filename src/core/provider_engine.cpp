@@ -29,7 +29,8 @@ ProviderEngine::ProviderEngine(blocks::Endpoint& endpoint, const EngineConfig& c
       my_ask_(my_ask),
       bid_agreement_(endpoint_, "ba", config.num_bidders, config.limits,
                      config.agreement_mode),
-      allocator_(endpoint_, "alloc", build_validated(adapter, config), config.k),
+      allocator_(endpoint_, "alloc", build_validated(adapter, config), config.k,
+                 adapter.reentrant_compute() ? nullptr : &adapter.compute_mutex()),
       ask_topic_("ask/x"),
       asks_(config.m),
       abort_topic_("abort") {}

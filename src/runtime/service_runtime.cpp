@@ -125,7 +125,9 @@ ServiceRunResult ServiceRuntime::run(
   // innermost-first so destruction runs wire-facing-last.
   crypto::Rng seeder(base.seed ^ 0xd15742u);
   std::shared_ptr<const net::KeyDirectory> key_dir;
-  net::AuthStats auth_stats;
+  // Per node, like every other piece of mutable per-node state: provider
+  // handlers run concurrently (sim::Isolation::kIsolated, below).
+  std::vector<net::AuthStats> auth_stats(m);
   if (base.auth.enable) {
     key_dir = std::make_shared<net::KeyDirectory>(m, base.seed);
   }
@@ -186,8 +188,8 @@ ServiceRunResult ServiceRuntime::run(
   // carry scoped topic strings (instance-tagged); decision records append in
   // commit order across instances. The MemStorage "disks" live outside the
   // stacks: an amnesia crash destroys a stack, never its storage. Stats of
-  // Wal/link objects a rebuild destroys are folded into accumulators so the
-  // run totals survive.
+  // Wal/link objects a rebuild destroys are folded into per-node
+  // accumulators so the run totals survive.
   const bool wal_on = base.wal.enable;
   std::vector<std::shared_ptr<store::MemStorage>> storages(wal_on ? m : 0);
   // Lying-disk decorators (store::FaultyStorage), armed per amnesia-crashing
@@ -195,13 +197,14 @@ ServiceRunResult ServiceRuntime::run(
   // the MemStorage underneath is still the "disk" that survives the crash.
   std::vector<std::shared_ptr<store::FaultyStorage>> faulty_disks(wal_on ? m : 0);
   std::vector<std::unique_ptr<store::Wal>> wals(wal_on ? m : 0);
-  std::vector<bool> replaying(m, false);
+  // Bytes, not vector<bool> bits: nodes set their own flags concurrently.
+  std::vector<std::uint8_t> replaying(m, false);
   std::vector<std::uint64_t> wal_delivered(m, 0);
   // The instance whose engine node j's latest message was dispatched to:
   // what a snapshot's started/agreed/done flags describe.
   std::vector<core::InstanceId> last_dispatched(m, 0);
-  store::WalStats wal_stats_acc;
-  net::ReliabilityStats rel_stats_acc;
+  std::vector<store::WalStats> wal_stats_acc(m);
+  std::vector<net::ReliabilityStats> rel_stats_acc(m);
 
   const auto expected_meta = [&](NodeId j) {
     store::WalMeta meta;
@@ -458,21 +461,26 @@ ServiceRunResult ServiceRuntime::run(
             *ep, base.auth_adversary.mode);
         ep = c.tamperer.get();
       }
-      c.signer = std::make_unique<net::SignerEndpoint>(*ep, key_dir, &auth_stats);
+      c.signer = std::make_unique<net::SignerEndpoint>(*ep, key_dir, &auth_stats[j]);
       ep = c.signer.get();
       c.validator = std::make_unique<net::MessageValidator>(
-          j, key_dir, base.auth, base.seed ^ (0xba7c4000u + j), &auth_stats);
+          j, key_dir, base.auth, base.seed ^ (0xba7c4000u + j), &auth_stats[j]);
     }
     c.top = ep;
   };
 
   /// Instance t's engine at node j: a ScopedEndpoint (and any matching
-  /// deviation) on the node's stack top, then the engine.
+  /// deviation) on the node's stack top, then the engine. Each node scopes
+  /// its topics through its own memo: the nodes run concurrently.
   const auto build_bundle = [&](core::InstanceId t, NodeId j) {
     Instance& inst = *insts[t];
     InstanceNode& nd = inst.nodes[j];
     nd.bundle.scoped = std::make_unique<core::ScopedEndpoint>(
-        *stacks[j].top, inst.topics, nd.endpoint_seed);
+        *stacks[j].top,
+        inst.topics
+            ? std::make_shared<net::ScopedTopicRegistry>(inst.topics->prefix())
+            : nullptr,
+        nd.endpoint_seed);
     blocks::Endpoint* ep = nd.bundle.scoped.get();
     for (const auto& dv : deviations) {
       if (dv.node == j && dv.strategy &&
@@ -598,8 +606,8 @@ ServiceRunResult ServiceRuntime::run(
     // The process died: no timer armed by the lost state may ever run — the
     // objects behind those callbacks are about to be destroyed.
     scheduler.bump_incarnation(j);
-    if (stacks[j].link) rel_stats_acc += stacks[j].link->stats();
-    wal_stats_acc += wals[j]->stats();
+    if (stacks[j].link) rel_stats_acc[j] += stacks[j].link->stats();
+    wal_stats_acc[j] += wals[j]->stats();
     for (auto& up : insts) {
       if (!up) continue;
       up->nodes[j].bundle = EngineBundle{};  // engines go before the stack
@@ -676,6 +684,10 @@ ServiceRunResult ServiceRuntime::run(
     if (stacks[j].link) stacks[j].link->request_rejoin();
   };
 
+  // A provider's handler and timers touch only node j's stack, WAL, engines
+  // and per-node slots of shared tables, so providers run concurrently
+  // inside a lookahead window. The client (below) writes the instance table
+  // and the prefix map the providers read: it stays kShared and runs alone.
   for (NodeId j = 0; j < m; ++j) {
     scheduler.set_deliver(j, [&, j](const net::Message& raw) {
       // The reliable link consumes its control traffic (acks, re-requests)
@@ -693,7 +705,7 @@ ServiceRunResult ServiceRuntime::run(
       // a crash between the two replays it instead of losing it.
       journal_message(j, *carried);
       if (route(j, *carried, /*live=*/true)) maybe_snapshot(j);
-    });
+    }, sim::Isolation::kIsolated);
   }
 
   // The client settles instances and drives the pipeline: the m-th result
@@ -864,13 +876,15 @@ ServiceRunResult ServiceRuntime::run(
   result.makespan = all_settled ? last_settle_at : scheduler.now();
   result.traffic = scheduler.traffic();
   if (const auto* fs = scheduler.fault_stats()) result.fault_stats = *fs;
-  result.reliability_stats = rel_stats_acc;
-  for (const auto& c : stacks) {
-    if (c.link) result.reliability_stats += c.link->stats();
+  for (NodeId j = 0; j < m; ++j) {
+    result.reliability_stats += rel_stats_acc[j];
+    if (stacks[j].link) result.reliability_stats += stacks[j].link->stats();
   }
   if (wal_on) {
-    result.wal_stats = wal_stats_acc;
-    for (const auto& w : wals) result.wal_stats += w->stats();
+    for (NodeId j = 0; j < m; ++j) {
+      result.wal_stats += wal_stats_acc[j];
+      result.wal_stats += wals[j]->stats();
+    }
     for (const auto& d : faulty_disks) {
       if (!d) continue;
       result.storage_fault_stats.syncs_dropped += d->stats().syncs_dropped;
@@ -880,7 +894,7 @@ ServiceRunResult ServiceRuntime::run(
     }
   }
   if (base.auth.enable) {
-    result.auth_stats = auth_stats;
+    for (const auto& s : auth_stats) result.auth_stats += s;
     // Prefer a proof a receiver assembled locally (it saw both conflicting
     // frames); otherwise run the auditor sweep, which cross-references every
     // receiver's records and catches split equivocation.

@@ -12,37 +12,54 @@ std::string format_time(SimTime t) {
   return buf;
 }
 
-void EventQueue::schedule(SimTime at, Callback fn) {
+void EventQueue::schedule(SimTime at, Callback fn, NodeId node) {
   assert(fn && "callback events must carry a callable");
-  heap_.push_back(Event{at, next_seq_++, std::move(fn), net::Message{}});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(Event{at, next_seq_++, node, std::move(fn), net::Message{}});
 }
 
 void EventQueue::schedule_message(SimTime at, net::Message msg) {
-  heap_.push_back(Event{at, next_seq_++, nullptr, std::move(msg)});
+  const NodeId node = msg.to;
+  push(Event{at, next_seq_++, node, nullptr, std::move(msg)});
+}
+
+void EventQueue::push(Event ev) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(ev));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(ev);
+  }
+  const Event& e = slots_[slot];
+  heap_.push_back(Key{e.at, e.seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-SimTime EventQueue::next_time() const {
+const EventQueue::Event& EventQueue::top() const {
   assert(!heap_.empty());
-  return heap_.front().at;
+  return slots_[heap_.front().slot];
+}
+
+EventQueue::Event EventQueue::pop() {
+  assert(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  // Move the event out (neither the callback nor the message payload is
+  // copied) and free its slot, so the caller may freely schedule new events
+  // while it runs.
+  Event ev = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
+  return ev;
 }
 
 SimTime EventQueue::run_next() {
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  // The earliest event is now at the back: move it out (neither the callback
-  // nor the message payload is copied) and drop the slot before running, so
-  // the event may freely schedule new events.
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
+  Event ev = pop();
+  assert(ev.fn && "run_next() runs callback events only");
   ++executed_;
-  if (ev.fn) {
-    ev.fn();
-  } else {
-    assert(message_handler_ && "message event without an installed handler");
-    message_handler_(ev.at, std::move(ev.msg));
-  }
+  ev.fn();
   return ev.at;
 }
 

@@ -5,73 +5,89 @@
 //
 // Two event kinds share one ordered heap:
 //  * callback events — an opaque std::function (timers, bookkeeping);
-//  * message events  — a plain net::Message plus its delivery time, handed to
-//    the owner-installed message handler. Messages are the overwhelming
-//    majority of simulated events; carrying them as a struct member instead
-//    of boxing each one in a std::function closure saves one heap allocation
-//    and a closure move per simulated message.
+//  * message events  — a plain net::Message plus its delivery time. Messages
+//    are the overwhelming majority of simulated events; carrying them as a
+//    struct member instead of boxing each one in a std::function closure
+//    saves one heap allocation and a closure move per simulated message.
+//
+// Every event names the node it belongs to (a message's receiver, a timer's
+// node), so the owner (sim::Scheduler) can pop a batch of events and hand
+// each node's share to a different thread.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "net/message.hpp"
 #include "sim/clock.hpp"
 
 namespace dauct::sim {
 
-/// A scheduled event: a callback or a message firing at a virtual time.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
-  /// Receives (delivery time, message) for events scheduled with
-  /// schedule_message(). Installed once by the owner (the Scheduler).
-  using MessageHandler = std::function<void(SimTime, net::Message&&)>;
 
-  /// Install the sink for message events. Must be set before the first
-  /// schedule_message() fires.
-  void set_message_handler(MessageHandler fn) { message_handler_ = std::move(fn); }
+  /// A scheduled event: a callback or a message firing at a virtual time.
+  struct Event {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    NodeId node = kNoNode;  ///< owner: a message's receiver, a timer's node
+    Callback fn;            ///< null for message events
+    net::Message msg;       ///< meaningful iff fn is null
+  };
 
-  /// Schedule `fn` at virtual time `at`.
-  void schedule(SimTime at, Callback fn);
+  /// Schedule `fn` at virtual time `at`, owned by `node`.
+  void schedule(SimTime at, Callback fn, NodeId node = kNoNode);
 
   /// Schedule delivery of `msg` at virtual time `at` (no closure, no extra
-  /// allocation: the message rides in the event struct).
+  /// allocation: the message rides in the event struct). Owned by msg.to.
   void schedule_message(SimTime at, net::Message msg);
+
+  /// Consume one sequence number without queueing anything: an event that
+  /// runs outside the queue still takes its place in the tie-break order.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Re-queue an event popped earlier, keeping its sequence number.
+  void push(Event ev);
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Virtual time of the earliest pending event.
-  SimTime next_time() const;
+  /// The earliest pending event.
+  const Event& top() const;
 
-  /// Pop and run the earliest event; returns its time.
+  /// Virtual time of the earliest pending event.
+  SimTime next_time() const { return top().at; }
+
+  /// Remove and return the earliest event.
+  Event pop();
+
+  /// Pop and run the earliest event, which must be a callback event;
+  /// returns its time.
   SimTime run_next();
 
-  /// Total events executed so far.
+  /// Total events executed by run_next() so far.
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
+  /// The heap orders small keys; event bodies (a callback or a message) stay
+  /// put in `slots_` until popped, so a sift moves 24 bytes, not an event.
+  struct Key {
     SimTime at;
     std::uint64_t seq;
-    Callback fn;       ///< null for message events
-    net::Message msg;  ///< meaningful iff fn is null
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
 
-  // Explicit vector + push_heap/pop_heap instead of std::priority_queue:
-  // top() of a priority_queue is const, which forced run_next() to *copy* the
-  // std::function (and its captured state) out of every event. pop_heap moves
-  // the earliest event to the back, where it can be moved out.
-  std::vector<Event> heap_;
-  MessageHandler message_handler_;
+  std::vector<Key> heap_;
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
 };

@@ -17,6 +17,15 @@ bool in_scope(const std::string& topic_scope, std::string_view topic) {
          topic.substr(0, topic_scope.size()) == topic_scope;
 }
 
+// The node part of LinkFault::matches.
+bool admits(const LinkFault& r, NodeId f, NodeId t) {
+  const bool forward =
+      (r.from == kNoNode || r.from == f) && (r.to == kNoNode || r.to == t);
+  if (forward) return true;
+  if (!r.symmetric || r.from == kNoNode || r.to == kNoNode) return false;
+  return r.from == t && r.to == f;
+}
+
 }  // namespace
 
 bool LinkFault::matches(NodeId f, NodeId t, std::string_view topic,
@@ -25,10 +34,7 @@ bool LinkFault::matches(NodeId f, NodeId t, std::string_view topic,
   if (!in_scope(topic_scope, topic)) {
     return false;  // instance-confined rule, foreign instance's traffic
   }
-  const bool forward = (from == kNoNode || from == f) && (to == kNoNode || to == t);
-  if (forward) return true;
-  if (!symmetric || from == kNoNode || to == kNoNode) return false;
-  return from == t && to == f;
+  return admits(*this, f, t);
 }
 
 FaultInjector::FaultInjector(FaultPlan plan)
@@ -77,7 +83,8 @@ FaultInjector::SendVerdict FaultInjector::on_send(NodeId from, NodeId to,
   // Stochastic rules: every matching rule applies, in plan order. Rules with
   // zero rates draw nothing, keeping a zero-rate plan bit-identical to no
   // plan (the RNG stream position only matters to *other* fault draws).
-  for (const LinkFault& r : plan_.links) {
+  for (const std::uint32_t i : link_rules(from, to)) {
+    const LinkFault& r = plan_.links[i];
     if (!r.matches(from, to, topic, depart)) continue;
     if (r.drop > 0 && rng_.next_double() < r.drop) {
       ++stats_.link_dropped;
@@ -101,6 +108,17 @@ FaultInjector::SendVerdict FaultInjector::on_send(NodeId from, NodeId to,
   if (v.extra_delay > 0) ++stats_.delayed;
   if (v.duplicate) ++stats_.duplicated;
   return v;
+}
+
+const std::vector<std::uint32_t>& FaultInjector::link_rules(NodeId from, NodeId to) {
+  const std::uint64_t pair = (std::uint64_t{from} << 32) | to;
+  auto [it, fresh] = rules_by_pair_.try_emplace(pair);
+  if (fresh) {
+    for (std::uint32_t i = 0; i < plan_.links.size(); ++i) {
+      if (admits(plan_.links[i], from, to)) it->second.push_back(i);
+    }
+  }
+  return it->second;
 }
 
 bool FaultInjector::down_at(NodeId node, SimTime at, bool count) {

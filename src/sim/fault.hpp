@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -165,8 +166,13 @@ class FaultInjector {
                       SimTime depart);
 
   /// True iff `node` is inside a crash window at time `at`. `count` adds the
-  /// query to crash_dropped (deliver-side bookkeeping).
+  /// query to crash_dropped (deliver-side bookkeeping). With count = false
+  /// this only reads the plan, so concurrent queries are safe.
   bool down_at(NodeId node, SimTime at, bool count);
+
+  /// Count one delivery lost at a down receiver, decided earlier by an
+  /// uncounted down_at() query.
+  void note_crash_drop() { ++stats_.crash_dropped; }
 
   /// Given that `node` is down at `at`: when it comes back up (kSimForever
   /// for a crash-stop). The scheduler uses this to carry a crash-recover
@@ -178,10 +184,15 @@ class FaultInjector {
 
  private:
   bool severed(NodeId from, NodeId to, std::string_view topic, SimTime depart);
+  /// Indices of the link rules whose node filters admit from→to, in plan
+  /// order (memoized per directed pair: a plan with a rule per link would
+  /// otherwise scan every rule for every message).
+  const std::vector<std::uint32_t>& link_rules(NodeId from, NodeId to);
 
   FaultPlan plan_;
   crypto::Rng rng_;
   FaultStats stats_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> rules_by_pair_;
 };
 
 }  // namespace dauct::sim

@@ -21,4 +21,12 @@ SimTime LatencyModel::sample(std::size_t bytes, crypto::Rng& rng) const {
   return std::max<SimTime>(jittered, 0);
 }
 
+SimTime LatencyModel::min_delay() const {
+  if (jitter <= 0.0 || base <= 0) return std::max<SimTime>(base, 0);
+  // sample() rounds raw·factor with raw ≥ base and factor ≥ 1 − jitter, all
+  // in the same double arithmetic, so this floor bounds every draw.
+  const double lowest = std::floor(static_cast<double>(base) * (1.0 - jitter));
+  return std::max<SimTime>(static_cast<SimTime>(lowest), 0);
+}
+
 }  // namespace dauct::sim

@@ -39,6 +39,10 @@ struct LatencyModel {
   /// Sample the one-way delay of a `bytes`-sized message.
   SimTime sample(std::size_t bytes, crypto::Rng& rng) const;
 
+  /// The shortest delay sample() can return, floor(base·(1−jitter)) (base
+  /// itself without jitter): the scheduler's lookahead window.
+  SimTime min_delay() const;
+
   /// Receive occupancy charged to the destination node's clock.
   SimTime recv_occupancy(std::size_t bytes) const {
     return recv_per_byte * static_cast<SimTime>(bytes);

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "serde/codec.hpp"
@@ -37,6 +38,37 @@ std::uint32_t crc32(BytesView data) {
     c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+// --- MemStorage ------------------------------------------------------------
+
+Bytes MemStorage::read_all() {
+  Bytes out;
+  out.reserve(size_);
+  for (const Bytes& c : chunks_) out.insert(out.end(), c.begin(), c.end());
+  return out;
+}
+
+bool MemStorage::append(BytesView data) {
+  while (!data.empty()) {
+    if (chunks_.empty() || chunks_.back().size() == kChunk) {
+      chunks_.emplace_back().reserve(kChunk);
+    }
+    Bytes& tail = chunks_.back();
+    const std::size_t n = std::min(kChunk - tail.size(), data.size());
+    tail.insert(tail.end(), data.begin(), data.begin() + n);
+    data = data.subspan(n);
+    size_ += n;
+  }
+  return true;
+}
+
+bool MemStorage::truncate(std::size_t size) {
+  if (size >= size_) return true;
+  chunks_.resize((size + kChunk - 1) / kChunk);
+  if (size % kChunk != 0) chunks_.back().resize(size % kChunk);
+  size_ = size;
+  return true;
 }
 
 // --- FileStorage -----------------------------------------------------------

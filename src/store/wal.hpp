@@ -109,31 +109,34 @@ class Storage {
 /// In-memory storage: the deterministic simulator's sink. The buffer
 /// deliberately lives *outside* the per-node endpoint chain so it survives
 /// an amnesia crash (the disk survives the process).
+///
+/// The bytes sit in fixed-size chunks, never in one growing vector: a log
+/// that grows to megabytes is appended from whichever host-pool thread runs
+/// its node (sim/scheduler.hpp), and regrowing one buffer from many threads
+/// would leave its abandoned copies spread over the allocator's per-thread
+/// arenas.
 class MemStorage final : public Storage {
  public:
-  Bytes read_all() override { return buf_; }
-  bool append(BytesView data) override {
-    buf_.insert(buf_.end(), data.begin(), data.end());
-    return true;
-  }
+  Bytes read_all() override;
+  bool append(BytesView data) override;
   bool sync() override {
     ++syncs_;
     return true;
   }
-  bool truncate(std::size_t size) override {
-    if (size < buf_.size()) buf_.resize(size);
-    return true;
-  }
-  std::size_t size() const { return buf_.size(); }
+  bool truncate(std::size_t size) override;
+  std::size_t size() const { return size_; }
   std::uint64_t syncs() const { return syncs_; }
 
   /// Test hook: corrupt the byte at `offset` (bit-flip injection).
   void corrupt_byte(std::size_t offset) {
-    if (offset < buf_.size()) buf_[offset] ^= 0x40;
+    if (offset < size_) chunks_[offset / kChunk][offset % kChunk] ^= 0x40;
   }
 
  private:
-  Bytes buf_;
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;
+
+  std::vector<Bytes> chunks_;  ///< every chunk but the last is full
+  std::size_t size_ = 0;
   std::uint64_t syncs_ = 0;
 };
 

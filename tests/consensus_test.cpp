@@ -218,5 +218,52 @@ TEST(BatchedConsensus, PerSlotIndependence) {
   }
 }
 
+/// The decision rule, spelled out: per slot, the value more than half of the
+/// m votes carry, else empty.
+std::vector<Bytes> majority_by_slot(const std::vector<std::vector<Bytes>>& votes) {
+  std::vector<Bytes> out(votes[0].size());
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    for (const auto& candidate : votes) {
+      std::size_t count = 0;
+      for (const auto& v : votes) count += v[s] == candidate[s];
+      if (count * 2 > votes.size()) {
+        out[s] = candidate[s];
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(BatchedConsensus, UnanimousAndSplitVoteSetsDecideByTheMajorityRule) {
+  // Many slots, some empty: the unanimous set takes the one-decode fast path,
+  // the split set (one provider disagrees on every third slot, two on every
+  // fifth) the per-slot grouping. Both must decide what the rule says.
+  constexpr std::size_t kM = 5, kSlots = 64;
+  std::vector<Bytes> base(kSlots);
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    if (s % 7 != 0) base[s] = Bytes(s % 11 + 1, static_cast<std::uint8_t>(s));
+  }
+  std::vector<std::vector<Bytes>> unanimous(kM, base);
+  std::vector<std::vector<Bytes>> split(kM, base);
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    if (s % 3 == 0) split[1][s] = Bytes{0xee};
+    if (s % 5 == 0) {
+      split[2][s] = Bytes{0xdd};
+      split[4][s] = Bytes{0xcc, static_cast<std::uint8_t>(s)};
+    }
+  }
+  for (const auto* votes : {&unanimous, &split}) {
+    const std::vector<Bytes> expected = majority_by_slot(*votes);
+    for (const auto& o : run_batched(kM, kSlots, *votes)) {
+      ASSERT_TRUE(o.ok());
+      EXPECT_EQ(o.value(), expected);
+    }
+  }
+  // Slots 15, 30, 45 and 60 split 2-1-1-1 and fall back to empty.
+  EXPECT_EQ(majority_by_slot(unanimous), base);
+  EXPECT_TRUE(majority_by_slot(split)[15].empty());
+}
+
 }  // namespace
 }  // namespace dauct::consensus

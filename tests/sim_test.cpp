@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
+
+#include "common/parallel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
@@ -163,6 +167,182 @@ TEST(Scheduler, DeterministicWithSeed) {
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));  // jitter differs
+}
+
+// ---------------------------------------------------------------------------
+// Lookahead windows. Each pin runs the same script twice: with every node
+// kShared (one event at a time, the serial reference) and with every node
+// kIsolated (windows of concurrent per-node batches). Handlers write only
+// their own node's log, as isolated handlers must.
+// ---------------------------------------------------------------------------
+
+/// What a run leaves behind that the serial order determines.
+struct Observed {
+  std::vector<std::vector<std::string>> logs;  ///< per node: "time topic"
+  std::vector<SimTime> clocks;
+  std::uint64_t events = 0, messages = 0, bytes = 0;
+  std::vector<std::tuple<SimTime, NodeId, NodeId, std::string>> trace;
+
+  bool operator==(const Observed&) const = default;
+};
+
+/// A script installs handlers (with the given isolation) and seeds events.
+using Script = std::function<void(Scheduler&, Isolation,
+                                  std::vector<std::vector<std::string>>&)>;
+
+Observed observe(std::size_t nodes, LatencyModel latency, Isolation isolation,
+                 const Script& script,
+                 std::uint64_t budget = std::numeric_limits<std::uint64_t>::max()) {
+  Scheduler sched(nodes, latency, 11);
+  sched.enable_trace(true);
+  Observed o;
+  o.logs.resize(nodes);
+  script(sched, isolation, o.logs);
+  sched.run_some(budget);
+  for (NodeId j = 0; j < nodes; ++j) o.clocks.push_back(sched.clock(j));
+  o.events = sched.events_dispatched();
+  o.messages = sched.traffic().messages;
+  o.bytes = sched.traffic().bytes;
+  for (const auto& e : sched.trace()) {
+    o.trace.emplace_back(e.at, e.from, e.to, e.topic.str());
+  }
+  return o;
+}
+
+std::string entry(const Scheduler& s, const net::Message& m) {
+  return std::to_string(s.now()) + " " + m.topic.str();
+}
+
+// Four nodes relay hop-counted tokens to each other with zero latency and a
+// charged cost, so a whole cascade lands on one timestamp after another:
+// every batch of equal timestamps is one window.
+void zero_latency_cascade(Scheduler& s, Isolation iso,
+                          std::vector<std::vector<std::string>>& logs) {
+  for (NodeId j = 0; j < 4; ++j) {
+    s.set_deliver(j, [&s, &logs, j](const net::Message& m) {
+      logs[j].push_back(entry(s, m));
+      const int hops = m.payload.empty() ? 0 : m.payload[0];
+      if (hops >= 6) return;
+      s.charge(j % 2);  // odd nodes drift, so clocks and departures differ
+      for (NodeId to : {NodeId((j + 1) % 4), NodeId((j + 3) % 4)}) {
+        s.send(net::Message{j, to, "hop/" + std::to_string(hops),
+                            Bytes{static_cast<std::uint8_t>(hops + 1)}});
+      }
+    }, iso);
+  }
+  for (NodeId j = 0; j < 4; ++j) {
+    s.inject(0, net::Message{kNoNode, j, "start", Bytes{0}});
+  }
+}
+
+TEST(SchedulerWindow, ZeroLatencyCascadeRunsInSerialOrder) {
+  const Observed serial =
+      observe(4, LatencyModel::zero(), Isolation::kShared, zero_latency_cascade);
+  const Observed windowed =
+      observe(4, LatencyModel::zero(), Isolation::kIsolated, zero_latency_cascade);
+  EXPECT_GT(serial.events, 100u);
+  EXPECT_EQ(windowed, serial);
+}
+
+/// 1 ms per hop, no jitter: the lookahead window is 1 ms long.
+LatencyModel one_ms_links() { return LatencyModel{from_millis(1), 0, 0.0, 0}; }
+
+// Node 0 gets messages at 1.0 and 1.6 ms; the first arms a timer for 1.3 ms,
+// inside the window [1.0, 2.0). Node 1 has events in the same window.
+void timer_inside_window(Scheduler& s, Isolation iso,
+                         std::vector<std::vector<std::string>>& logs) {
+  s.set_deliver(0, [&s, &logs](const net::Message& m) {
+    logs[0].push_back(entry(s, m));
+    if (m.topic.str() != "a") return;
+    s.schedule_timer(s.now() + from_micros(300), 0, [&s, &logs] {
+      logs[0].push_back(std::to_string(s.now()) + " timer");
+      s.send(net::Message{0, 1, "from-timer", {}});
+    });
+  }, iso);
+  s.set_deliver(1, [&s, &logs](const net::Message& m) {
+    logs[1].push_back(entry(s, m));
+  }, iso);
+  s.inject(0, net::Message{kNoNode, 0, "a", {}});
+  s.inject(from_micros(600), net::Message{kNoNode, 0, "b", {}});
+  s.inject(from_micros(200), net::Message{kNoNode, 1, "c", {}});
+}
+
+TEST(SchedulerWindow, OwnTimerDueInsideTheWindowFiresInItsSerialPlace) {
+  const Observed serial =
+      observe(2, one_ms_links(), Isolation::kShared, timer_inside_window);
+  const Observed windowed =
+      observe(2, one_ms_links(), Isolation::kIsolated, timer_inside_window);
+  const std::vector<std::string> node0 = {"1000000 a", "1300000 timer",
+                                          "1600000 b"};
+  EXPECT_EQ(serial.logs[0], node0);
+  EXPECT_EQ(windowed, serial);
+}
+
+// Five nodes with staggered events inside one 1 ms window, each charging a
+// different cost and replying once.
+void one_wide_window(Scheduler& s, Isolation iso,
+                     std::vector<std::vector<std::string>>& logs) {
+  for (NodeId j = 0; j < 5; ++j) {
+    s.set_deliver(j, [&s, &logs, j](const net::Message& m) {
+      logs[j].push_back(entry(s, m));
+      s.charge(from_micros(10 * (j + 1)));
+      if (m.from != kNoNode) return;
+      s.send(net::Message{j, NodeId((j + 1) % 5), "reply", Bytes(j + 1)});
+    }, iso);
+  }
+  for (int i = 0; i < 15; ++i) {
+    s.inject(from_micros(40 * i),
+             net::Message{kNoNode, NodeId(i % 5), "e" + std::to_string(i), {}});
+  }
+}
+
+TEST(SchedulerWindow, RunSomeStoppingMidWindowLeavesTheSerialPrefix) {
+  const Observed full =
+      observe(5, one_ms_links(), Isolation::kShared, one_wide_window);
+  ASSERT_EQ(full.events, 30u);
+  for (std::uint64_t k = 1; k <= full.events; ++k) {
+    const Observed serial =
+        observe(5, one_ms_links(), Isolation::kShared, one_wide_window, k);
+    const Observed windowed =
+        observe(5, one_ms_links(), Isolation::kIsolated, one_wide_window, k);
+    EXPECT_EQ(serial.events, k);
+    EXPECT_EQ(windowed, serial) << "budget " << k;
+  }
+}
+
+std::uint64_t burn_cpu(std::uint64_t ns) {
+  const std::uint64_t start = host::thread_cpu_ns();
+  volatile std::uint64_t sink = 0;
+  std::uint64_t used = 0;
+  while ((used = host::thread_cpu_ns() - start) < ns) {
+    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<std::uint64_t>(i);
+  }
+  return used;
+}
+
+TEST(SchedulerWindow, MeasuredHandlerIsChargedItsOwnHelpersOnly) {
+  // Both handlers run in one window (same timestamp): node 0 burns alone,
+  // node 1 fans out. Each node's clock holds its own work and not the other's.
+  constexpr std::size_t kItems = 4;
+  std::uint64_t alone = 0;
+  std::vector<std::uint64_t> item_cpu(kItems);
+  Scheduler sched(2, LatencyModel::zero(), 1, CostMode::kMeasured);
+  sched.set_deliver(0, [&](const net::Message&) { alone = burn_cpu(40'000'000); },
+                    Isolation::kIsolated);
+  sched.set_deliver(1, [&](const net::Message&) {
+    host::parallel_for(kItems, [&](std::size_t i) { item_cpu[i] = burn_cpu(3'000'000); });
+  }, Isolation::kIsolated);
+  sched.inject(0, net::Message{kNoNode, 0, "alone", {}});
+  sched.inject(0, net::Message{kNoNode, 1, "fan-out", {}});
+  sched.run();
+  std::uint64_t fanned = 0;
+  for (auto c : item_cpu) fanned += c;
+  const auto clock0 = static_cast<double>(sched.clock(0));
+  const auto clock1 = static_cast<double>(sched.clock(1));
+  EXPECT_GE(clock0, 0.9 * static_cast<double>(alone));
+  EXPECT_LT(clock0, static_cast<double>(alone) + 0.5 * static_cast<double>(fanned));
+  EXPECT_GE(clock1, 0.9 * static_cast<double>(fanned));
+  EXPECT_LT(clock1, static_cast<double>(fanned) + 0.5 * static_cast<double>(alone));
 }
 
 // ---------------------------------------------------------------------------

@@ -260,6 +260,43 @@ TEST(WalMetaGate, EachIdentityFieldProducesItsOwnDiagnostic) {
 }
 
 // ---------------------------------------------------------------------------
+// MemStorage: the simulator's sink, stored in fixed-size chunks
+// ---------------------------------------------------------------------------
+
+TEST(WalMemStorage, BehavesLikeOneFlatBufferAcrossChunkBoundaries) {
+  // Odd-sized appends spanning several 64 KiB chunks, then truncations
+  // inside a chunk, onto a chunk boundary and to zero, each followed by more
+  // appends: read_all, size and corrupt_byte must match a flat buffer.
+  MemStorage mem;
+  Bytes flat;
+  std::uint8_t next = 0;
+  const auto append = [&](std::size_t n) {
+    Bytes piece(n);
+    for (auto& b : piece) b = next++;
+    ASSERT_TRUE(mem.append(BytesView(piece)));
+    flat.insert(flat.end(), piece.begin(), piece.end());
+  };
+  const auto check = [&] {
+    EXPECT_EQ(mem.size(), flat.size());
+    EXPECT_EQ(mem.read_all(), flat);
+  };
+  for (std::size_t n : {1u, 70'000u, 3u, 65'533u, 131'072u}) append(n);
+  check();
+  for (std::size_t cut : {200'000u, 131'072u, 65'536u, 65'535u, 0u}) {
+    ASSERT_TRUE(mem.truncate(cut));
+    flat.resize(cut);
+    check();
+    append(40'000);
+    append(30'000);
+    check();
+  }
+  mem.corrupt_byte(65'536);
+  flat[65'536] ^= 0x40;
+  mem.corrupt_byte(flat.size());  // past the end: no effect
+  check();
+}
+
+// ---------------------------------------------------------------------------
 // FileStorage: the real-disk sink behind the tcp runtime
 // ---------------------------------------------------------------------------
 
