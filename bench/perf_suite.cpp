@@ -548,13 +548,14 @@ struct SignedRound {
   }
 };
 
+// The validator's paths: every verify runs on the directory's prepared keys.
 void BM_auth_verify_single(State& state) {
   const SignedRound round(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     bool ok = true;
     for (std::size_t s = 0; s < round.sigs.size(); ++s) {
       ok = ok && crypto::ed25519::verify(
-                     round.keys.public_key(static_cast<NodeId>(s)),
+                     round.keys.verify_key(static_cast<NodeId>(s)),
                      BytesView(round.transcripts[s]), round.sigs[s]);
     }
     DoNotOptimize(ok);
@@ -564,17 +565,29 @@ TINYBENCH(BM_auth_verify_single)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_auth_verify_batch(State& state) {
   const SignedRound round(static_cast<std::size_t>(state.range(0)));
-  std::vector<crypto::ed25519::BatchItem> items;
+  std::vector<crypto::ed25519::KeyedBatchItem> items;
   for (std::size_t s = 0; s < round.sigs.size(); ++s) {
-    items.push_back({&round.keys.public_key(static_cast<NodeId>(s)),
+    items.push_back({&round.keys.verify_key(static_cast<NodeId>(s)),
                      BytesView(round.transcripts[s]), &round.sigs[s]});
   }
   crypto::Rng rng(99);
   for (auto _ : state) {
-    DoNotOptimize(crypto::ed25519::verify_batch(items, rng));
+    DoNotOptimize(crypto::ed25519::verify_batch_keyed(items, rng));
   }
 }
 TINYBENCH(BM_auth_verify_batch)->Arg(4)->Arg(8)->Arg(16);
+
+// The per-run key setup every signed run pays before its first message:
+// m keypairs derived and m verification keys prepared, on the host pool.
+void BM_auth_key_directory(State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const net::KeyDirectory keys(m, ++seed);
+    DoNotOptimize(keys.verify_key(0).valid());
+  }
+}
+TINYBENCH(BM_auth_key_directory)->Arg(4)->Arg(8)->Arg(16);
 
 // ed25519 primitives, reference vs optimized: the retained TweetNaCl-style
 // code (crypto/ed25519_reference.hpp: radix-2^16 field, constant-time
@@ -616,7 +629,8 @@ void BM_ed25519_sign_opt(State& s) { bm_ed25519_sign<crypto::ed25519::sign>(s); 
 TINYBENCH(BM_ed25519_sign_ref);
 TINYBENCH(BM_ed25519_sign_opt);
 
-template <auto Verify>
+template <bool (*Verify)(const crypto::ed25519::PublicKey&, BytesView,
+                         const crypto::ed25519::Signature&)>
 void bm_ed25519_verify(State& state) {
   const SignedRound round(16);
   std::size_t s = 0;

@@ -4,13 +4,13 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/ed25519_scalar.hpp"
 #include "crypto/sha512.hpp"
 
 namespace dauct::crypto::ed25519 {
 
 namespace {
 
-using i64 = std::int64_t;
 using u8 = std::uint8_t;
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
@@ -415,15 +415,22 @@ P3 scalarmult_base(const u8* a) {
 }
 
 // --- Public scalars: variable-time interleaved wNAF (Straus) ---------------
-// sum_k c_k·P_k + b·B shares one doubling chain across all terms: each
-// variable point brings a width-5 table of odd multiples (P, 3P, ..., 15P),
-// the base point a static width-8 table (B, 3B, ..., 127B). Only
-// verification runs this; all of its inputs are public.
+// sum_k c_k·P_k shares one doubling chain across all terms. A point decoded
+// for one call (R, or a raw PublicKey's A) brings a width-5 table of odd
+// multiples (P, 3P, ..., 15P) built on the spot. A point used many times
+// (B, or a VerifyKey's -A) has width-8 affine tables of its odd multiples
+// (P, 3P, ..., 127P) and of 2^128·P's, so its coefficient is split into two
+// 128-bit halves and the chain shrinks to ~129 doublings once no per-call
+// term carries more than 128 bits. Only verification runs this; all of its
+// inputs are public.
 
 constexpr int kVarWidth = 5;
-constexpr int kBaseWidth = 8;
+constexpr int kFixedWidth = 8;
 
-using Naf = std::array<std::int8_t, 256>;
+struct Naf {
+  std::array<std::int8_t, 256> digit{};
+  int top = -1;  ///< position of the highest nonzero digit; -1 if none
+};
 
 /// Width-w non-adjacent form of a scalar s < 2^255: every digit is 0 or odd
 /// with |digit| < 2^(w-1), and any w consecutive digits hold at most one
@@ -431,7 +438,7 @@ using Naf = std::array<std::int8_t, 256>;
 Naf wnaf(const u8* s, int w) {
   const u64 x[5] = {load64_le(s), load64_le(s + 8), load64_le(s + 16), load64_le(s + 24), 0};
   const u64 width = u64{1} << w, window_mask = width - 1;
-  Naf naf{};
+  Naf naf;
   u64 carry = 0;
   for (int pos = 0; pos < 256;) {
     const int idx = pos / 64, bit = pos % 64;
@@ -443,17 +450,18 @@ Naf wnaf(const u8* s, int w) {
     }
     if (window < width / 2) {
       carry = 0;
-      naf[pos] = static_cast<std::int8_t>(window);
+      naf.digit[pos] = static_cast<std::int8_t>(window);
     } else {
       carry = 1;
-      naf[pos] = static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(width));
+      naf.digit[pos] = static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(width));
     }
+    naf.top = pos;
     pos += w;
   }
   return naf;
 }
 
-/// One variable-base term c·P of a multi-scalar multiplication.
+/// One per-call term c·P: its width-5 table is built here.
 struct VarTerm {
   Naf naf;
   std::array<Cached, 1 << (kVarWidth - 2)> odd;  ///< P, 3P, ..., 15P
@@ -469,78 +477,94 @@ struct VarTerm {
   }
 };
 
-const std::vector<Niels>& base_odd_multiples() {
-  static const std::vector<Niels> table = [] {
-    const P3 b = base_point();
-    const Cached b2 = to_cached(to_p3(dbl(b)));
-    std::vector<P3> pts = {b};
-    for (int k = 1; k < (1 << (kBaseWidth - 2)); ++k) pts.push_back(to_p3(add(pts.back(), b2)));
-    return to_niels(pts);
-  }();
+/// Width-8 affine odd multiples of a point P used many times: `lo` holds
+/// P, 3P, ..., 127P and `hi` the same multiples of 2^128·P.
+struct FixedTables {
+  std::array<Niels, 1 << (kFixedWidth - 2)> lo, hi;
+};
+
+FixedTables fixed_tables(const P3& p) {
+  std::vector<P3> pts;
+  pts.reserve(2 << (kFixedWidth - 2));
+  const auto odd_multiples = [&pts](const P3& q) {
+    const Cached q2 = to_cached(to_p3(dbl(q)));
+    pts.push_back(q);
+    for (int k = 1; k < (1 << (kFixedWidth - 2)); ++k) pts.push_back(to_p3(add(pts.back(), q2)));
+  };
+  odd_multiples(p);
+  P2 s = {p.X, p.Y, p.Z};
+  for (int k = 0; k < 127; ++k) s = to_p2(dbl(s));
+  odd_multiples(to_p3(dbl(s)));  // 2^128·P
+  const std::vector<Niels> niels = to_niels(pts);  // one inversion for both
+  FixedTables t;
+  std::copy_n(niels.begin(), t.lo.size(), t.lo.begin());
+  std::copy_n(niels.begin() + t.lo.size(), t.hi.size(), t.hi.begin());
+  return t;
+}
+
+const FixedTables& base_tables() {
+  static const FixedTables table = fixed_tables(base_point());
   return table;
 }
 
-/// sum_k terms[k] + b·B, variable time (public scalars and points only).
-P2 multiscalar_vartime(std::span<const VarTerm> terms, const u8* b) {
-  const Naf b_naf = wnaf(b, kBaseWidth);
-  const auto& b_odd = base_odd_multiples();
-  const auto all_zero_at = [&](int i) {
-    return b_naf[i] == 0 &&
-           std::all_of(terms.begin(), terms.end(), [i](const VarTerm& t) { return t.naf[i] == 0; });
-  };
-  int top = 255;
-  while (top >= 0 && all_zero_at(top)) --top;
-  P2 r = {kZero, kOne, kOne};
-  for (int i = top; i >= 0; --i) {
-    P1P1 t = dbl(r);
-    for (const VarTerm& term : terms) {
-      const int d = term.naf[i];
-      if (d > 0) t = add(to_p3(t), term.odd[d / 2]);
-      if (d < 0) t = add(to_p3(t), negate(term.odd[-d / 2]));
+/// One term c·P on a width-8 table of P's odd multiples.
+struct FixedTerm {
+  Naf naf;
+  const Niels* odd;
+};
+
+/// The terms of one multi-scalar multiplication.
+struct Msm {
+  std::vector<VarTerm> var;
+  std::vector<FixedTerm> fixed;
+
+  /// c·P for c < 2^256 on P's tables: c_lo·P + c_hi·(2^128·P).
+  void add_split(const u8* c, const FixedTables& t) {
+    u8 half[32] = {};
+    std::copy_n(c, 16, half);
+    fixed.push_back({wnaf(half, kFixedWidth), t.lo.data()});
+    std::copy_n(c + 16, 16, half);
+    fixed.push_back({wnaf(half, kFixedWidth), t.hi.data()});
+  }
+
+  /// The sum, variable time (public scalars and points only).
+  P2 eval() const {
+    int top = -1;
+    for (const VarTerm& t : var) top = std::max(top, t.naf.top);
+    for (const FixedTerm& t : fixed) top = std::max(top, t.naf.top);
+    P2 r = {kZero, kOne, kOne};
+    for (int i = top; i >= 0; --i) {
+      P1P1 t = dbl(r);
+      for (const VarTerm& term : var) {
+        const int d = term.naf.digit[i];
+        if (d > 0) t = add(to_p3(t), term.odd[d / 2]);
+        if (d < 0) t = add(to_p3(t), negate(term.odd[-d / 2]));
+      }
+      for (const FixedTerm& term : fixed) {
+        const int d = term.naf.digit[i];
+        if (d > 0) t = madd(to_p3(t), term.odd[d / 2]);
+        if (d < 0) t = madd(to_p3(t), negate(term.odd[-d / 2]));
+      }
+      r = to_p2(t);
     }
-    const int d = b_naf[i];
-    if (d > 0) t = madd(to_p3(t), b_odd[d / 2]);
-    if (d < 0) t = madd(to_p3(t), negate(b_odd[-d / 2]));
-    r = to_p2(t);
+    return r;
   }
-  return r;
-}
+};
 
-// --- Scalar arithmetic mod L ------------------------------------------------
+}  // namespace
 
-/// r = x mod L, for x given as 64 limbs of (possibly large) byte products.
-void modL(u8* r, i64 x[64]) {
-  i64 carry;
-  for (int i = 63; i >= 32; --i) {
-    carry = 0;
-    int j;
-    for (j = i - 32; j < i - 12; ++j) {
-      x[j] += carry - 16 * x[i] * kL[j - (i - 32)];
-      carry = (x[j] + 128) >> 8;
-      x[j] -= carry << 8;
-    }
-    x[j] += carry;
-    x[i] = 0;
-  }
-  carry = 0;
-  for (int j = 0; j < 32; ++j) {
-    x[j] += carry - (x[31] >> 4) * kL[j];
-    carry = x[j] >> 8;
-    x[j] &= 255;
-  }
-  for (int j = 0; j < 32; ++j) x[j] -= carry * kL[j];
-  for (int i = 0; i < 32; ++i) {
-    x[i + 1] += x[i] >> 8;
-    r[i] = static_cast<u8>(x[i] & 255);
-  }
-}
+struct VerifyKey::Tables : FixedTables {};
 
-/// Reduce a 64-byte hash into its first 32 bytes mod L.
+namespace {
+
+// --- Scalars mod L (constant time: crypto/ed25519_scalar.hpp) --------------
+
+/// Reduce a 64-byte hash into its first 32 bytes mod L; zero the rest.
 void reduce64(u8* r) {
-  i64 x[64];
-  for (int i = 0; i < 64; ++i) x[i] = r[i];
-  for (int i = 0; i < 64; ++i) r[i] = 0;
-  modL(r, x);
+  scalar::Wide x;
+  scalar::load_limbs(x.data(), r, 8);
+  scalar::reduce(r, x);
+  std::fill(r + 32, r + 64, 0);
 }
 
 /// s < L (little-endian compare): rejects non-canonical (malleable) scalars.
@@ -562,7 +586,119 @@ Digest64 challenge(const u8* r_bytes, const PublicKey& pk, BytesView message) {
   return k;
 }
 
+// --- Verification, shared by raw and prepared keys --------------------------
+
+/// The key side of one verification: the bytes the challenge hashes, and
+/// either a prepared key's tables or the freshly decoded -A.
+struct KeyTerm {
+  const PublicKey* bytes = nullptr;
+  const FixedTables* tables = nullptr;
+  P3 minus_a;
+
+  /// c·(-A) into `msm`.
+  void add_to(Msm& msm, const u8* c) const {
+    if (tables != nullptr) {
+      msm.add_split(c, *tables);
+    } else {
+      msm.var.emplace_back(c, minus_a);
+    }
+  }
+};
+
+/// False iff the key is not a curve point: decoded here for a raw key, when
+/// it was prepared for a VerifyKey.
+bool load_key(KeyTerm& k, const PublicKey& pk) {
+  k.bytes = &pk;
+  return point_unpack_neg(k.minus_a, pk.data());
+}
+
+bool load_key(KeyTerm& k, const VerifyKey& vk) {
+  k.bytes = &vk.public_key();
+  k.tables = vk.tables();
+  return k.tables != nullptr;
+}
+
+const PublicKey& key_of(const BatchItem& item) { return *item.public_key; }
+const VerifyKey& key_of(const KeyedBatchItem& item) { return *item.key; }
+
+template <class Key>
+bool verify_impl(const Key& key, BytesView message, const Signature& sig) {
+  if (!scalar_canonical(sig.data() + 32)) return false;
+  KeyTerm k;
+  if (!load_key(k, key)) return false;
+
+  const Digest64 h = challenge(sig.data(), *k.bytes, message);
+  Msm msm;
+  k.add_to(msm, h.data());
+  msm.add_split(sig.data() + 32, base_tables());
+  const P2 p = msm.eval();  // s·B - H(R,A,M)·A
+
+  u8 t[32];
+  point_pack(t, p.X, p.Y, p.Z);
+  return std::memcmp(sig.data(), t, 32) == 0;
+}
+
+template <class Item>
+bool verify_batch_impl(std::span<const Item> items, Rng& rng) {
+  if (items.empty()) return true;
+
+  // Check sum z_i·(-R_i) + sum (z_i·h_i mod L)·(-A_i) + (sum z_i·s_i)·B
+  // is the identity, as one multi-scalar multiplication. Items are decoded,
+  // and coefficients drawn, in order with an early exit on the first
+  // malformed item, so the Rng advances exactly as it always has.
+  scalar::Wide s_sum{};
+  Msm msm;
+  msm.var.reserve(2 * items.size());
+  msm.fixed.reserve(2 * items.size() + 2);
+
+  for (const Item& item : items) {
+    const u8* sig = item.signature->data();
+    if (!scalar_canonical(sig + 32)) return false;
+    KeyTerm key;
+    if (!load_key(key, key_of(item))) return false;
+    P3 minus_r;
+    if (!point_unpack_neg(minus_r, sig)) return false;
+
+    u64 z[2];  // 128-bit coefficient, nonzero
+    do {
+      z[0] = rng.next_u64();
+      z[1] = rng.next_u64();
+    } while ((z[0] | z[1]) == 0);
+    u8 z_bytes[32] = {};  // zero-extended for wnaf()
+    store64_le(z_bytes, z[0]);
+    store64_le(z_bytes + 8, z[1]);
+
+    u64 limbs[4];
+    scalar::load_limbs(limbs, sig + 32, 4);
+    scalar::mul_add(s_sum, z, 2, limbs);
+
+    const Digest64 h = challenge(sig, *key.bytes, item.message);
+    scalar::load_limbs(limbs, h.data(), 4);
+    scalar::Wide zh{};
+    scalar::mul_add(zh, z, 2, limbs);
+    u8 w[32];
+    scalar::reduce(w, zh);
+
+    msm.var.emplace_back(z_bytes, minus_r);
+    key.add_to(msm, w);
+  }
+
+  u8 s_total[32];
+  scalar::reduce(s_total, s_sum);
+  msm.add_split(s_total, base_tables());
+  const P2 acc = msm.eval();
+  // (X:Y:Z) is the identity iff Y == Z (y = 1 forces x = 0 on the curve).
+  return fe_equal(acc.Y, acc.Z);
+}
+
 }  // namespace
+
+VerifyKey::VerifyKey(const PublicKey& pk) : bytes_(pk) {
+  P3 minus_a;
+  if (point_unpack_neg(minus_a, pk.data())) {
+    tables_ = std::make_shared<const Tables>(fixed_tables(minus_a));
+  }
+}
 
 KeyPair keypair_from_seed(const Seed& seed) {
   Digest64 h = sha512(BytesView(seed.data(), seed.size()));
@@ -594,84 +730,30 @@ Signature sign(const KeyPair& kp, BytesView message) {
 
   const Digest64 k = challenge(sig.data(), kp.public_key, message);
 
-  i64 x[64] = {};
-  for (int i = 0; i < 32; ++i) x[i] = r[i];
-  for (int i = 0; i < 32; ++i) {
-    for (int j = 0; j < 32; ++j) {
-      x[i + j] += static_cast<i64>(k[i]) * h[j];  // s = r + H(R,A,M)·d mod L
-    }
-  }
-  modL(sig.data() + 32, x);
+  scalar::Wide x{};
+  u64 k_limbs[4], d_limbs[4];
+  scalar::load_limbs(x.data(), r.data(), 4);
+  scalar::load_limbs(k_limbs, k.data(), 4);
+  scalar::load_limbs(d_limbs, h.data(), 4);
+  scalar::mul_add(x, k_limbs, 4, d_limbs);  // s = r + H(R,A,M)·d mod L
+  scalar::reduce(sig.data() + 32, x);
   return sig;
 }
 
 bool verify(const PublicKey& pk, BytesView message, const Signature& sig) {
-  if (!scalar_canonical(sig.data() + 32)) return false;
-  P3 minus_a;
-  if (!point_unpack_neg(minus_a, pk.data())) return false;
+  return verify_impl(pk, message, sig);
+}
 
-  const Digest64 k = challenge(sig.data(), pk, message);
-  const VarTerm term(k.data(), minus_a);
-  // s·B - H(R,A,M)·A
-  const P2 p = multiscalar_vartime(std::span(&term, 1), sig.data() + 32);
-
-  u8 t[32];
-  point_pack(t, p.X, p.Y, p.Z);
-  return std::memcmp(sig.data(), t, 32) == 0;
+bool verify(const VerifyKey& key, BytesView message, const Signature& sig) {
+  return verify_impl(key, message, sig);
 }
 
 bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
-  if (items.empty()) return true;
+  return verify_batch_impl(items, rng);
+}
 
-  // Check sum z_i·(-R_i) + sum (z_i·h_i mod L)·(-A_i) + (sum z_i·s_i)·B
-  // is the identity, as one multi-scalar multiplication over 2m+1 points.
-  // Items are decoded, and coefficients drawn, in order with an early exit
-  // on the first malformed item, so the Rng advances exactly as it always has.
-  i64 s_sum[64] = {};
-  std::vector<VarTerm> terms;
-  terms.reserve(2 * items.size());
-
-  for (const BatchItem& item : items) {
-    const u8* sig = item.signature->data();
-    if (!scalar_canonical(sig + 32)) return false;
-    P3 minus_a, minus_r;
-    if (!point_unpack_neg(minus_a, item.public_key->data())) return false;
-    if (!point_unpack_neg(minus_r, sig)) return false;
-
-    u8 z[32] = {};  // 128-bit coefficient, zero-extended for wnaf()
-    do {
-      std::uint64_t lo = rng.next_u64(), hi = rng.next_u64();
-      for (int i = 0; i < 8; ++i) {
-        z[i] = static_cast<u8>(lo >> (8 * i));
-        z[8 + i] = static_cast<u8>(hi >> (8 * i));
-      }
-    } while (std::all_of(z, z + 16, [](u8 b) { return b == 0; }));
-
-    for (int i = 0; i < 16; ++i) {
-      for (int j = 0; j < 32; ++j) {
-        s_sum[i + j] += static_cast<i64>(z[i]) * sig[32 + j];
-      }
-    }
-
-    const Digest64 h = challenge(sig, *item.public_key, item.message);
-    i64 zh[64] = {};
-    for (int i = 0; i < 16; ++i) {
-      for (int j = 0; j < 32; ++j) {
-        zh[i + j] += static_cast<i64>(z[i]) * h[j];
-      }
-    }
-    u8 w[32];
-    modL(w, zh);
-
-    terms.emplace_back(z, minus_r);
-    terms.emplace_back(w, minus_a);
-  }
-
-  u8 s_total[32];
-  modL(s_total, s_sum);
-  const P2 acc = multiscalar_vartime(terms, s_total);
-  // (X:Y:Z) is the identity iff Y == Z (y = 1 forces x = 0 on the curve).
-  return fe_equal(acc.Y, acc.Z);
+bool verify_batch_keyed(std::span<const KeyedBatchItem> items, Rng& rng) {
+  return verify_batch_impl(items, rng);
 }
 
 }  // namespace dauct::crypto::ed25519

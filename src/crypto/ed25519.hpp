@@ -12,7 +12,10 @@
 // branch-free masked moves and negates branch-free, so neither control flow
 // nor memory addresses depend on the secret. Verification — public data
 // only — is variable time: one doubling chain shared by a width-5 wNAF of
-// the key and a width-8 wNAF over a static table of odd multiples of B.
+// each point decoded for the call and width-8 wNAFs over precomputed
+// tables of odd multiples of B (static) and of prepared keys (VerifyKey).
+// Scalars mod L use 64-bit limbs and a branch-free Barrett reduction
+// (crypto/ed25519_scalar.hpp).
 //
 // verify_batch() implements small-exponent batch verification: for random
 // 128-bit coefficients z_i it checks
@@ -20,10 +23,23 @@
 //     (sum z_i s_i) B  ==  sum z_i R_i + sum (z_i h_i) A_i
 //
 // as one interleaved-wNAF (Straus) multi-scalar multiplication over all
-// 2m+1 points, so the m signatures share one doubling chain of at most 256
-// steps and the R_i terms need only 128 bits. A failing batch says only
-// "at least one bad signature": callers fall back to individual verify() to
-// attribute blame.
+// 2m+1 points, so the m signatures share one doubling chain. A failing
+// batch says only "at least one bad signature": callers fall back to
+// individual verify() to attribute blame.
+//
+// Keys used many times are prepared once as a VerifyKey: width-8 tables of
+// odd multiples of -A and of -2^128·A (affine, one inversion per key), next
+// to static tables of B and 2^128·B. Every coefficient of 128 bits or more
+// is then split into 128-bit halves c = c_lo + 2^128·c_hi, and with
+// w_i = z_i h_i mod L and S = sum z_i s_i mod L the keyed batch checks
+//
+//     S_lo B + S_hi (2^128 B)
+//       == sum z_i R_i + sum (w_i,lo A_i + w_i,hi (2^128 A_i))
+//
+// where every scalar is below 2^128, so the shared chain runs ~129
+// doublings instead of ~253. Only the R_i are decoded per call. The raw
+// PublicKey entries run the same core with a width-5 term of the full
+// 253-bit h_i (or z_i h_i) on the freshly decoded key.
 //
 // Signatures are deterministic (RFC 8032 nonce derivation), which the
 // golden-fingerprint equivalence tests rely on. Non-canonical signatures
@@ -36,6 +52,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "common/bytes.hpp"
@@ -74,5 +91,43 @@ struct BatchItem {
 /// any stream works; the caller chooses determinism (a fixed-seed Rng) or
 /// not. On false, at least one item is invalid; verify() each to attribute.
 bool verify_batch(std::span<const BatchItem> items, Rng& rng);
+
+/// A public key prepared for many verifications: decoded once (with the
+/// acceptance set of verify(): y >= p is reduced, x = 0 with the sign bit set
+/// is accepted), plus the fixed-base tables of -A and -2^128·A. The
+/// challenge hash uses the 32 bytes the key was built from, never a
+/// re-encoding. Immutable and shareable across threads; copies share the
+/// tables. A key whose bytes do not decode is invalid: verifying with it
+/// fails exactly where verify() fails on the bad encoding.
+class VerifyKey {
+ public:
+  struct Tables;  ///< defined in ed25519.cpp
+
+  /// An invalid placeholder (verifies nothing), for containers filled later.
+  VerifyKey() = default;
+  explicit VerifyKey(const PublicKey& pk);
+
+  const PublicKey& public_key() const { return bytes_; }
+  bool valid() const { return tables_ != nullptr; }
+  const Tables* tables() const { return tables_.get(); }
+
+ private:
+  PublicKey bytes_{};
+  std::shared_ptr<const Tables> tables_;
+};
+
+/// verify() on a prepared key: same verdict as verify(key.public_key(), ...).
+bool verify(const VerifyKey& key, BytesView message, const Signature& sig);
+
+/// One signature of a keyed batch. Pointers are borrowed for the call.
+struct KeyedBatchItem {
+  const VerifyKey* key = nullptr;
+  BytesView message;
+  const Signature* signature = nullptr;
+};
+
+/// verify_batch() on prepared keys: the same verdict, and the same draws
+/// from `rng`, as verify_batch() on the keys' public_key()s.
+bool verify_batch_keyed(std::span<const KeyedBatchItem> items, Rng& rng);
 
 }  // namespace dauct::crypto::ed25519

@@ -458,4 +458,6 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
   return true;
 }
 
+void reduce_mod_l(std::uint8_t* r, std::int64_t x[64]) { modL(r, x); }
+
 }  // namespace dauct::crypto::ed25519_ref

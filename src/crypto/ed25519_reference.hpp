@@ -11,6 +11,7 @@
 // slow, do not "fix" it: change ed25519.cpp and prove equivalence instead.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "crypto/ed25519.hpp"
@@ -25,5 +26,9 @@ bool verify(const ed25519::PublicKey& pk, BytesView message,
             const ed25519::Signature& sig);
 
 bool verify_batch(std::span<const ed25519::BatchItem> items, Rng& rng);
+
+/// Test hook: the reference's scalar reduction (TweetNaCl's modL), r = x mod
+/// L for x = sum x[i]·2^(8i) with nonnegative limbs. Clobbers x.
+void reduce_mod_l(std::uint8_t* r, std::int64_t x[64]);
 
 }  // namespace dauct::crypto::ed25519_ref

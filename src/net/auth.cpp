@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/parallel.hpp"
+
 namespace dauct::net {
 
 namespace {
@@ -18,10 +20,22 @@ void put_u32_le(Bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
-bool verify_transcript(const crypto::ed25519::PublicKey& pk,
-                       const crypto::Digest& transcript,
+template <class Key>
+bool verify_transcript(const Key& key, const crypto::Digest& transcript,
                        const crypto::ed25519::Signature& sig) {
-  return crypto::ed25519::verify(pk, BytesView(transcript), sig);
+  return crypto::ed25519::verify(key, BytesView(transcript), sig);
+}
+
+/// verify_equivocation_proof() on a raw or a prepared key.
+template <class Key>
+bool proof_verifies(const EquivocationProof& proof, const Key& key) {
+  if (proof.payload1 == proof.payload2) return false;  // no conflict, no proof
+  const crypto::Digest t1 =
+      auth_transcript(proof.signer, proof.topic, proof.payload1);
+  const crypto::Digest t2 =
+      auth_transcript(proof.signer, proof.topic, proof.payload2);
+  return verify_transcript(key, t1, proof.sig1) &&
+         verify_transcript(key, t2, proof.sig2);
 }
 
 }  // namespace
@@ -55,9 +69,9 @@ crypto::Digest auth_transcript(NodeId sender, std::string_view topic,
   return h.finish();
 }
 
-KeyDirectory::KeyDirectory(std::size_t num_providers, std::uint64_t run_seed) {
-  pairs_.reserve(num_providers);
-  for (std::size_t n = 0; n < num_providers; ++n) {
+KeyDirectory::KeyDirectory(std::size_t num_providers, std::uint64_t run_seed)
+    : pairs_(num_providers), verify_keys_(num_providers) {
+  host::parallel_for(num_providers, [&](std::size_t n) {
     // Seed_n = SHA-256("dauct-auth-key" || run_seed u64 LE || n u32 LE):
     // independent per provider, reproducible per run.
     Bytes material;
@@ -71,19 +85,14 @@ KeyDirectory::KeyDirectory(std::size_t num_providers, std::uint64_t run_seed) {
     const crypto::Digest d = crypto::sha256(BytesView(material));
     crypto::ed25519::Seed seed;
     std::memcpy(seed.data(), d.data(), seed.size());
-    pairs_.push_back(crypto::ed25519::keypair_from_seed(seed));
-  }
+    pairs_[n] = crypto::ed25519::keypair_from_seed(seed);
+    verify_keys_[n] = crypto::ed25519::VerifyKey(pairs_[n].public_key);
+  });
 }
 
 bool verify_equivocation_proof(const EquivocationProof& proof,
                                const crypto::ed25519::PublicKey& pk) {
-  if (proof.payload1 == proof.payload2) return false;  // no conflict, no proof
-  const crypto::Digest t1 =
-      auth_transcript(proof.signer, proof.topic, proof.payload1);
-  const crypto::Digest t2 =
-      auth_transcript(proof.signer, proof.topic, proof.payload2);
-  return verify_transcript(pk, t1, proof.sig1) &&
-         verify_transcript(pk, t2, proof.sig2);
+  return proof_verifies(proof, pk);
 }
 
 SignerEndpoint::SignerEndpoint(blocks::Endpoint& inner,
@@ -155,7 +164,7 @@ MessageValidator::Action MessageValidator::on_deliver(Message& msg) {
   const crypto::Digest& digest = payload_digest(stripped);
   const crypto::Digest transcript =
       auth_transcript(msg.from, msg.topic.str(), stripped);
-  const crypto::ed25519::PublicKey& pk = keys_->public_key(msg.from);
+  const crypto::ed25519::VerifyKey& sender_key = keys_->verify_key(msg.from);
 
   const std::uint64_t key = slot_key(msg.from, msg.topic.id());
   auto it = slots_.find(key);
@@ -170,13 +179,13 @@ MessageValidator::Action MessageValidator::on_deliver(Message& msg) {
     // Conflicting payload for an occupied slot. Accuse only on *two valid
     // signatures* — an attacker must not frame an honest sender by pairing
     // its real frame with a forged conflicting one.
-    if (!verify_transcript(pk, transcript, sig)) {
+    if (!verify_transcript(sender_key, transcript, sig)) {
       if (stats_) ++stats_->rejected_bad_sig;
       return Action::kDrop;
     }
     const crypto::Digest held_transcript =
         auth_transcript(held.sender, held.topic.str(), held.payload);
-    if (!verify_transcript(pk, held_transcript, held.signature)) {
+    if (!verify_transcript(sender_key, held_transcript, held.signature)) {
       // Only reachable in batch mode: the held frame was delivered
       // optimistically and is in fact forged (its batch will abort). The
       // new, valid frame takes the slot.
@@ -197,7 +206,7 @@ MessageValidator::Action MessageValidator::on_deliver(Message& msg) {
   }
 
   if (!config_.batch_verify) {
-    if (!verify_transcript(pk, transcript, sig)) {
+    if (!verify_transcript(sender_key, transcript, sig)) {
       if (stats_) ++stats_->rejected_bad_sig;
       return Action::kDrop;
     }
@@ -226,15 +235,15 @@ MessageValidator::Action MessageValidator::on_deliver(Message& msg) {
 
 MessageValidator::Action MessageValidator::flush_batch(
     std::vector<Pending>& pending) {
-  std::vector<crypto::ed25519::BatchItem> items;
+  std::vector<crypto::ed25519::KeyedBatchItem> items;
   items.reserve(pending.size());
   for (const Pending& p : pending) {
     const SenderRecord& rec = records_[p.record_index];
-    items.push_back({&keys_->public_key(rec.sender), BytesView(p.transcript),
+    items.push_back({&keys_->verify_key(rec.sender), BytesView(p.transcript),
                      &rec.signature});
   }
   if (stats_) ++stats_->batches;
-  if (crypto::ed25519::verify_batch(items, batch_rng_)) {
+  if (crypto::ed25519::verify_batch_keyed(items, batch_rng_)) {
     for (const Pending& p : pending) {
       slots_[slot_key(records_[p.record_index].sender,
                       records_[p.record_index].topic.id())]
@@ -247,7 +256,7 @@ MessageValidator::Action MessageValidator::flush_batch(
   // delivered optimistically, so this is an abort, not a reject.
   for (const Pending& p : pending) {
     const SenderRecord& rec = records_[p.record_index];
-    if (!verify_transcript(keys_->public_key(rec.sender), p.transcript,
+    if (!verify_transcript(keys_->verify_key(rec.sender), p.transcript,
                            rec.signature)) {
       if (stats_) ++stats_->rejected_bad_sig;
       abort_detail_ = "auth: invalid signature attributed to provider " +
@@ -287,7 +296,7 @@ std::optional<EquivocationProof> audit_equivocation(
       // Both frames carry real signatures or they would not be on record
       // (eager mode) — but batch mode can record an unverified forgery, so
       // check before accusing.
-      if (verify_equivocation_proof(proof, keys.public_key(rec.sender))) {
+      if (proof_verifies(proof, keys.verify_key(rec.sender))) {
         return proof;
       }
     }

@@ -104,10 +104,15 @@ crypto::Digest auth_transcript(NodeId sender, std::string_view topic,
                                BytesView payload);
 
 /// All m providers' keypairs for one run, derived deterministically from the
-/// run seed (reproducibility). In the simulator every node holds the whole
-/// directory; a real deployment would distribute only public keys at setup
-/// and each node its own seed — the verification paths below use nothing but
-/// public keys, so the trust structure is honest even if the storage is not.
+/// run seed (reproducibility), and each public key prepared once for
+/// verification. In the simulator every node holds the whole directory; a
+/// real deployment would distribute only public keys at setup and each node
+/// its own seed — the verification paths below use nothing but public keys,
+/// so the trust structure is honest even if the storage is not.
+///
+/// Construction derives and prepares the m keys on the host pool, one item
+/// per provider (~0.1–0.2 ms each); the result does not depend on the
+/// worker count. Immutable afterwards, so concurrent readers are safe.
 class KeyDirectory {
  public:
   KeyDirectory(std::size_t num_providers, std::uint64_t run_seed);
@@ -117,9 +122,13 @@ class KeyDirectory {
   const crypto::ed25519::PublicKey& public_key(NodeId n) const {
     return pairs_[n].public_key;
   }
+  const crypto::ed25519::VerifyKey& verify_key(NodeId n) const {
+    return verify_keys_[n];
+  }
 
  private:
   std::vector<crypto::ed25519::KeyPair> pairs_;
+  std::vector<crypto::ed25519::VerifyKey> verify_keys_;
 };
 
 /// Proof that `signer` equivocated on `topic`: two valid signatures by its

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/adapters.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/rng.hpp"
@@ -239,6 +240,39 @@ TEST(Ed25519, SignIsDeterministic) {
   const std::string msg = "determinism keeps golden fingerprints stable";
   EXPECT_EQ(crypto::ed25519::sign(kp, view(msg)),
             crypto::ed25519::sign(kp, view(msg)));
+}
+
+// The directory derives and prepares its keys on the host pool. The result
+// must not depend on the pool (CI also runs this suite with one usable CPU,
+// where every item runs inline), and concurrent readers — provider handlers
+// of one lookahead window — share its tables (CI runs this suite under TSan).
+TEST(AuthLayer, KeyDirectoryPreparesEveryKeyOnThePool) {
+  constexpr std::size_t kM = 16;
+  const net::KeyDirectory keys(kM, 42);
+  ASSERT_EQ(keys.size(), kM);
+  for (NodeId n = 0; n < kM; ++n) {
+    EXPECT_TRUE(keys.verify_key(n).valid()) << n;
+    EXPECT_EQ(keys.verify_key(n).public_key(), keys.public_key(n)) << n;
+    EXPECT_EQ(crypto::ed25519::keypair_from_seed(keys.pair(n).seed).public_key,
+              keys.public_key(n))
+        << n;
+  }
+  // A provider's key depends only on the run seed and its id.
+  const net::KeyDirectory fewer(3, 42);
+  for (NodeId n = 0; n < 3; ++n) EXPECT_EQ(fewer.public_key(n), keys.public_key(n));
+  EXPECT_NE(net::KeyDirectory(3, 43).public_key(0), keys.public_key(0));
+
+  std::vector<int> ok(kM, 0);
+  host::parallel_for(kM, [&](std::size_t i) {
+    const auto n = static_cast<NodeId>(i);
+    const auto next = static_cast<NodeId>((i + 1) % kM);
+    const Bytes payload = {static_cast<std::uint8_t>(i)};
+    const crypto::Digest t = net::auth_transcript(n, "t/round", BytesView(payload));
+    const Signature sig = crypto::ed25519::sign(keys.pair(n), BytesView(t));
+    ok[i] = crypto::ed25519::verify(keys.verify_key(n), BytesView(t), sig) &&
+            !crypto::ed25519::verify(keys.verify_key(next), BytesView(t), sig);
+  });
+  for (std::size_t i = 0; i < kM; ++i) EXPECT_EQ(ok[i], 1) << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 // retained reference implementation (ed25519_reference.hpp): byte-identical
 // public keys and signatures, the same verify and verify_batch verdict on
 // every input — valid, corrupted, non-canonical, small-order, off-curve —
-// and the same consumption of the batch coefficient Rng. Validators with
-// either implementation therefore accept the same frames and keep the same
-// batch_rng_ stream.
+// and the same consumption of the batch coefficient Rng. Both verification
+// entry points are pinned: raw PublicKeys and prepared VerifyKeys (the
+// validators' path). Validators with either implementation therefore accept
+// the same frames and keep the same batch_rng_ stream. The limb-based
+// scalar reduction is pinned to the reference's byte-wise modL directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,18 +17,23 @@
 
 #include "crypto/ed25519.hpp"
 #include "crypto/ed25519_reference.hpp"
+#include "crypto/ed25519_scalar.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha512.hpp"
 
 namespace dauct::crypto {
 namespace {
 
+namespace scalar = ed25519::scalar;
 namespace opt = ed25519;
 namespace ref = ed25519_ref;
 using ed25519::BatchItem;
+using ed25519::KeyedBatchItem;
 using ed25519::KeyPair;
 using ed25519::PublicKey;
 using ed25519::Seed;
 using ed25519::Signature;
+using ed25519::VerifyKey;
 
 constexpr std::size_t kCorpus = 1024;
 
@@ -181,39 +188,56 @@ TEST(Ed25519Equivalence, SignaturesMatchReference) {
   }
 }
 
-// The verify sweeps below take a stride through the corpus: the reference
-// costs milliseconds per call, and tens of times more under the sanitizers.
+// The verify sweeps below compare against the reference on a stride through
+// the corpus: it costs milliseconds per call, and tens of times more under
+// the sanitizers. Every case still runs both production entry points.
 TEST(Ed25519Equivalence, ValidSignaturesVerifyInBoth) {
-  for (std::size_t i = 0; i < kCorpus; i += 8) {
+  for (std::size_t i = 0; i < kCorpus; ++i) {
     const Case& c = corpus()[i];
     EXPECT_TRUE(opt::verify(c.kp.public_key, BytesView(c.msg), c.sig)) << "case " << i;
-    EXPECT_TRUE(ref::verify(c.kp.public_key, BytesView(c.msg), c.sig)) << "case " << i;
+    EXPECT_TRUE(opt::verify(VerifyKey(c.kp.public_key), BytesView(c.msg), c.sig)) << "case " << i;
+    if (i % 8 == 0) {
+      EXPECT_TRUE(ref::verify(c.kp.public_key, BytesView(c.msg), c.sig)) << "case " << i;
+    }
   }
 }
 
 TEST(Ed25519Equivalence, VerifyVerdictsMatchOnHostileInputs) {
   for (std::size_t i = 0; i < kCorpus; i += 64) {
     for (const Item& item : hostile_items(i)) {
-      EXPECT_EQ(opt::verify(item.pk, BytesView(item.msg), item.sig),
-                ref::verify(item.pk, BytesView(item.msg), item.sig))
-          << item.what;
+      const bool want = ref::verify(item.pk, BytesView(item.msg), item.sig);
+      EXPECT_EQ(opt::verify(item.pk, BytesView(item.msg), item.sig), want) << item.what;
+      EXPECT_EQ(opt::verify(VerifyKey(item.pk), BytesView(item.msg), item.sig), want)
+          << item.what << " (prepared key)";
     }
   }
 }
 
-/// verify_batch on `items` in both implementations from the same Rng
-/// state: the verdicts agree, and so do the Rng states afterwards.
+/// verify_batch on `items` in the reference and on both production entry
+/// points (raw keys, prepared keys) from the same Rng state: the verdicts
+/// agree, and so do the Rng states afterwards.
 void expect_batch_equivalent(const std::vector<Item>& items, std::uint64_t rng_seed,
                              bool expected, const std::string& what) {
   std::vector<BatchItem> batch;
-  for (const Item& it : items) batch.push_back(it.batch_item());
-  Rng opt_rng(rng_seed), ref_rng(rng_seed);
-  const bool got = opt::verify_batch(batch, opt_rng);
-  EXPECT_EQ(got, ref::verify_batch(batch, ref_rng)) << what;
-  if (expected) {
-    EXPECT_TRUE(got) << what;
+  std::vector<VerifyKey> keys;
+  for (const Item& it : items) {
+    batch.push_back(it.batch_item());
+    keys.emplace_back(it.pk);
   }
-  EXPECT_EQ(opt_rng.next_u64(), ref_rng.next_u64()) << what;
+  std::vector<KeyedBatchItem> keyed;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    keyed.push_back({&keys[k], BytesView(items[k].msg), &items[k].sig});
+  }
+  Rng opt_rng(rng_seed), keyed_rng(rng_seed), ref_rng(rng_seed);
+  const bool want = ref::verify_batch(batch, ref_rng);
+  EXPECT_EQ(opt::verify_batch(batch, opt_rng), want) << what;
+  EXPECT_EQ(opt::verify_batch_keyed(keyed, keyed_rng), want) << what << " (prepared keys)";
+  if (expected) {
+    EXPECT_TRUE(want) << what;
+  }
+  const std::uint64_t next = ref_rng.next_u64();
+  EXPECT_EQ(opt_rng.next_u64(), next) << what;
+  EXPECT_EQ(keyed_rng.next_u64(), next) << what << " (prepared keys)";
 }
 
 TEST(Ed25519Equivalence, BatchVerdictsAndRngMatchReference) {
@@ -223,19 +247,85 @@ TEST(Ed25519Equivalence, BatchVerdictsAndRngMatchReference) {
     for (std::size_t k = 0; k < size; ++k) items.push_back(valid_item(k * 7 + size));
     expect_batch_equivalent(items, rng_seed++, true, "all valid, size " + std::to_string(size));
 
-    // One bad item per batch, in a rotating position; batches of 16 take
-    // every third kind of bad item.
+    // One bad item per batch, at the first, middle and last position:
+    // the early exits and the Rng draws before them differ by position.
+    // Batches of 16 take every third kind of bad item.
     const std::vector<Item> hostile = hostile_items(size * 3);
     const std::size_t step = size == 16 ? 3 : 1;
-    std::size_t pos = 0;
+    std::vector<std::size_t> positions = {0, size / 2, size - 1};
+    positions.erase(std::unique(positions.begin(), positions.end()), positions.end());
     for (std::size_t k = 0; k < hostile.size(); k += step) {
       const Item& bad = hostile[k];
-      std::vector<Item> batch = items;
-      batch[pos] = bad;
-      expect_batch_equivalent(batch, rng_seed++, false,
-                              bad.what + " at " + std::to_string(pos) + "/" + std::to_string(size));
-      pos = (pos + 5) % size;
+      for (const std::size_t pos : positions) {
+        std::vector<Item> batch = items;
+        batch[pos] = bad;
+        expect_batch_equivalent(
+            batch, rng_seed++, false,
+            bad.what + " at " + std::to_string(pos) + "/" + std::to_string(size));
+      }
     }
+  }
+}
+
+/// p - y for a canonical 255-bit y (little-endian, bit 255 clear).
+std::array<std::uint8_t, 32> p_minus(const std::uint8_t* y) {
+  std::array<std::uint8_t, 32> out{};
+  int borrow = 0;
+  for (int i = 0; i < 32; ++i) {
+    const int p_byte = i == 0 ? 0xed : (i == 31 ? 0x7f : 0xff);
+    const int d = p_byte - y[i] - borrow;
+    out[i] = static_cast<std::uint8_t>(d);
+    borrow = d < 0;
+  }
+  return out;
+}
+
+// A key whose encoding is not canonical must be hashed as sent, never as
+// its re-encoding. A = (0, -1), of order 2, encoded with the sign bit set
+// (the canonical encoding has it clear). With s = a mod L for a keypair's
+// scalar a, both R = s·B (= that keypair's A0) and R = s·B + A (= (-x, -y)
+// of A0) are candidate nonces; (R, s) is valid iff H(R, A, M) has the
+// parity that matches. Hashing the canonical bytes instead flips about
+// half of the verdicts.
+TEST(Ed25519Equivalence, NonCanonicalKeysHashTheirOwnBytes) {
+  const PublicKey order2 =
+      from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+  const VerifyKey prepared(order2);
+  ASSERT_TRUE(prepared.valid());
+  const Seed seed = from_hex("0101010101010101010101010101010101010101010101010101010101010101");
+  const PublicKey a0 = opt::keypair_from_seed(seed).public_key;
+  const Digest64 expanded = sha512(BytesView(seed.data(), seed.size()));
+  scalar::Wide a{};
+  scalar::load_limbs(a.data(), expanded.data(), 4);
+  a[0] &= ~std::uint64_t{7};
+  a[3] = (a[3] & ~(std::uint64_t{1} << 63)) | (std::uint64_t{1} << 62);  // clamp
+  Signature base{};
+  scalar::reduce(base.data() + 32, a);
+
+  PublicKey a0_y = a0;
+  a0_y[31] &= 0x7f;
+  std::array<std::uint8_t, 32> a0_neg = p_minus(a0_y.data());
+  a0_neg[31] |= static_cast<std::uint8_t>((a0[31] & 0x80) ^ 0x80);
+  std::vector<Item> valid;
+  for (int i = 0; i < 32; ++i) {
+    const Bytes msg = {static_cast<std::uint8_t>(i)};
+    for (const auto& r : {std::array<std::uint8_t, 32>(a0), a0_neg}) {
+      Signature sig = base;
+      std::copy(r.begin(), r.end(), sig.begin());
+      const bool want = ref::verify(order2, BytesView(msg), sig);
+      EXPECT_EQ(opt::verify(order2, BytesView(msg), sig), want) << "message " << i;
+      EXPECT_EQ(opt::verify(prepared, BytesView(msg), sig), want) << "message " << i;
+      if (want) valid.push_back({order2, msg, sig, "order-2 key, message " + std::to_string(i)});
+    }
+  }
+  ASSERT_GE(valid.size(), 16u);  // about half of the 64 candidates
+  ASSERT_LE(valid.size(), 48u);
+  // In a batch the key's coefficient is z·h mod L, whose parity is not
+  // h's: verdicts vary with z (as for the torsion cases below), and depend
+  // on the hashed bytes through h.
+  for (std::size_t k = 0; k + 4 <= valid.size(); k += 4) {
+    expect_batch_equivalent({valid.begin() + k, valid.begin() + k + 4}, 300 + k, false,
+                            "order-2 key batch at " + std::to_string(k));
   }
 }
 
@@ -258,6 +348,8 @@ TEST(Ed25519Equivalence, TorsionComponentsMatchReference) {
     ASSERT_EQ(sig, ref::sign(shifted, BytesView(msg)));
     const bool ok = opt::verify(shifted.public_key, BytesView(msg), sig);
     EXPECT_EQ(ok, ref::verify(shifted.public_key, BytesView(msg), sig)) << "message " << i;
+    EXPECT_EQ(ok, opt::verify(VerifyKey(shifted.public_key), BytesView(msg), sig))
+        << "message " << i;
     accepted += ok;
     items.push_back({shifted.public_key, std::move(msg), sig, "A+T, message " + std::to_string(i)});
   }
@@ -272,8 +364,9 @@ TEST(Ed25519Equivalence, TorsionComponentsMatchReference) {
   Item r_shifted{rfc.public_key, {}, opt::sign(rfc, {}), "R+T"};
   const auto rt = from_hex("030ebbcd7da06a0d1188bbe47275208b96c9d32e6e750955a7609d8010ba9222");
   std::copy(rt.begin(), rt.end(), r_shifted.sig.begin());
-  EXPECT_EQ(opt::verify(r_shifted.pk, {}, r_shifted.sig),
-            ref::verify(r_shifted.pk, {}, r_shifted.sig));
+  const bool want = ref::verify(r_shifted.pk, {}, r_shifted.sig);
+  EXPECT_EQ(opt::verify(r_shifted.pk, {}, r_shifted.sig), want);
+  EXPECT_EQ(opt::verify(VerifyKey(r_shifted.pk), {}, r_shifted.sig), want);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     expect_batch_equivalent({valid_item(1), r_shifted, valid_item(2)}, 200 + seed, false,
                             "R+T batch, Rng seed " + std::to_string(200 + seed));
@@ -281,11 +374,118 @@ TEST(Ed25519Equivalence, TorsionComponentsMatchReference) {
 }
 
 TEST(Ed25519Equivalence, EmptyBatchDrawsNothing) {
-  Rng opt_rng(9), ref_rng(9);
+  Rng opt_rng(9), keyed_rng(9), ref_rng(9);
   EXPECT_TRUE(opt::verify_batch({}, opt_rng));
+  EXPECT_TRUE(opt::verify_batch_keyed({}, keyed_rng));
   EXPECT_TRUE(ref::verify_batch({}, ref_rng));
   EXPECT_EQ(opt_rng.next_u64(), Rng(9).next_u64());
+  EXPECT_EQ(keyed_rng.next_u64(), Rng(9).next_u64());
   EXPECT_EQ(ref_rng.next_u64(), Rng(9).next_u64());
+}
+
+// --- Scalar reduction: scalar::reduce against the reference's modL --------
+
+using Limbs = std::array<std::int64_t, 64>;
+
+/// x = sum x[i]·2^(8i) (nonnegative limbs, value below 2^512) as a Wide.
+scalar::Wide to_wide(const Limbs& x) {
+  std::uint8_t bytes[64];
+  std::int64_t carry = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::int64_t v = x[i] + carry;
+    bytes[i] = static_cast<std::uint8_t>(v & 255);
+    carry = v >> 8;
+  }
+  EXPECT_EQ(carry, 0) << "input not below 2^512";
+  scalar::Wide w;
+  scalar::load_limbs(w.data(), bytes, 8);
+  return w;
+}
+
+void expect_reduce_matches(Limbs x, const std::string& what) {
+  std::uint8_t got[32], want[32];
+  scalar::reduce(got, to_wide(x));
+  ref::reduce_mod_l(want, x.data());
+  ASSERT_TRUE(std::equal(got, got + 32, want)) << what;
+}
+
+/// x[i + j] += a[i]·b[j]: the byte convolution the reference reduces.
+void convolve(Limbs& x, const std::uint8_t* a, int na, const std::uint8_t* b, int nb) {
+  for (int i = 0; i < na; ++i) {
+    for (int j = 0; j < nb; ++j) x[i + j] += static_cast<std::int64_t>(a[i]) * b[j];
+  }
+}
+
+Limbs from_bytes(const std::array<std::uint8_t, 32>& v) {
+  Limbs x{};
+  std::copy(v.begin(), v.end(), x.begin());
+  return x;
+}
+
+TEST(Ed25519Scalar, ReduceMatchesReferenceOnEdgeInputs) {
+  const auto L = from_hex("edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  expect_reduce_matches(Limbs{}, "0");
+  Limbs l_minus_1 = from_bytes(L);
+  l_minus_1[0] -= 1;
+  expect_reduce_matches(l_minus_1, "L - 1");
+  expect_reduce_matches(from_bytes(L), "L");
+  Limbs two_l = from_bytes(L);
+  for (auto& limb : two_l) limb *= 2;
+  expect_reduce_matches(two_l, "2L");
+  Limbs all_ones;
+  all_ones.fill(255);
+  expect_reduce_matches(all_ones, "2^512 - 1");
+
+  // The largest limb vectors a 16-item batch builds: every byte of z_i
+  // (16 bytes), s_i and h_i (32 bytes) at 255.
+  std::uint8_t ff[32];
+  std::fill(ff, ff + 32, 0xff);
+  Limbs zh{};
+  convolve(zh, ff, 16, ff, 32);
+  expect_reduce_matches(zh, "largest z·h");
+  Limbs s_sum{};
+  for (int item = 0; item < 16; ++item) convolve(s_sum, ff, 16, ff, 32);
+  expect_reduce_matches(s_sum, "largest sum of 16 z·s");
+  // And the largest r + k·d that signing builds from 32-byte values.
+  Limbs sign_x{};
+  std::copy(ff, ff + 32, sign_x.begin());
+  convolve(sign_x, ff, 32, ff, 32);
+  expect_reduce_matches(sign_x, "largest r + k·d");
+}
+
+TEST(Ed25519Scalar, ReduceMatchesReferenceOnRandomInputs) {
+  Rng rng(0x5ca1a7);
+  const auto random_bytes = [&rng](std::uint8_t* out, int n) {
+    for (int i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(rng.next_u64());
+  };
+  std::uint8_t a[32], b[32];
+  for (int i = 0; i < 100000; ++i) {
+    Limbs x{};
+    switch (i % 4) {
+      case 0:  // a 64-byte hash
+        for (auto& limb : x) limb = static_cast<std::uint8_t>(rng.next_u64());
+        break;
+      case 1:  // signing: r + k·d
+        random_bytes(a, 32);
+        std::copy(a, a + 32, x.begin());
+        random_bytes(a, 32);
+        random_bytes(b, 32);
+        convolve(x, a, 32, b, 32);
+        break;
+      case 2:  // batch: z·h
+        random_bytes(a, 16);
+        random_bytes(b, 32);
+        convolve(x, a, 16, b, 32);
+        break;
+      default:  // batch: sum of 1..16 z·s
+        for (std::uint64_t n = 1 + rng.next_below(16); n > 0; --n) {
+          random_bytes(a, 16);
+          random_bytes(b, 32);
+          convolve(x, a, 16, b, 32);
+        }
+    }
+    expect_reduce_matches(x, "random input " + std::to_string(i));
+  }
 }
 
 }  // namespace
