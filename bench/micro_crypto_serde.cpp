@@ -13,7 +13,7 @@
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "net/message.hpp"
-#include "serde/auction_codec.hpp"
+#include "runtime/submission_codec.hpp"
 #include "serde/bitstream.hpp"
 
 namespace {
@@ -55,17 +55,19 @@ void BM_RngU64(State& state) {
 }
 TINYBENCH(BM_RngU64);
 
-void BM_BidVectorCodec(State& state) {
+void BM_SubmissionCodec(State& state) {
   crypto::Rng rng(3);
   const auto inst = auction::generate(
       auction::double_auction_workload(static_cast<std::size_t>(state.range(0)), 8),
       rng);
+  const std::vector<std::optional<auction::Bid>> subs(inst.bids.begin(),
+                                                      inst.bids.end());
   for (auto _ : state) {
-    const Bytes enc = serde::encode_bid_vector(inst.bids);
-    DoNotOptimize(serde::decode_bid_vector(BytesView(enc)));
+    const Bytes enc = runtime::detail::encode_submissions(subs);
+    DoNotOptimize(runtime::detail::decode_submissions(BytesView(enc)));
   }
 }
-TINYBENCH(BM_BidVectorCodec)->Arg(100)->Arg(1000);
+TINYBENCH(BM_SubmissionCodec)->Arg(100)->Arg(1000);
 
 void BM_BitstreamRoundTrip(State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xc3);

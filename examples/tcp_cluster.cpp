@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   core::DistributedAuctioneer auctioneer(
       spec, std::make_shared<core::DoubleAuctionAdapter>());
 
-  runtime::TcpRunConfig cfg;
+  runtime::TcpNodeConfig cfg;
   if (argc > 1) cfg.base_port = static_cast<std::uint16_t>(std::atoi(argv[1]));
 
   std::printf("starting 4 providers + 1 client on 127.0.0.1 ...\n");

@@ -120,11 +120,15 @@ void TcpNode::reader_loop(int fd) {
 int TcpNode::connect_to(NodeId peer) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  const int one = 1;
+  // A closed outbound socket lingers in TIME_WAIT on its ephemeral port.
+  // Flagged reusable, it cannot block a later listener (which sets
+  // SO_REUSEADDR too) that picks the same port.
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr = make_addr(peers_.host, peers_.port_of(peer));
   // Peers start concurrently; retry briefly while the listener comes up.
   for (int attempt = 0; attempt < 50; ++attempt) {
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return fd;
     }

@@ -5,18 +5,15 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "crypto/sha256.hpp"
 #include "net/sim_transport.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/submission_codec.hpp"
-#include "serde/auction_codec.hpp"
 #include "serde/codec.hpp"
 
 namespace dauct::runtime {
 
 namespace {
 
-constexpr const char* kBidsTopic = "client/bids";
-constexpr const char* kResultTopic = "client/result";
 /// Epoch-0 launch batch: when pipeline_depth ≥ 2 the first wave of instances
 /// departs the client as ONE frame per provider carrying every instance's
 /// submissions, instead of depth separate frames. Unscoped (it belongs to no
@@ -105,24 +102,14 @@ ServiceRunResult ServiceRuntime::run(
     scheduler.install_fault_plan(plan);
   }
 
-  // The per-node stack: ONE wire endpoint, reliable link, signer, and
-  // validator per provider, serving every instance. Scoped topics make the
-  // link's dedup keys, the retransmit caches, the signature transcripts, and
-  // the WAL records instance-tagged without any of those layers knowing
-  // instances exist. The chain, outermost (engine-facing) first:
-  // [DeviantEndpoint →] ScopedEndpoint → [SignerEndpoint →]
-  // [AuthTamperEndpoint →] [ReliableLink →] SimEndpoint — deviation shapes
-  // what the engine sends *before* the signer signs it (a byzantine node
-  // signs its tampered output with its own key: the stolen-key equivocator),
-  // the wire adversary injects *after* signing (it holds no key, so its
-  // frames cannot verify), and the link is the last hop before the wire,
-  // tracking the frames actually sent. With reliability and auth off no
-  // wrapper exists.
-  //
-  // An amnesia recovery (sim::CrashMode::kAmnesia) destroys one node's stack
-  // and every instance's engine bundle on it — its memory — and rebuilds
-  // them from the surviving write-ahead log. Members are declared
-  // innermost-first so destruction runs wire-facing-last.
+  // ONE NodeStack (runtime/node_stack.hpp) per provider serves every
+  // instance: scoped topics make its dedup keys, caches, signature
+  // transcripts and WAL records instance-tagged without the stack knowing
+  // instances exist. Each instance's engine sits on [DeviantEndpoint →]
+  // ScopedEndpoint → the stack's top: deviation shapes what the engine sends
+  // *before* the signer signs it (the stolen-key equivocator). An amnesia
+  // recovery (sim::CrashMode::kAmnesia) destroys one node's stack and every
+  // engine bundle on it, then rebuilds them from the surviving log.
   crypto::Rng seeder(base.seed ^ 0xd15742u);
   std::shared_ptr<const net::KeyDirectory> key_dir;
   // Per node, like every other piece of mutable per-node state: provider
@@ -131,15 +118,8 @@ ServiceRunResult ServiceRuntime::run(
   if (base.auth.enable) {
     key_dir = std::make_shared<net::KeyDirectory>(m, base.seed);
   }
-  struct NodeStack {
-    std::unique_ptr<net::SimEndpoint> endpoint;
-    std::unique_ptr<net::ReliableLink> link;
-    std::unique_ptr<adversary::AuthTamperEndpoint> tamperer;
-    std::unique_ptr<net::SignerEndpoint> signer;
-    std::unique_ptr<net::MessageValidator> validator;
-    blocks::Endpoint* top = nullptr;  ///< what instance endpoints stack on
-  };
-  std::vector<NodeStack> stacks(m);
+  std::vector<NodeStack> stacks;
+  stacks.reserve(m);
   // Endpoint seeds, drawn up front in node order (one draw per provider):
   // the value a rebuild must reuse for replay re-execution to be exact
   // (recorded in the WAL meta record). The SimEndpoint's own RNG is shadowed
@@ -180,98 +160,25 @@ ServiceRunResult ServiceRuntime::run(
   // keeps slot reuse safe against stragglers.
   std::unordered_map<std::string, core::InstanceId> prefix_owner;
 
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
+  const net::Topic bids_topic(detail::kBidsTopic);
+  const net::Topic result_topic(detail::kResultTopic);
   const net::Topic batch_topic(kBatchBidsTopic);
 
-  // Durability: one WAL per node, shared by all instances. Message records
-  // carry scoped topic strings (instance-tagged); decision records append in
-  // commit order across instances. The MemStorage "disks" live outside the
-  // stacks: an amnesia crash destroys a stack, never its storage. Stats of
-  // Wal/link objects a rebuild destroys are folded into per-node
-  // accumulators so the run totals survive.
+  // Durability: one WAL per node, shared by all instances (message records
+  // carry scoped topics). An amnesia crash destroys a stack, never its
+  // MemStorage "disk". With wal_fault, an amnesia-crashing node's disk sits
+  // under a lying-disk decorator (store::FaultyStorage).
   const bool wal_on = base.wal.enable;
-  std::vector<std::shared_ptr<store::MemStorage>> storages(wal_on ? m : 0);
-  // Lying-disk decorators (store::FaultyStorage), armed per amnesia-crashing
-  // node when wal_fault is enabled. The Wal writes through the decorator;
-  // the MemStorage underneath is still the "disk" that survives the crash.
   std::vector<std::shared_ptr<store::FaultyStorage>> faulty_disks(wal_on ? m : 0);
-  std::vector<std::unique_ptr<store::Wal>> wals(wal_on ? m : 0);
-  // Bytes, not vector<bool> bits: nodes set their own flags concurrently.
-  std::vector<std::uint8_t> replaying(m, false);
-  std::vector<std::uint64_t> wal_delivered(m, 0);
   // The instance whose engine node j's latest message was dispatched to:
   // what a snapshot's started/agreed/done flags describe.
   std::vector<core::InstanceId> last_dispatched(m, 0);
-  std::vector<store::WalStats> wal_stats_acc(m);
-  std::vector<net::ReliabilityStats> rel_stats_acc(m);
 
-  const auto expected_meta = [&](NodeId j) {
-    store::WalMeta meta;
-    meta.run_seed = base.seed;
-    meta.node = j;
-    meta.providers = m;
-    meta.users = n;
-    meta.k = auctioneer.spec().k;
-    meta.endpoint_seed = endpoint_seeds[j];
-    return meta;
-  };
-
-  /// Durably record a round decision — skipped during replay (the record is
-  /// already in the log; the suppressed branches cannot re-fire anyway, since
-  /// the phase times and `reported` survive the rebuild).
-  const auto journal_decision = [&](NodeId j, store::DecisionKind kind, bool ok,
-                                    const crypto::Digest& digest) {
-    if (!wal_on || replaying[j]) return;
-    store::Decision d;
-    d.kind = kind;
-    d.ok = ok;
-    d.digest = digest;
-    if (key_dir) {
-      // Sign kind ‖ digest with the node's run key: the decision record is
-      // then transferable evidence of what this provider committed to.
-      Bytes msg;
-      msg.reserve(1 + digest.size());
-      msg.push_back(static_cast<std::uint8_t>(kind));
-      msg.insert(msg.end(), digest.begin(), digest.end());
-      const auto sig = crypto::ed25519::sign(key_dir->pair(j), BytesView(msg));
-      d.signature.assign(sig.begin(), sig.end());
-    }
-    const Bytes enc = store::encode_decision(d);
-    wals[j]->append(store::RecordType::kDecision, BytesView(enc));
-    wals[j]->commit();
-  };
-
-  /// Write-ahead append of one post-link delivery: durable before dispatch.
-  /// The logged form keeps the signature header (auth on) — replay re-runs
-  /// the validator, and the link's dedup digests (computed pre-validator)
-  /// line up with the restored keys.
-  const auto journal_message = [&](NodeId j, const net::Message& msg) {
-    if (!wal_on) return;
-    wals[j]->append_message_record(msg.from, msg.topic.str(),
-                                   BytesView(msg.payload));
-    wals[j]->commit();
-    ++wal_delivered[j];
-  };
-
-  const auto snapshot_of = [&](NodeId j, std::uint64_t delivered) {
+  const auto snapshot_of = [&](NodeId j) {
     const InstanceNode& nd = insts[last_dispatched[j]]->nodes[j];
-    store::Snapshot s;
-    s.messages_delivered = delivered;
-    s.started = nd.started;
-    s.bids_agreed = nd.bundle.engine->agreed_bids().has_value();
-    s.done = nd.bundle.engine->done();
-    return s;
-  };
-
-  /// Periodic consistency checkpoint, appended *after* dispatch so the flags
-  /// describe the state the preceding message records produce on replay.
-  const auto maybe_snapshot = [&](NodeId j) {
-    if (!wal_on || base.wal.snapshot_every == 0) return;
-    if (wal_delivered[j] % base.wal.snapshot_every != 0) return;
-    const Bytes enc = store::encode_snapshot(snapshot_of(j, wal_delivered[j]));
-    wals[j]->append(store::RecordType::kSnapshot, BytesView(enc));
-    wals[j]->commit();
+    return store::Snapshot{.started = nd.started,
+                           .bids_agreed = nd.bundle.engine->agreed_bids().has_value(),
+                           .done = nd.bundle.engine->done()};
   };
 
   /// The instance a scoped topic string ("i<slot>g<gen>/…") belongs to.
@@ -310,15 +217,7 @@ ServiceRunResult ServiceRuntime::run(
     sim::SimTime& ba_done = inst.res.bid_agreement_done_at[j];
     if (ba_done == 0 && engine.agreed_bids().has_value()) {
       ba_done = scheduler.now();
-      if (wal_on && !replaying[j]) {
-        serde::Writer w;
-        const auto& bids = *engine.agreed_bids();
-        w.varint(bids.size());
-        for (const auto& b : bids) serde::write_bid(w, b);
-        const Bytes enc = w.take();
-        journal_decision(j, store::DecisionKind::kBidsAgreed, true,
-                         crypto::sha256(BytesView(enc)));
-      }
+      stacks[j].journal_bids_agreed(*engine.agreed_bids());
     }
     if (inst.res.provider_done_at[j] == 0 && engine.done()) {
       inst.res.provider_done_at[j] = scheduler.now();
@@ -326,20 +225,8 @@ ServiceRunResult ServiceRuntime::run(
     if (engine.done() && !nd.reported) {
       nd.reported = true;
       const auto& out = *engine.outcome();
-      serde::Writer w;
-      w.boolean(out.ok());
-      if (out.ok()) {
-        w.bytes(serde::encode_result(out.value()));
-      } else {
-        w.u8(static_cast<std::uint8_t>(out.bottom().reason));
-      }
-      Bytes payload = w.take();
-      if (wal_on) {
-        // The digest covers the exact report the client receives — the pin
-        // the kill-restart equivalence checks compare.
-        journal_decision(j, store::DecisionKind::kOutcome, out.ok(),
-                         crypto::sha256(BytesView(payload)));
-      }
+      Bytes payload = detail::encode_report(out);
+      stacks[j].journal_outcome(out.ok(), BytesView(payload));
       scheduler.send(
           net::Message{j, client, inst.scoped_result, std::move(payload)});
     }
@@ -355,8 +242,7 @@ ServiceRunResult ServiceRuntime::run(
       auto subs = detail::decode_submissions(BytesView(msg.payload));
       if (subs && !nd.started) {
         nd.started = true;
-        journal_decision(j, store::DecisionKind::kStarted, true,
-                         net::payload_digest(msg.payload));
+        stacks[j].journal_started(msg.payload);
         nd.bundle.engine->start(
             detail::sanitize_submissions(*subs, auctioneer.spec().limits));
       }
@@ -369,39 +255,25 @@ ServiceRunResult ServiceRuntime::run(
   /// Validator + engine dispatch — the journaled form. `in.topic` is the
   /// scoped wire topic (the signature transcript covers it); `base_topic` is
   /// its engine-facing form. An abort lands on the OWNING instance's engine
-  /// — node j's other instances keep running. Replay re-enters here: a fresh
-  /// validator re-verifies every logged signature, so a WAL tampered with
-  /// below the CRC still cannot smuggle a forged frame into a rebuilt engine.
+  /// — node j's other instances keep running. Replay re-enters here, so a
+  /// WAL tampered with below the CRC still cannot smuggle a forged frame
+  /// into a rebuilt engine.
   const auto dispatch_verified = [&](core::InstanceId t, NodeId j,
                                      const net::Message& in,
                                      const net::Topic& base_topic) {
     last_dispatched[j] = t;
-    net::Message verified;
-    const net::Message* delivered = &in;
-    if (net::MessageValidator* v = stacks[j].validator.get()) {
-      verified = in;
-      switch (v->on_deliver(verified)) {
-        case net::MessageValidator::Action::kDrop:
-          return;
-        case net::MessageValidator::Action::kAbort:
-          insts[t]->nodes[j].bundle.engine->abort(
-              Bottom{v->proof() ? AbortReason::kEquivocationDetected
-                                : AbortReason::kProtocolViolation,
-                     v->abort_detail()});
+    stacks[j].verify(
+        in,
+        [&](const net::Message& delivered) {
+          if (delivered.topic == base_topic) return dispatch_app(t, j, delivered);
+          net::Message app = delivered;  // payload is refcounted, not copied
+          app.topic = base_topic;
+          dispatch_app(t, j, app);
+        },
+        [&](Bottom b) {
+          insts[t]->nodes[j].bundle.engine->abort(std::move(b));
           note_progress(t, j);
-          return;
-        case net::MessageValidator::Action::kDeliver:
-          break;
-      }
-      delivered = &verified;
-    }
-    if (delivered->topic == base_topic) {
-      dispatch_app(t, j, *delivered);
-    } else {
-      net::Message app = *delivered;  // payload is refcounted, not copied
-      app.topic = base_topic;
-      dispatch_app(t, j, app);
-    }
+        });
   };
 
   /// Route one post-link frame at node j to its instance: the epoch-0 batch
@@ -432,42 +304,35 @@ ServiceRunResult ServiceRuntime::run(
     return true;
   };
 
-  const auto build_stack = [&](NodeId j) {
-    NodeStack& c = stacks[j];
-    c.endpoint =
-        std::make_unique<net::SimEndpoint>(scheduler, j, m, endpoint_seeds[j]);
-    blocks::Endpoint* ep = c.endpoint.get();
-    if (base.reliability.enable) {
-      c.link = std::make_unique<net::ReliableLink>(*ep, base.reliability);
-      ep = c.link.get();
-      // A retransmit give-up names a scoped topic: the failure belongs to
-      // that topic's instance alone.
-      c.link->set_on_give_up([&, j](NodeId to, const net::Topic& topic,
-                                    std::size_t attempts) {
-        const auto d = demux(topic);
-        if (!d || !insts[d->first] || insts[d->first]->res.settled) return;
-        insts[d->first]->nodes[j].bundle.engine->abort(Bottom{
-            AbortReason::kDeliveryFailed,
-            "provider " + std::to_string(to) + " unreachable on '" +
-                topic.str() + "' after " + std::to_string(attempts) +
-                " attempts"});
-        note_progress(d->first, j);
-      });
-    }
-    if (base.auth.enable) {
-      if (base.auth_adversary.node == j &&
-          base.auth_adversary.mode != adversary::AuthTamperMode::kNone) {
-        c.tamperer = std::make_unique<adversary::AuthTamperEndpoint>(
-            *ep, base.auth_adversary.mode);
-        ep = c.tamperer.get();
-      }
-      c.signer = std::make_unique<net::SignerEndpoint>(*ep, key_dir, &auth_stats[j]);
-      ep = c.signer.get();
-      c.validator = std::make_unique<net::MessageValidator>(
-          j, key_dir, base.auth, base.seed ^ (0xba7c4000u + j), &auth_stats[j]);
-    }
-    c.top = ep;
-  };
+  for (NodeId j = 0; j < m; ++j) {
+    stacks.emplace_back(
+        j,
+        [&, j] {
+          return std::make_unique<net::SimEndpoint>(scheduler, j, m,
+                                                    endpoint_seeds[j]);
+        },
+        NodeStack::Layers{
+            .reliability = base.reliability,
+            // A retransmit give-up names a scoped topic: the failure belongs
+            // to that topic's instance alone.
+            .on_give_up = [&, j](NodeId to, const net::Topic& topic,
+                                 std::size_t attempts) {
+              const auto d = demux(topic);
+              if (!d || !insts[d->first] || insts[d->first]->res.settled) return;
+              insts[d->first]->nodes[j].bundle.engine->abort(Bottom{
+                  AbortReason::kDeliveryFailed,
+                  "provider " + std::to_string(to) + " unreachable on '" +
+                      topic.str() + "' after " + std::to_string(attempts) +
+                      " attempts"});
+              note_progress(d->first, j);
+            },
+            .keys = key_dir,
+            .auth = base.auth,
+            .validator_seed = base.seed ^ (0xba7c4000u + j),
+            .tamper = base.auth_adversary.node == j ? base.auth_adversary.mode
+                                                    : adversary::AuthTamperMode::kNone,
+            .auth_stats = &auth_stats[j]});
+  }
 
   /// Instance t's engine at node j: a ScopedEndpoint (and any matching
   /// deviation) on the node's stack top, then the engine. Each node scopes
@@ -476,7 +341,7 @@ ServiceRunResult ServiceRuntime::run(
     Instance& inst = *insts[t];
     InstanceNode& nd = inst.nodes[j];
     nd.bundle.scoped = std::make_unique<core::ScopedEndpoint>(
-        *stacks[j].top,
+        stacks[j].top(),
         inst.topics
             ? std::make_shared<net::ScopedTopicRegistry>(inst.topics->prefix())
             : nullptr,
@@ -551,22 +416,16 @@ ServiceRunResult ServiceRuntime::run(
     inst.res.launched_at = scheduler.now();
   };
 
-  /// Submit instance t's bids, one frame per provider. `at_start` injects at
-  /// t = 0 (initial wave); otherwise the send happens inside the client's
-  /// settlement handler and departs with it.
-  const auto send_bids = [&](core::InstanceId t, bool at_start) {
-    Instance& inst = *insts[t];
-    auto per_provider = make_submissions(t);
-    const net::Topic topic =
-        inst.topics ? inst.topics->scope(bids_topic) : bids_topic;
-    // Frame tricks (adversary/bidder_adversary.hpp): submissions above were
-    // drawn in canonical order, so only the injection order/count changes.
+  /// Send frames[j] to each provider j: injected at t = 0 (`at_start`), or
+  /// departing with the client's settlement handler. Frame tricks
+  /// (adversary/bidder_adversary.hpp) change only injection order/count.
+  const auto send_frames = [&](const net::Topic& topic,
+                               const std::vector<Bytes>& frames, bool at_start) {
     for (NodeId idx = 0; idx < m; ++idx) {
       const NodeId j =
           base.bid_frames.reorder ? static_cast<NodeId>(m - 1 - idx) : idx;
-      const int copies = base.bid_frames.replay ? 2 : 1;
-      for (int rep = 0; rep < copies; ++rep) {
-        net::Message msg{client, j, topic, SharedBytes(per_provider[j])};
+      for (int rep = 0; rep < (base.bid_frames.replay ? 2 : 1); ++rep) {
+        net::Message msg{client, j, topic, SharedBytes(frames[j])};
         if (at_start) {
           scheduler.inject(sim::kSimStart, std::move(msg));
         } else {
@@ -575,25 +434,29 @@ ServiceRunResult ServiceRuntime::run(
       }
     }
   };
-
-  const auto wal_sink = [&](NodeId j) -> std::shared_ptr<store::Storage> {
-    if (faulty_disks[j]) return faulty_disks[j];
-    return storages[j];
+  /// Submit instance t's bids, one frame per provider.
+  const auto send_bids = [&](core::InstanceId t, bool at_start) {
+    const Instance& inst = *insts[t];
+    send_frames(inst.topics ? inst.topics->scope(bids_topic) : bids_topic,
+                make_submissions(t), at_start);
   };
+
   for (NodeId j = 0; j < m; ++j) {
-    build_stack(j);
+    stacks[j].build();
     if (wal_on) {
-      storages[j] = std::make_shared<store::MemStorage>();
+      std::shared_ptr<store::Storage> disk = std::make_shared<store::MemStorage>();
       if (base.wal_fault.enable && amnesiac[j]) {
         store::StorageFaultConfig fc = base.wal_fault;
         fc.seed = base.wal_fault.seed ^ (0x57a6e000u + j);  // per-node stream
-        faulty_disks[j] = std::make_shared<store::FaultyStorage>(storages[j], fc);
+        faulty_disks[j] = std::make_shared<store::FaultyStorage>(disk, fc);
+        disk = faulty_disks[j];
       }
-      wals[j] = std::make_unique<store::Wal>(wal_sink(j));
-      wals[j]->open();  // fresh storage: nothing to scan
-      const Bytes enc = store::encode_meta(expected_meta(j));
-      wals[j]->append(store::RecordType::kMeta, BytesView(enc));
-      wals[j]->commit();
+      // Fresh storage: the stack writes the meta record.
+      stacks[j].open_wal(disk,
+                         {.run_seed = base.seed, .node = j, .providers = m,
+                          .users = n, .k = auctioneer.spec().k,
+                          .endpoint_seed = endpoint_seeds[j]},
+                         base.wal.snapshot_every);
     }
   }
 
@@ -606,15 +469,12 @@ ServiceRunResult ServiceRuntime::run(
     // The process died: no timer armed by the lost state may ever run — the
     // objects behind those callbacks are about to be destroyed.
     scheduler.bump_incarnation(j);
-    if (stacks[j].link) rel_stats_acc[j] += stacks[j].link->stats();
-    wal_stats_acc[j] += wals[j]->stats();
     for (auto& up : insts) {
       if (!up) continue;
       up->nodes[j].bundle = EngineBundle{};  // engines go before the stack
       up->nodes[j].started = false;  // re-derived by replay (bids are logged)
     }
-    stacks[j] = NodeStack{};
-    build_stack(j);
+    stacks[j].build();
     for (core::InstanceId t = 0; t < N; ++t) {
       if (insts[t]) build_bundle(t, j);
     }
@@ -622,24 +482,9 @@ ServiceRunResult ServiceRuntime::run(
     // happen inside the down window (the injector drops deliveries to a down
     // node), so damaging at the rebuild instant ≡ damaging at the crash.
     if (faulty_disks[j]) faulty_disks[j]->crash();
-    wals[j] = std::make_unique<store::Wal>(wal_sink(j));
-    const store::WalScan scan = wals[j]->open();
-    // Identity gate: a log that does not name this exact run and node is
-    // foreign state — replaying it would silently diverge. Cannot happen
-    // in-sim (this run wrote it), but recovery refuses exactly like the CLI.
-    std::string why;
-    bool meta_ok = false;
-    if (!scan.records.empty() &&
-        scan.records.front().type == store::RecordType::kMeta) {
-      if (const auto meta = store::decode_meta(BytesView(scan.records.front().payload))) {
-        meta_ok = store::meta_matches(*meta, expected_meta(j), &why);
-      } else {
-        why = "meta record undecodable";
-      }
-    } else {
-      why = "no meta record";
-    }
-    if (!meta_ok) {
+    // A log the identity gate refuses aborts the node, as the CLI would.
+    const std::string why = stacks[j].reopen_wal();
+    if (!why.empty()) {
       for (core::InstanceId t = 0; t < N; ++t) {
         if (!insts[t]) continue;
         insts[t]->nodes[j].bundle.engine->abort(
@@ -648,40 +493,9 @@ ServiceRunResult ServiceRuntime::run(
       }
       return;
     }
-    replaying[j] = true;
-    std::uint64_t replayed = 0;
-    for (std::size_t i = 1; i < scan.records.size(); ++i) {
-      const store::WalRecord& rec = scan.records[i];
-      if (rec.type == store::RecordType::kMessage) {
-        auto lm = store::decode_message(BytesView(rec.payload));
-        if (!lm) continue;  // framing passed CRC but the payload is malformed
-        net::Message msg{lm->from, j, net::Topic(lm->topic),
-                         SharedBytes(std::move(lm->payload))};
-        // Dedup key first: post-replay wire copies of an already-consumed
-        // message (peer retransmits, rejoin answers) must be suppressed, not
-        // double-delivered to the rebuilt engine.
-        if (stacks[j].link) stacks[j].link->restore_delivered(msg);
-        ++replayed;
-        ++wals[j]->stats().messages_replayed;
-        route(j, msg, /*live=*/false);
-      } else if (rec.type == store::RecordType::kSnapshot) {
-        const auto s = store::decode_snapshot(BytesView(rec.payload));
-        if (!s) continue;
-        ++wals[j]->stats().snapshots_checked;
-        if (*s != snapshot_of(j, replayed)) {
-          ++wals[j]->stats().snapshot_mismatches;
-          DAUCT_WARN("wal replay: snapshot checkpoint mismatch at node "
-                     << j << " after " << replayed << " messages");
-        }
-      }
-      // Decision records are durable commitments, not replay inputs.
-    }
-    wal_delivered[j] = replayed;
-    replaying[j] = false;
-    // Close the gap: ask every peer to re-send its cached frames for this
-    // node. Everything already consumed pre-crash dedups against the keys
-    // restored above; what the node never saw finally arrives.
-    if (stacks[j].link) stacks[j].link->request_rejoin();
+    stacks[j].replay(
+        [&, j](const net::Message& msg) { route(j, msg, /*live=*/false); },
+        [&, j] { return snapshot_of(j); });
   };
 
   // A provider's handler and timers touch only node j's stack, WAL, engines
@@ -690,21 +504,9 @@ ServiceRunResult ServiceRuntime::run(
   // and the prefix map the providers read: it stays kShared and runs alone.
   for (NodeId j = 0; j < m; ++j) {
     scheduler.set_deliver(j, [&, j](const net::Message& raw) {
-      // The reliable link consumes its control traffic (acks, re-requests)
-      // and retransmitted duplicates before the engine can misread them,
-      // and strips its wire header (piggybacked ack vectors) in place — the
-      // copy is an alias (refcounted payload), not a byte copy.
-      net::Message unwrapped;
-      const net::Message* carried = &raw;
-      if (net::ReliableLink* link = stacks[j].link.get()) {
-        unwrapped = raw;
-        if (!link->on_deliver(unwrapped)) return;
-        carried = &unwrapped;
-      }
-      // Write-ahead: the delivery is durable before the engine sees it, so
-      // a crash between the two replays it instead of losing it.
-      journal_message(j, *carried);
-      if (route(j, *carried, /*live=*/true)) maybe_snapshot(j);
+      stacks[j].deliver(
+          raw, [&](const net::Message& msg) { return route(j, msg, /*live=*/true); },
+          [&] { return snapshot_of(j); });
     }, sim::Isolation::kIsolated);
   }
 
@@ -756,22 +558,17 @@ ServiceRunResult ServiceRuntime::run(
   if (initial >= 2) {
     std::vector<std::vector<Bytes>> subs(initial);
     for (core::InstanceId t = 0; t < initial; ++t) subs[t] = make_submissions(t);
-    for (NodeId idx = 0; idx < m; ++idx) {
-      const NodeId j =
-          base.bid_frames.reorder ? static_cast<NodeId>(m - 1 - idx) : idx;
+    std::vector<Bytes> frames(m);
+    for (NodeId j = 0; j < m; ++j) {
       serde::Writer w;
       w.varint(initial);
       for (core::InstanceId t = 0; t < initial; ++t) {
         w.varint(t);
         w.bytes(BytesView(subs[t][j]));
       }
-      const Bytes frame = w.take();
-      const int copies = base.bid_frames.replay ? 2 : 1;
-      for (int rep = 0; rep < copies; ++rep) {
-        scheduler.inject(sim::kSimStart,
-                         net::Message{client, j, batch_topic, frame});
-      }
+      frames[j] = w.take();
     }
+    send_frames(batch_topic, frames, /*at_start=*/true);
   } else {
     send_bids(0, /*at_start=*/true);
   }
@@ -789,11 +586,9 @@ ServiceRunResult ServiceRuntime::run(
   // on that node (never on one that settled before the forgery could
   // matter).
   for (NodeId j = 0; j < m; ++j) {
-    net::MessageValidator* v = stacks[j].validator.get();
-    if (!v || v->finalize() != net::MessageValidator::Action::kAbort) continue;
-    const Bottom b{v->proof() ? AbortReason::kEquivocationDetected
-                              : AbortReason::kProtocolViolation,
-                   v->abort_detail()};
+    const std::optional<Bottom> b = stacks[j].finalize();
+    if (!b) continue;
+    const net::MessageValidator* v = stacks[j].validator();
     std::optional<core::InstanceId> who;
     if (identity) {
       who = core::InstanceId{0};
@@ -801,11 +596,11 @@ ServiceRunResult ServiceRuntime::run(
       who = owner_of(v->proof()->topic);
     }
     if (who) {
-      if (insts[*who]) insts[*who]->nodes[j].override_abort = b;
+      if (insts[*who]) insts[*who]->nodes[j].override_abort = *b;
     } else {
       for (auto& up : insts) {
         if (up && up->res.launched && !up->res.settled) {
-          up->nodes[j].override_abort = b;
+          up->nodes[j].override_abort = *b;
         }
       }
     }
@@ -877,14 +672,10 @@ ServiceRunResult ServiceRuntime::run(
   result.traffic = scheduler.traffic();
   if (const auto* fs = scheduler.fault_stats()) result.fault_stats = *fs;
   for (NodeId j = 0; j < m; ++j) {
-    result.reliability_stats += rel_stats_acc[j];
-    if (stacks[j].link) result.reliability_stats += stacks[j].link->stats();
+    result.reliability_stats += stacks[j].reliability_stats();
+    result.wal_stats += stacks[j].wal_stats();
   }
   if (wal_on) {
-    for (NodeId j = 0; j < m; ++j) {
-      result.wal_stats += wal_stats_acc[j];
-      result.wal_stats += wals[j]->stats();
-    }
     for (const auto& d : faulty_disks) {
       if (!d) continue;
       result.storage_fault_stats.syncs_dropped += d->stats().syncs_dropped;
@@ -899,15 +690,13 @@ ServiceRunResult ServiceRuntime::run(
     // frames); otherwise run the auditor sweep, which cross-references every
     // receiver's records and catches split equivocation.
     for (NodeId j = 0; j < m && !result.equivocation_proof; ++j) {
-      if (stacks[j].validator && stacks[j].validator->proof()) {
-        result.equivocation_proof = stacks[j].validator->proof();
+      if (stacks[j].validator()->proof()) {
+        result.equivocation_proof = stacks[j].validator()->proof();
       }
     }
     if (!result.equivocation_proof) {
       std::vector<const net::MessageValidator*> vs;
-      for (NodeId j = 0; j < m; ++j) {
-        if (stacks[j].validator) vs.push_back(stacks[j].validator.get());
-      }
+      for (NodeId j = 0; j < m; ++j) vs.push_back(stacks[j].validator());
       result.equivocation_proof = net::audit_equivocation(vs, *key_dir);
     }
     if (result.equivocation_proof) {

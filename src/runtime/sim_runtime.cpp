@@ -8,17 +8,6 @@
 
 namespace dauct::runtime {
 
-namespace {
-
-constexpr const char* kBidsTopic = "client/bids";
-constexpr const char* kResultTopic = "client/result";
-
-using detail::decode_submissions;
-using detail::encode_submissions;
-using detail::sanitize_submissions;
-
-}  // namespace
-
 sim::SimTime SimRunResult::bid_agreement_makespan() const {
   sim::SimTime t = 0;
   for (sim::SimTime v : bid_agreement_done_at) t = std::max(t, v);
@@ -54,8 +43,8 @@ SimRunResult SimRuntime::run_centralized(const core::CentralizedAuctioneer& auct
                                          const auction::AuctionInstance& instance) {
   // Node 0 = the trusted auctioneer, node 1 = the client.
   const NodeId trusted = 0, client = 1;
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
+  const net::Topic bids_topic(detail::kBidsTopic);
+  const net::Topic result_topic(detail::kResultTopic);
   sim::Scheduler scheduler(2, config_.latency, config_.seed, config_.cost_mode);
   scheduler.set_cpu_scale(config_.cpu_scale);
   if (config_.faults) scheduler.install_fault_plan(*config_.faults);
@@ -69,10 +58,10 @@ SimRunResult SimRuntime::run_centralized(const core::CentralizedAuctioneer& auct
 
   scheduler.set_deliver(trusted, [&](const net::Message& msg) {
     if (msg.topic != bids_topic) return;
-    auto subs = decode_submissions(BytesView(msg.payload));
+    auto subs = detail::decode_submissions(BytesView(msg.payload));
     if (!subs) return;
     auction::AuctionInstance run_instance;
-    run_instance.bids = sanitize_submissions(*subs, auction::BidLimits{});
+    run_instance.bids = detail::sanitize_submissions(*subs, auction::BidLimits{});
     run_instance.asks = instance.asks;
     result_value = auctioneer.run(run_instance, coin);
     scheduler.send(net::Message{trusted, client, result_topic,
@@ -87,10 +76,8 @@ SimRunResult SimRuntime::run_centralized(const core::CentralizedAuctioneer& auct
   });
 
   // Bids travel client → auctioneer in one batch message.
-  std::vector<std::optional<auction::Bid>> subs(instance.bids.size());
-  for (std::size_t i = 0; i < instance.bids.size(); ++i) subs[i] = instance.bids[i];
-  scheduler.inject(sim::kSimStart,
-                   net::Message{client, trusted, bids_topic, encode_submissions(subs)});
+  scheduler.inject(sim::kSimStart, net::Message{client, trusted, bids_topic,
+                                                detail::encode_submissions(instance.bids)});
 
   const bool overflow = scheduler.run_some(config_.max_events);
 

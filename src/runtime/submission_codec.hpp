@@ -1,7 +1,7 @@
-// Client→provider bid-submission wire format, shared by the single-auction
-// runtimes (runtime/sim_runtime.cpp and friends) and the multi-auction
-// service plane (runtime/service_runtime.cpp). The encoding is golden-pinned
-// (tests/fanout_test.cpp fingerprints cover the bids batch bytes), so both
+// Client↔provider wire formats, shared by every runtime: the bid submission
+// (client → provider) and the result report (provider → client). The
+// encodings are golden-pinned (tests/fanout_test.cpp fingerprints cover the
+// bids batch bytes; the WAL's outcome decision digests the report), so the
 // runtimes must speak exactly the same dialect — hence one header.
 #pragma once
 
@@ -15,6 +15,9 @@
 
 namespace dauct::runtime::detail {
 
+inline constexpr const char* kBidsTopic = "client/bids";
+inline constexpr const char* kResultTopic = "client/result";
+
 /// Encode the (possibly absent) bids a provider receives from the client.
 inline Bytes encode_submissions(
     const std::vector<std::optional<auction::Bid>>& subs) {
@@ -25,6 +28,12 @@ inline Bytes encode_submissions(
     if (s) serde::write_bid(w, *s);
   }
   return w.take();
+}
+
+/// The honest client's submissions: every bidder's bid, as is.
+inline Bytes encode_submissions(const std::vector<auction::Bid>& bids) {
+  return encode_submissions(
+      std::vector<std::optional<auction::Bid>>(bids.begin(), bids.end()));
 }
 
 inline std::optional<std::vector<std::optional<auction::Bid>>>
@@ -60,6 +69,19 @@ inline std::vector<auction::Bid> sanitize_submissions(
     }
   }
   return bids;
+}
+
+/// A provider's result report: ok flag, then the encoded (x, p⃗) or the ⊥
+/// reason.
+inline Bytes encode_report(const auction::AuctionOutcome& out) {
+  serde::Writer w;
+  w.boolean(out.ok());
+  if (out.ok()) {
+    w.bytes(serde::encode_result(out.value()));
+  } else {
+    w.u8(static_cast<std::uint8_t>(out.bottom().reason));
+  }
+  return w.take();
 }
 
 }  // namespace dauct::runtime::detail

@@ -5,22 +5,20 @@
 
 #include "common/log.hpp"
 #include "crypto/sha256.hpp"
-#include "serde/auction_codec.hpp"
+#include "runtime/node_stack.hpp"
+#include "runtime/submission_codec.hpp"
 #include "serde/codec.hpp"
 
 namespace dauct::runtime {
 
 namespace {
-constexpr const char* kBidsTopic = "client/bids";
-constexpr const char* kResultTopic = "client/result";
 /// Broadcast by the client once all m reports are in: every provider
 /// process may exit. Never journaled (it is not engine input).
 constexpr const char* kShutdownTopic = "client/shutdown";
 
-/// Provider `node`'s endpoint RNG seed: the (node+1)-th draw of the shared
-/// seeder stream — identical across the in-process cluster and any set of
-/// one-node processes started with the same run seed, which is what makes a
-/// restarted provider's replay (and its re-sent frames) byte-exact.
+/// Provider `node`'s endpoint RNG seed, the same in every process of a run:
+/// what makes a restarted provider's replay (and its re-sent frames)
+/// byte-exact.
 std::uint64_t endpoint_seed_of(std::uint64_t run_seed, NodeId node) {
   crypto::Rng seeder(run_seed ^ 0x7c9ULL);
   std::uint64_t seed = 0;
@@ -28,116 +26,206 @@ std::uint64_t endpoint_seed_of(std::uint64_t run_seed, NodeId node) {
   return seed;
 }
 
-/// The result report payload, byte-identical to the sim runtime's (the
-/// client digests it; the WAL's kOutcome decision digests the same bytes).
-Bytes encode_result_report(const auction::AuctionOutcome& out) {
-  serde::Writer w;
-  w.boolean(out.ok());
-  if (out.ok()) {
-    w.bytes(serde::encode_result(out.value()));
-  } else {
-    w.u8(static_cast<std::uint8_t>(out.bottom().reason));
+std::chrono::milliseconds ms_until(std::chrono::steady_clock::time_point deadline) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+}
+
+/// One provider over its own TcpNode: the NodeStack and the engine on it.
+/// The link runs timerless (no retransmits, standalone acks), but its dedup,
+/// sent cache and rejoin sweep are the recovery machinery a restart needs.
+class TcpProvider {
+ public:
+  /// Opens the WAL, if any, before binding: a refused log fails fast
+  /// (error()) without ever joining the cluster.
+  TcpProvider(const core::DistributedAuctioneer& auctioneer,
+              const auction::AuctionInstance& instance, NodeId node,
+              const TcpNodeConfig& config)
+      : auctioneer_(auctioneer), node_(node), config_(config),
+        stack_(node,
+               [this, seed = endpoint_seed_of(config.seed, node)] {
+                 return std::make_unique<net::TcpEndpoint>(
+                     *tcp_, auctioneer_.spec().m, seed);
+               },
+               {.reliability = {.enable = true, .piggyback_acks = false}}) {
+    error_ = open_wal(instance.bids.size());
+    if (!error_.empty()) return;
+    net::TcpPeers peers;
+    peers.base_port = config.base_port;
+    tcp_ = std::make_unique<net::TcpNode>(node, peers);
+    stack_.build();
+    engine_ = auctioneer.make_engine(
+        stack_.top(), node < instance.asks.size() ? instance.asks[node]
+                                                  : auction::Ask{node, {}, {}});
   }
-  return w.take();
+
+  TcpProvider(const TcpProvider&) = delete;  // the stack's factory holds `this`
+  const std::string& error() const { return error_; }
+
+  /// Replay a recovered log, then serve live traffic until the client calls
+  /// the run over (or the timeout).
+  TcpProviderResult serve();
+
+ private:
+  /// Attach DIR/provider-J.wal, if configured; why it was refused.
+  std::string open_wal(std::size_t users) {
+    if (config_.wal_dir.empty()) return {};
+    const std::string path =
+        config_.wal_dir + "/provider-" + std::to_string(node_) + ".wal";
+    auto storage = store::FileStorage::open(path);
+    if (!storage) return "cannot open wal file " + path;
+    const std::string why = stack_.open_wal(
+        std::move(storage),
+        {.run_seed = config_.seed, .node = node_, .providers = auctioneer_.spec().m,
+         .users = users, .k = auctioneer_.spec().k,
+         .endpoint_seed = endpoint_seed_of(config_.seed, node_)},
+        config_.snapshot_every);
+    return why.empty() ? why : "wal recovery refused: " + path + ": " + why;
+  }
+  void dispatch(const net::Message& msg);
+  void note_progress();
+  store::Snapshot snapshot() const {
+    return store::Snapshot{.started = started_,
+                           .bids_agreed = engine_->agreed_bids().has_value(),
+                           .done = engine_->done()};
+  }
+
+  const core::DistributedAuctioneer& auctioneer_;
+  NodeId node_;
+  const TcpNodeConfig& config_;
+  std::string error_;
+  std::unique_ptr<net::TcpNode> tcp_;
+  NodeStack stack_;
+  std::unique_ptr<core::ProviderEngine> engine_;
+  bool started_ = false, bids_agreed_ = false, reported_ = false;
+  const net::Topic bids_topic_{detail::kBidsTopic};
+  const net::Topic result_topic_{detail::kResultTopic};
+};
+
+/// Engine dispatch shared by live deliveries and WAL replay: the replayed
+/// run re-executes the same code over the same bytes.
+void TcpProvider::dispatch(const net::Message& in) {
+  stack_.verify(
+      in,
+      [&](const net::Message& msg) {
+        if (msg.topic == bids_topic_) {
+          auto subs = detail::decode_submissions(msg.payload.view());
+          if (subs && !started_) {
+            started_ = true;
+            stack_.journal_started(msg.payload);
+            engine_->start(
+                detail::sanitize_submissions(*subs, auctioneer_.spec().limits));
+          }
+        } else {
+          engine_->on_message(msg);
+        }
+        note_progress();
+      },
+      [&](Bottom b) {
+        engine_->abort(std::move(b));
+        note_progress();
+      });
+}
+
+void TcpProvider::note_progress() {
+  if (!bids_agreed_ && engine_->agreed_bids().has_value()) {
+    bids_agreed_ = true;
+    stack_.journal_bids_agreed(*engine_->agreed_bids());
+  }
+  if (engine_->done() && !reported_) {
+    reported_ = true;
+    const auto& out = *engine_->outcome();
+    Bytes payload = detail::encode_report(out);
+    stack_.journal_outcome(out.ok(), BytesView(payload));
+    tcp_->send(net::Message{node_, static_cast<NodeId>(auctioneer_.spec().m),
+                            result_topic_, SharedBytes(std::move(payload))});
+  }
+}
+
+TcpProviderResult TcpProvider::serve() {
+  TcpProviderResult result;
+  const net::Topic shutdown_topic(kShutdownTopic);
+  const net::Topic rreq_topic(net::kRetransmitRequestTopicName);
+  if (stack_.recovering()) {
+    result.recovered = true;
+    stack_.replay([this](const net::Message& msg) { dispatch(msg); },
+                  [this] { return snapshot(); });
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() + config_.timeout;
+  std::optional<net::Message> popped;
+  while ((popped = tcp_->inbox().pop_for(ms_until(deadline))) &&
+         popped->topic != shutdown_topic) {
+    const net::Message& msg = *popped;
+    // A wildcard re-request announces a restarted peer: our cached outbound
+    // socket predates its rebirth, and writes into it would be silently
+    // swallowed until the RST — reset before the link answers the sweep.
+    if (msg.topic == rreq_topic && msg.payload.view().size() == 1 &&
+        msg.payload.view()[0] == '*') {
+      tcp_->reset_peer(msg.from);
+    }
+    stack_.deliver(
+        msg,
+        [this](const net::Message& in) {
+          if (config_.crash_after != 0 && stack_.delivered() == config_.crash_after) {
+            // The fault hook: a real kill, not an exception — destructors do
+            // not run, sockets die with the process, only the WAL survives.
+            DAUCT_WARN("tcp provider " << node_ << ": crash-after hook, _exit(137)");
+            std::_Exit(137);
+          }
+          dispatch(in);
+          return true;
+        },
+        [this] { return snapshot(); });
+  }
+  result.timed_out = !popped;
+  tcp_->shutdown();
+  result.outcome = engine_->done()
+                       ? *engine_->outcome()
+                       : auction::AuctionOutcome(Bottom{
+                             AbortReason::kTimeout, "tcp provider stall"});
+  result.wal_stats = stack_.wal_stats();
+  result.reliability_stats = stack_.reliability_stats();
+  return result;
 }
 }  // namespace
 
 TcpRunResult TcpRuntime::run_distributed(const core::DistributedAuctioneer& auctioneer,
                                          const auction::AuctionInstance& instance) {
   const std::size_t m = auctioneer.spec().m;
-  const NodeId client = static_cast<NodeId>(m);
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
-
-  net::TcpPeers peers;
-  peers.base_port = config_.base_port != 0
-                        ? config_.base_port
-                        : net::pick_base_port(static_cast<std::uint16_t>(m + 1));
-
+  TcpNodeConfig config = config_;
+  if (config.base_port == 0) {
+    config.base_port = net::pick_base_port(static_cast<std::uint16_t>(m + 1));
+  }
   TcpRunResult result;
-  result.base_port = peers.base_port;
+  result.base_port = config.base_port;
 
-  // Bring up all nodes (listen sockets) before any traffic.
-  std::vector<std::unique_ptr<net::TcpNode>> nodes;
-  nodes.reserve(m + 1);
-  for (NodeId j = 0; j <= m; ++j) {
-    nodes.push_back(std::make_unique<net::TcpNode>(j, peers));
-  }
-
-  crypto::Rng seeder(config_.seed ^ 0x7c9ULL);
-  std::vector<std::unique_ptr<net::TcpEndpoint>> endpoints;
-  std::vector<std::unique_ptr<core::ProviderEngine>> engines;
+  // Every listener is up before the client submits: its first send to each
+  // provider connects. A refused WAL stops the run before any traffic.
+  std::vector<std::unique_ptr<TcpProvider>> providers;
   for (NodeId j = 0; j < m; ++j) {
-    endpoints.push_back(
-        std::make_unique<net::TcpEndpoint>(*nodes[j], m, seeder.next_u64()));
-    auction::Ask ask =
-        j < instance.asks.size() ? instance.asks[j] : auction::Ask{j, {}, {}};
-    engines.push_back(auctioneer.make_engine(*endpoints[j], ask));
-  }
-
-  const auto start_time = std::chrono::steady_clock::now();
-
-  std::vector<std::thread> threads;
-  threads.reserve(m);
-  for (NodeId j = 0; j < m; ++j) {
-    threads.emplace_back([&, j] {
-      core::ProviderEngine& engine = *engines[j];
-      bool reported = false;
-      while (auto msg = nodes[j]->inbox().pop()) {
-        if (msg->topic == bids_topic) {
-          auto bids = serde::decode_bid_vector(msg->payload.view());
-          if (bids) engine.start(*bids);
-        } else {
-          engine.on_message(*msg);
-        }
-        if (engine.done() && !reported) {
-          reported = true;
-          nodes[j]->send(net::Message{j, client, result_topic, Bytes{}});
-        }
-      }
-    });
-  }
-
-  // Client: one bid batch per provider, then await m reports.
-  // One shared buffer for the bid batch: every provider's copy aliases it.
-  const SharedBytes bid_payload(serde::encode_bid_vector(instance.bids));
-  for (NodeId j = 0; j < m; ++j) {
-    if (!nodes[client]->send(net::Message{client, j, bids_topic, bid_payload})) {
-      DAUCT_ERROR("tcp runtime: bid submission to provider " << j << " failed");
+    providers.push_back(
+        std::make_unique<TcpProvider>(auctioneer, instance, j, config));
+    if (!providers.back()->error().empty()) {
+      result.provider_outcomes.assign(
+          m, auction::AuctionOutcome(
+                 Bottom{AbortReason::kProtocolViolation, providers.back()->error()}));
+      result.global_outcome = result.provider_outcomes.front();
+      return result;
     }
   }
 
-  std::size_t reports = 0;
-  const auto deadline = start_time + config_.timeout;
-  while (reports < m) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      result.timed_out = true;
-      break;
-    }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    if (auto msg = nodes[client]->inbox().pop_for(remaining)) {
-      if (msg->topic == result_topic) ++reports;
-    } else if (std::chrono::steady_clock::now() >= deadline) {
-      result.timed_out = true;
-      break;
-    }
-  }
-  result.wall_time = std::chrono::steady_clock::now() - start_time;
-
-  for (auto& node : nodes) node->shutdown();
-  for (auto& t : threads) t.join();
-
-  result.provider_outcomes.reserve(m);
+  std::vector<TcpProviderResult> runs(m);
+  std::vector<std::jthread> threads;  // joined on every exit path
   for (NodeId j = 0; j < m; ++j) {
-    if (engines[j]->done()) {
-      result.provider_outcomes.push_back(*engines[j]->outcome());
-    } else {
-      result.provider_outcomes.push_back(auction::AuctionOutcome(
-          Bottom{AbortReason::kTimeout, "tcp runtime stall"}));
-    }
+    threads.emplace_back([&, j] { runs[j] = providers[j]->serve(); });
   }
+  const TcpClientResult client = run_tcp_client(instance, m, config);
+  threads.clear();
+
+  result.timed_out = client.timed_out;
+  result.wall_time = client.wall_time;
+  for (const auto& run : runs) result.provider_outcomes.push_back(run.outcome);
   result.global_outcome =
       core::combine_outcomes(std::span(result.provider_outcomes));
   return result;
@@ -146,232 +234,9 @@ TcpRunResult TcpRuntime::run_distributed(const core::DistributedAuctioneer& auct
 TcpProviderResult run_tcp_provider(const core::DistributedAuctioneer& auctioneer,
                                    const auction::AuctionInstance& instance,
                                    NodeId node, const TcpNodeConfig& config) {
-  TcpProviderResult result;
-  const std::size_t m = auctioneer.spec().m;
-  const NodeId client = static_cast<NodeId>(m);
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
-  const net::Topic shutdown_topic(kShutdownTopic);
-  const net::Topic rreq_topic(net::kRetransmitRequestTopicName);
-  const std::uint64_t endpoint_seed = endpoint_seed_of(config.seed, node);
-
-  // --- Durable state, opened BEFORE any socket is bound: a refused WAL must
-  // fail fast without ever joining the cluster.
-  std::unique_ptr<store::Wal> wal;
-  std::vector<store::WalRecord> recovered;
-  if (!config.wal_dir.empty()) {
-    const std::string path =
-        config.wal_dir + "/provider-" + std::to_string(node) + ".wal";
-    auto storage = store::FileStorage::open(path);
-    if (!storage) {
-      result.error = "cannot open wal file " + path;
-      return result;
-    }
-    wal = std::make_unique<store::Wal>(std::move(storage));
-    store::WalScan scan = wal->open();
-    store::WalMeta expected;
-    expected.run_seed = config.seed;
-    expected.node = node;
-    expected.providers = m;
-    expected.users = instance.bids.size();
-    expected.k = auctioneer.spec().k;
-    expected.endpoint_seed = endpoint_seed;
-    if (scan.records.empty()) {
-      const Bytes enc = store::encode_meta(expected);
-      wal->append(store::RecordType::kMeta, BytesView(enc));
-      wal->commit();
-    } else {
-      // Restart: the log must name THIS run and THIS node, or replaying it
-      // would silently diverge — refuse foreign state instead.
-      const auto meta = scan.records[0].type == store::RecordType::kMeta
-                            ? store::decode_meta(BytesView(scan.records[0].payload))
-                            : std::nullopt;
-      if (!meta) {
-        result.error = "wal recovery refused: " + path + " has no meta record";
-        return result;
-      }
-      std::string why;
-      if (!store::meta_matches(*meta, expected, &why)) {
-        result.error = "wal recovery refused: " + path + ": " + why;
-        return result;
-      }
-      recovered = std::move(scan.records);
-    }
-  }
-
-  net::TcpPeers peers;
-  peers.base_port = config.base_port;
-  net::TcpNode tcp(node, peers);
-  net::TcpEndpoint endpoint(tcp, m, endpoint_seed);
-  // The reliability layer degrades to timerless over TCP (no retransmits),
-  // but its receiver dedup, sent cache, re-request answering, and the rejoin
-  // sweep are exactly the recovery machinery a restart needs. Immediate
-  // standalone acks: no timer to flush a piggyback queue.
-  net::ReliabilityConfig rcfg;
-  rcfg.enable = true;
-  rcfg.piggyback_acks = false;
-  net::ReliableLink link(endpoint, rcfg);
-  const std::unique_ptr<core::ProviderEngine> engine = auctioneer.make_engine(
-      link, node < instance.asks.size() ? instance.asks[node]
-                                        : auction::Ask{node, {}, {}});
-
-  bool started = false, bids_agreed = false, reported = false;
-  bool replaying = false;
-
-  const auto journal_decision = [&](store::DecisionKind kind, bool ok,
-                                    const crypto::Digest& digest) {
-    if (!wal || replaying) return;
-    store::Decision d;
-    d.kind = kind;
-    d.ok = ok;
-    d.digest = digest;
-    const Bytes enc = store::encode_decision(d);
-    wal->append(store::RecordType::kDecision, BytesView(enc));
-    wal->commit();
-  };
-
-  const auto note_progress = [&] {
-    if (!bids_agreed && engine->agreed_bids().has_value()) {
-      bids_agreed = true;
-      serde::Writer w;
-      const auto& bids = *engine->agreed_bids();
-      w.varint(bids.size());
-      for (const auto& b : bids) serde::write_bid(w, b);
-      const Bytes enc = w.take();
-      journal_decision(store::DecisionKind::kBidsAgreed, true,
-                       crypto::sha256(BytesView(enc)));
-    }
-    if (engine->done() && !reported) {
-      reported = true;
-      const auto& out = *engine->outcome();
-      Bytes payload = encode_result_report(out);
-      journal_decision(store::DecisionKind::kOutcome, out.ok(),
-                       crypto::sha256(BytesView(payload)));
-      tcp.send(net::Message{node, client, result_topic,
-                            SharedBytes(std::move(payload))});
-    }
-  };
-
-  /// Engine dispatch shared by live deliveries and WAL replay: the replayed
-  /// run re-executes the same code over the same bytes.
-  const auto dispatch = [&](const net::Message& msg) {
-    if (msg.topic == bids_topic) {
-      auto bids = serde::decode_bid_vector(msg.payload.view());
-      if (bids && !started) {
-        started = true;
-        journal_decision(store::DecisionKind::kStarted, true,
-                         net::payload_digest(msg.payload));
-        engine->start(*bids);
-      }
-    } else {
-      engine->on_message(msg);
-    }
-    note_progress();
-  };
-
-  const auto maybe_snapshot = [&] {
-    if (!wal || config.snapshot_every == 0) return;
-    if (wal->message_records() % config.snapshot_every != 0) return;
-    store::Snapshot s;
-    s.messages_delivered = wal->message_records();
-    s.started = started;
-    s.bids_agreed = engine->agreed_bids().has_value();
-    s.done = engine->done();
-    const Bytes enc = store::encode_snapshot(s);
-    wal->append(store::RecordType::kSnapshot, BytesView(enc));
-    wal->commit();
-  };
-
-  // --- Recovery: replay the log through the real dispatch path, then sweep.
-  if (!recovered.empty()) {
-    result.recovered = true;
-    replaying = true;
-    std::uint64_t replayed = 0;
-    for (const store::WalRecord& rec : recovered) {
-      if (rec.type == store::RecordType::kMessage) {
-        auto lm = store::decode_message(BytesView(rec.payload));
-        if (!lm) continue;
-        net::Message msg{lm->from, node, net::Topic(lm->topic),
-                         SharedBytes(std::move(lm->payload))};
-        // The key first, the engine second: post-recovery wire duplicates of
-        // everything in the log must be swallowed, not re-delivered.
-        link.restore_delivered(msg);
-        dispatch(msg);
-        ++replayed;
-        ++wal->stats().messages_replayed;
-      } else if (rec.type == store::RecordType::kSnapshot) {
-        const auto snap = store::decode_snapshot(BytesView(rec.payload));
-        ++wal->stats().snapshots_checked;
-        if (!snap || snap->messages_delivered != replayed ||
-            snap->started != started ||
-            snap->bids_agreed != engine->agreed_bids().has_value() ||
-            snap->done != engine->done()) {
-          ++wal->stats().snapshot_mismatches;
-          DAUCT_WARN("tcp provider " << node
-                                     << ": wal snapshot mismatch at record "
-                                     << replayed);
-        }
-      }
-    }
-    replaying = false;
-    // Ask every peer to re-send its cached frames for this node — the
-    // messages the dead incarnation never received have no other source
-    // (no retransmit timers over TCP).
-    link.request_rejoin();
-  }
-
-  // --- Live traffic until the client calls the run over (or timeout).
-  const auto deadline = std::chrono::steady_clock::now() + config.timeout;
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      result.timed_out = true;
-      break;
-    }
-    auto popped = tcp.inbox().pop_for(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    if (!popped) {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        result.timed_out = true;
-        break;
-      }
-      continue;
-    }
-    net::Message msg = std::move(*popped);
-    if (msg.topic == shutdown_topic) break;
-    // A wildcard re-request announces a restarted peer: our cached outbound
-    // socket predates its rebirth, and writes into it would be silently
-    // swallowed until the RST — reset before the link answers the sweep.
-    if (msg.topic == rreq_topic && msg.payload.view().size() == 1 &&
-        msg.payload.view()[0] == '*') {
-      tcp.reset_peer(msg.from);
-    }
-    if (!link.on_deliver(msg)) continue;
-    if (wal) {
-      // Write-ahead: the delivery is durable before the engine consumes it.
-      wal->append_message_record(msg.from, msg.topic.str(),
-                                 BytesView(msg.payload));
-      wal->commit();
-      if (config.crash_after != 0 &&
-          wal->message_records() == config.crash_after) {
-        // The fault hook: a real kill, not an exception — destructors do not
-        // run, sockets die with the process, only the WAL survives.
-        DAUCT_WARN("tcp provider " << node << ": crash-after hook, _exit(137)");
-        std::_Exit(137);
-      }
-    }
-    dispatch(msg);
-    maybe_snapshot();
-  }
-
-  tcp.shutdown();
-  result.outcome = engine->done()
-                       ? *engine->outcome()
-                       : auction::AuctionOutcome(Bottom{
-                             AbortReason::kTimeout, "tcp provider stall"});
-  if (wal) result.wal_stats = wal->stats();
-  result.reliability_stats = link.stats();
-  return result;
+  TcpProvider provider(auctioneer, instance, node, config);
+  if (provider.error().empty()) return provider.serve();
+  return TcpProviderResult{.error = provider.error()};
 }
 
 TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
@@ -380,8 +245,8 @@ TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
   TcpClientResult result;
   const std::size_t m = providers;
   const NodeId client = static_cast<NodeId>(m);
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
+  const net::Topic bids_topic(detail::kBidsTopic);
+  const net::Topic result_topic(detail::kResultTopic);
   const net::Topic shutdown_topic(kShutdownTopic);
 
   net::TcpPeers peers;
@@ -390,13 +255,13 @@ TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
   const auto deadline = std::chrono::steady_clock::now() + config.timeout;
 
   // Submit the batch; keep trying per provider until its listener is up.
-  const SharedBytes bid_payload(serde::encode_bid_vector(instance.bids));
+  // One shared buffer: every provider gets the same submissions.
+  const SharedBytes bid_payload(detail::encode_submissions(instance.bids));
   std::vector<bool> submitted(m, false);
   std::size_t submissions = 0;
   while (submissions < m && std::chrono::steady_clock::now() < deadline) {
     for (NodeId j = 0; j < static_cast<NodeId>(m); ++j) {
-      if (submitted[j]) continue;
-      if (tcp.send(net::Message{client, j, bids_topic, bid_payload})) {
+      if (!submitted[j] && tcp.send(net::Message{client, j, bids_topic, bid_payload})) {
         submitted[j] = true;
         ++submissions;
       }
@@ -416,16 +281,14 @@ TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
   std::string digest;
   bool all_ok = true;
   while (reports < m) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
+    auto msg = tcp.inbox().pop_for(ms_until(deadline));
+    if (!msg) {
       result.timed_out = true;
       result.error = "awaited " + std::to_string(m) + " reports, got " +
                      std::to_string(reports);
       break;
     }
-    auto msg = tcp.inbox().pop_for(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    if (!msg || msg->topic != result_topic) continue;
+    if (msg->topic != result_topic) continue;
     if (msg->from >= m || seen[msg->from]) continue;  // duplicate-safe
     seen[msg->from] = true;
     ++reports;
@@ -440,14 +303,18 @@ TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
       result.error = "divergent result reports";
     }
   }
+  result.wall_time = std::chrono::steady_clock::now() - (deadline - config.timeout);
   if (reports == m) {
     result.ok = all_ok;
     result.result_digest = digest;
     if (!all_ok && result.error.empty()) result.error = "a provider reported ⊥";
   }
 
-  // The run is over either way: release every provider process.
+  // The run is over either way: release every provider, each over a fresh
+  // connection — a write into a restarted provider's stale socket still
+  // succeeds locally, so the send's own retry would never fire.
   for (NodeId j = 0; j < static_cast<NodeId>(m); ++j) {
+    tcp.reset_peer(j);
     tcp.send(net::Message{client, j, shutdown_topic, SharedBytes(Bytes{})});
   }
   tcp.shutdown();

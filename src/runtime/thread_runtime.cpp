@@ -2,23 +2,18 @@
 
 #include <thread>
 
-#include "serde/auction_codec.hpp"
-#include "serde/codec.hpp"
+#include "runtime/submission_codec.hpp"
 
 namespace dauct::runtime {
-
-namespace {
-constexpr const char* kBidsTopic = "client/bids";
-constexpr const char* kResultTopic = "client/result";
-}  // namespace
 
 ThreadRunResult ThreadRuntime::run_distributed(
     const core::DistributedAuctioneer& auctioneer,
     const auction::AuctionInstance& instance) {
   const std::size_t m = auctioneer.spec().m;
+  const auction::BidLimits& limits = auctioneer.spec().limits;
   const NodeId client = static_cast<NodeId>(m);
-  const net::Topic bids_topic(kBidsTopic);
-  const net::Topic result_topic(kResultTopic);
+  const net::Topic bids_topic(detail::kBidsTopic);
+  const net::Topic result_topic(detail::kResultTopic);
   net::MemNetwork network(m + 1);
 
   crypto::Rng seeder(config_.seed ^ 0x7713adULL);
@@ -49,8 +44,9 @@ ThreadRunResult ThreadRuntime::run_distributed(
       bool reported = false;
       while (auto msg = network.mailbox(j).pop()) {
         if (msg->topic == bids_topic) {
-          auto bids = serde::decode_bid_vector(msg->payload.view());
-          if (bids) engine.start(*bids);
+          if (auto subs = detail::decode_submissions(msg->payload.view())) {
+            engine.start(detail::sanitize_submissions(*subs, limits));
+          }
         } else {
           engine.on_message(*msg);
         }
@@ -64,7 +60,7 @@ ThreadRunResult ThreadRuntime::run_distributed(
 
   // The client: submit all bids to every provider, then await m reports.
   // One shared buffer for the bid batch: every provider's copy aliases it.
-  const SharedBytes bid_payload(serde::encode_bid_vector(instance.bids));
+  const SharedBytes bid_payload(detail::encode_submissions(instance.bids));
   for (NodeId j = 0; j < m; ++j) {
     network.post(net::Message{client, j, bids_topic, bid_payload});
   }
@@ -73,19 +69,14 @@ ThreadRunResult ThreadRuntime::run_distributed(
   std::size_t reports = 0;
   const auto deadline = start_time + config_.timeout;
   while (reports < m) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
+    const auto msg = network.mailbox(client).pop_for(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now()));
+    if (!msg) {
       result.timed_out = true;
       break;
     }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    if (auto msg = network.mailbox(client).pop_for(remaining)) {
-      if (msg->topic == result_topic) ++reports;
-    } else if (std::chrono::steady_clock::now() >= deadline) {
-      result.timed_out = true;
-      break;
-    }
+    if (msg->topic == result_topic) ++reports;
   }
   result.wall_time = std::chrono::steady_clock::now() - start_time;
 

@@ -3,7 +3,7 @@
 // The wall-clock analogue of the paper's deployment (modulo the network):
 // engines are the same sans-I/O state machines used by the virtual-time
 // runtime, so this runtime doubles as a concurrency stress test of the
-// protocol logic and as the execution vehicle for the TCP example.
+// protocol logic.
 #pragma once
 
 #include <chrono>

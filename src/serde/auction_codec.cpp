@@ -70,13 +70,8 @@ std::optional<Bid> read_bid(Reader& r) {
   return b;
 }
 
-Bytes encode_bid_vector(const std::vector<Bid>& bids) {
-  Writer w(bid_vector_wire_len(bids.size()));
-  w.varint(bids.size());
-  for (const auto& b : bids) write_bid(w, b);
-  return w.take();
-}
-
+namespace {
+/// The bid section of an encoded instance.
 std::optional<std::vector<Bid>> decode_bid_vector(BytesView data) {
   Reader r(data);
   const std::uint64_t n = r.varint();
@@ -91,6 +86,7 @@ std::optional<std::vector<Bid>> decode_bid_vector(BytesView data) {
   if (!r.at_end()) return std::nullopt;
   return out;
 }
+}  // namespace
 
 Bytes encode_ask_vector(const std::vector<Ask>& asks) {
   Writer w(ask_vector_wire_len(asks.size()));

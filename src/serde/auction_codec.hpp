@@ -32,9 +32,6 @@ std::optional<auction::Bid> decode_bid_fixed(BytesView data);
 void write_bid(Writer& w, const auction::Bid& bid);
 std::optional<auction::Bid> read_bid(Reader& r);
 
-Bytes encode_bid_vector(const std::vector<auction::Bid>& bids);
-std::optional<std::vector<auction::Bid>> decode_bid_vector(BytesView data);
-
 Bytes encode_ask_vector(const std::vector<auction::Ask>& asks);
 std::optional<std::vector<auction::Ask>> decode_ask_vector(BytesView data);
 

@@ -8,6 +8,7 @@
 #include "net/message.hpp"
 #include "net/tcp_transport.hpp"
 #include "serde/codec.hpp"
+#include "runtime/submission_codec.hpp"
 #include "runtime/tcp_runtime.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "test_util.hpp"
@@ -138,10 +139,42 @@ TEST(ThreadRuntime, RepeatedRunsStable) {
   }
 }
 
+TEST(SubmissionCodec, RoundTripKeepsAbsentBids) {
+  std::vector<std::optional<auction::Bid>> subs(4);
+  subs[0] = auction::Bid{0, Money::from_units(3), Money::from_double(0.5)};
+  subs[2] = auction::Bid{2, Money::from_double(1.25), Money::from_units(2)};
+  const auto dec = detail::decode_submissions(BytesView(detail::encode_submissions(subs)));
+  ASSERT_TRUE(dec);
+  EXPECT_EQ(*dec, subs);
+  Bytes trailing = detail::encode_submissions(subs);
+  trailing.push_back(0);
+  EXPECT_FALSE(detail::decode_submissions(BytesView(trailing)));
+}
+
+TEST(ThreadRuntime, OutOfLimitsBidBecomesNeutral) {
+  // The thread runtime speaks the sim's client codec: a bid outside
+  // spec().limits reaches the engines as the neutral bid, not as submitted.
+  auto instance = testutil::make_instance(12, 4, 11);
+  const auto auctioneer = make_double(4, 1, 12);
+  instance.bids[3].unit_value =
+      auctioneer.spec().limits.max_unit_value + Money::from_units(1);
+  ASSERT_FALSE(auctioneer.spec().limits.valid(instance.bids[3]));
+  auto sanitized = instance;
+  sanitized.bids[3] = auction::neutral_bid(3);
+
+  const auto run = ThreadRuntime(ThreadRunConfig{}).run_distributed(auctioneer, instance);
+  ASSERT_FALSE(run.timed_out);
+  ASSERT_TRUE(run.global_outcome.ok())
+      << abort_reason_name(run.global_outcome.bottom().reason);
+  EXPECT_EQ(run.global_outcome.value(), auction::run_double_auction(sanitized));
+  // ...which matters: taken as submitted, that bid changes the result.
+  EXPECT_NE(run.global_outcome.value(), auction::run_double_auction(instance));
+}
+
 TEST(TcpRuntime, FullProtocolOverRealSockets) {
   const auto instance = testutil::make_instance(10, 3, 21);
   const auto auctioneer = make_double(3, 1, 10);
-  TcpRunConfig cfg;
+  TcpNodeConfig cfg;
   const auto run = TcpRuntime(cfg).run_distributed(auctioneer, instance);
   ASSERT_FALSE(run.timed_out) << "tcp run stalled";
   ASSERT_TRUE(run.global_outcome.ok())

@@ -111,16 +111,6 @@ TEST(AuctionCodec, BidFixedRejectsWrongLength) {
   EXPECT_FALSE(decode_bid_fixed(BytesView(enc)));
 }
 
-TEST(AuctionCodec, BidVectorRoundTrip) {
-  std::vector<auction::Bid> bids;
-  for (BidderId i = 0; i < 5; ++i) {
-    bids.push_back({i, Money::from_units(i), Money::from_double(0.5)});
-  }
-  const auto dec = decode_bid_vector(BytesView(encode_bid_vector(bids)));
-  ASSERT_TRUE(dec);
-  EXPECT_EQ(*dec, bids);
-}
-
 TEST(AuctionCodec, AskVectorRoundTrip) {
   std::vector<auction::Ask> asks = {{0, Money::from_double(0.3), Money::from_units(4)},
                                     {1, Money::from_double(0.6), Money::from_units(2)}};
@@ -344,7 +334,6 @@ TEST(AuctionCodec, GarbageRejectedEverywhere) {
     // Must never crash; may or may not decode, but trailing garbage fails.
     junk.push_back(0x17);
     junk.push_back(0x2a);
-    (void)decode_bid_vector(BytesView(junk));
     (void)decode_allocation(BytesView(junk));
     (void)decode_result(BytesView(junk));
     (void)decode_instance(BytesView(junk));

@@ -718,11 +718,11 @@ int main(int argc, char** argv) {
                   run.timed_out ? ", timed out" : "", note.c_str());
       return 2;
     }
-    std::printf("# tcp provider %lu: (x, p\xE2\x83\x97) reached%s\n", j,
-                note.c_str());
+    std::printf("# tcp provider %lu: (x, p\xE2\x83\x97) reached%s%s\n", j,
+                run.timed_out ? ", timed out" : "", note.c_str());
     return 0;
   } else if (opt.runtime == "tcp") {
-    runtime::TcpRunConfig cfg;
+    runtime::TcpNodeConfig cfg;
     cfg.seed = opt.seed;
     const auto run = runtime::TcpRuntime(cfg).run_distributed(*auctioneer, instance);
     outcome = run.global_outcome;

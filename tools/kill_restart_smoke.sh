@@ -7,7 +7,9 @@
 # against the same WAL, and requires the client to finish with the *same*
 # digest — a killed-and-restarted provider must be observationally absent.
 # Phase 3 checks the foreign-state gate: pointing a different run seed at an
-# existing WAL must be refused before the process binds anything.
+# existing WAL must be refused before the process binds anything. Every
+# provider must exit on the client's shutdown: a provider log that says
+# "timed out" fails the smoke.
 #
 # Usage: kill_restart_smoke.sh <path-to-dauct_cli> [base_port]
 set -u
@@ -21,6 +23,11 @@ ARGS="--runtime tcp --users 8 --providers 3 --k 1 --seed 7 --base-port $BASE_POR
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
 digest_of() { grep -o 'result sha256 [0-9a-f]*' "$1" | awk '{print $3}'; }
+no_timeouts() {
+  for log in "$@"; do
+    ! grep -q "timed out" "$log" || fail "provider timed out: $(cat "$log")"
+  done
+}
 
 # --- phase 1: clean run ----------------------------------------------------
 mkdir -p "$WORK/clean"
@@ -34,6 +41,7 @@ sleep 0.3
 wait
 CLEAN_DIGEST=$(digest_of "$WORK/clean-client.log")
 [ -n "$CLEAN_DIGEST" ] || fail "clean run produced no digest"
+no_timeouts "$WORK"/clean-p*.log
 echo "clean digest: $CLEAN_DIGEST"
 
 # --- phase 2: kill provider 1 mid-epoch, restart it ------------------------
@@ -60,6 +68,7 @@ KILL_DIGEST=$(digest_of "$WORK/kill-client.log")
 echo "kill-restart digest: $KILL_DIGEST"
 [ "$KILL_DIGEST" = "$CLEAN_DIGEST" ] \
   || fail "digests diverge: clean=$CLEAN_DIGEST kill-restart=$KILL_DIGEST"
+no_timeouts "$WORK"/kill-p*.log
 
 # --- phase 3: a foreign WAL is refused, fast -------------------------------
 "$CLI" --runtime tcp --users 8 --providers 3 --k 1 --seed 8 \
