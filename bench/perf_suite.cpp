@@ -10,7 +10,8 @@
 //                         provider symmetry breaking)
 //   scaled_dp             ReferenceScaledDpSolver vs ScaledDpSolver
 //                         (trial-scoped buffer reuse, provider-permutation
-//                         trial memoization, branch-free SIMD knapsack row)
+//                         trial memoization, hoisted per-provider fit lists,
+//                         branch-free SIMD knapsack row on bit-packed rows)
 //   payload_encode_hash   seed-style encode (nested temporary buffers,
 //                         body→frame copy, scalar SHA-256) vs the optimized
 //                         path (exact-size single-buffer encode, hardware-
@@ -30,8 +31,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 
+#include "auction/knapsack_row.hpp"
 #include "auction/standard_auction.hpp"
 #include "auction/welfare.hpp"
 #include "blocks/block.hpp"
@@ -127,6 +130,50 @@ void BM_standard_payments(State& state) {
   }
 }
 TINYBENCH(BM_standard_payments)->Args({50, 8, 60});
+
+// One knapsack_row call (auction/knapsack_row.hpp) per iteration at the fig5
+// grid (834 cells), cycling through a fixed mix of 16 weights into a 16-row
+// bit matrix with `dp` carried over, like one provider stage. One point per
+// body this CPU runs; solves use the first of avx512, avx2, scalar.
+template <auction::detail::KnapsackRowFn (*kBody)()>
+void BM_knapsack_row(State& state) {
+  constexpr std::size_t kWeights[] = {3,   17,  41,  64,  97,  130, 171, 215,
+                                      260, 333, 402, 477, 555, 640, 733, 820};
+  const auto grid = static_cast<std::size_t>(state.range(0));
+  const std::size_t stride = auction::detail::knapsack_row_bytes(grid);
+  const auction::detail::KnapsackRowFn body = kBody();
+  std::vector<std::int64_t> dp(grid + 1, 0);
+  std::vector<std::uint8_t> take(std::size(kWeights) * stride);
+  std::size_t t = 0;
+  for (auto _ : state) {
+    body(dp.data(), take.data() + t * stride, grid, kWeights[t],
+         static_cast<std::int64_t>(1000 + 7919 * t));
+    t = (t + 1) % std::size(kWeights);
+  }
+  DoNotOptimize(dp.data());
+  DoNotOptimize(take.data());
+}
+
+auction::detail::KnapsackRowFn knapsack_row_scalar_body() {
+  return &auction::detail::knapsack_row_scalar;
+}
+
+[[maybe_unused]] const bool knapsack_row_points = [] {
+  using namespace auction::detail;
+  tinybench::RegisterBenchmark("BM_knapsack_row_scalar",
+                               &BM_knapsack_row<&knapsack_row_scalar_body>)
+      ->Arg(834);
+  if (knapsack_row_avx2()) {
+    tinybench::RegisterBenchmark("BM_knapsack_row_avx2", &BM_knapsack_row<&knapsack_row_avx2>)
+        ->Arg(834);
+  }
+  if (knapsack_row_avx512()) {
+    tinybench::RegisterBenchmark("BM_knapsack_row_avx512",
+                                 &BM_knapsack_row<&knapsack_row_avx512>)
+        ->Arg(834);
+  }
+  return true;
+}();
 
 // ---------------------------------------------------------------------------
 // Payload encode + hash round trip: the per-message cost of producing a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "auction/knapsack_row.hpp"
@@ -178,80 +177,104 @@ struct DpItem {
   std::int64_t value;
 };
 
+/// The trial-invariant half of a solve: the capacity grid, and for every
+/// provider the items that fit its capacity with their grid weights
+/// w = ⌈d·G/cap⌉, in item order. Depends only on (instance, active item set,
+/// ε), so it is built once per solve; a trial just drops what earlier
+/// providers in its order already placed.
+struct DpPlan {
+  std::size_t grid = 0;
+  std::vector<DpItem> fits;        // provider j's: [begin[j], begin[j + 1])
+  std::vector<std::size_t> begin;  // m + 1 offsets into fits
+};
+
+DpPlan plan_dp(const AuctionInstance& instance, const std::vector<Item>& items,
+               double epsilon) {
+  DpPlan plan;
+  // Capacity grid: ⌈n/ε⌉ cells per provider (at least 16). Demands are
+  // rounded *up* to cells, so any DP-feasible packing is truly feasible.
+  plan.grid = std::max<std::size_t>(
+      16, static_cast<std::size_t>(std::ceil(items.size() / epsilon)));
+  const auto grid = static_cast<std::int64_t>(plan.grid);
+  plan.begin.reserve(instance.asks.size() + 1);
+  plan.begin.push_back(0);
+  for (const Ask& ask : instance.asks) {
+    const std::int64_t cap = ask.capacity.micros();
+    for (std::size_t i = 0; cap > 0 && i < items.size(); ++i) {
+      if (items[i].demand > cap) continue;  // so w ≤ grid below
+      const __int128 w128 = (static_cast<__int128>(items[i].demand) * grid + cap - 1) / cap;
+      const auto w = static_cast<std::size_t>(w128);
+      plan.fits.push_back({i, std::max<std::size_t>(w, 1), items[i].value});
+    }
+    plan.begin.push_back(plan.fits.size());
+  }
+  return plan;
+}
+
 /// Reusable per-trial buffers: one arena per thread instead of fresh
 /// allocations per provider, trial or solve (a trial never nests another on
-/// the same thread). `take` is a flat *byte* matrix that only grows: the row
-/// kernel writes every cell in [weight, grid] of its row, so a provider only
-/// zeroes each row's [0, weight) prefix and bytes left by earlier providers
-/// or trials are never read. (A one-bit-per-cell variant was tried on the
-/// scalar loop and measured ~45% slower.)
+/// the same thread). `take` is a flat matrix of bit-packed rows
+/// (auction/knapsack_row.hpp) that only grows: the row kernel writes every
+/// bit of [weight, grid] in its row and reconstruction treats cells below
+/// the weight as "not taken", so no row is ever zeroed and bytes left by
+/// earlier providers or trials are never read. At the fig5 grid a stage's
+/// rows take ~6 KiB, which stays in L1.
 struct TrialScratch {
   std::vector<char> placed;
-  std::vector<std::int64_t> dp;
+  std::vector<std::int64_t> dp_cells;  // grid + 8 cells, dp() inside
   std::vector<DpItem> dp_items;
-  std::vector<char> take;  // take[t * (grid+1) + w], grow-only
+  std::vector<std::uint8_t> take;  // row t at take[t * knapsack_row_bytes(grid)]
+
+  /// The DP row's grid + 1 cells, placed so that every 8-cell step of the
+  /// row kernel (cells lo + pad ≡ 0 mod 8) loads and stores one aligned
+  /// 64-byte line.
+  std::int64_t* dp(std::size_t grid) {
+    dp_cells.resize(grid + 8);
+    const auto line_cell = reinterpret_cast<std::uintptr_t>(dp_cells.data()) / 8;
+    return dp_cells.data() + (detail::knapsack_row_pad(grid) + 8 - line_cell % 8) % 8;
+  }
 };
 
 /// One perturbed trial: deterministic in (instance, active item set,
 /// provider_order) — the basis for trial memoization.
 Assignment solve_trial(const AuctionInstance& instance, const std::vector<Item>& items,
-                       double epsilon, const std::vector<std::size_t>& provider_order) {
+                       const DpPlan& plan, const std::vector<std::size_t>& provider_order) {
   thread_local TrialScratch scratch;
   Assignment out;
   out.provider_of.assign(instance.bids.size(), -1);
   out.welfare = kZeroMoney;
   if (items.empty()) return out;
 
-  const std::size_t n = items.size();
-  // Capacity grid: ⌈n/ε⌉ cells per provider (at least 16). Demands are
-  // rounded *up* to cells, so any DP-feasible packing is truly feasible.
-  const std::size_t grid =
-      std::max<std::size_t>(16, static_cast<std::size_t>(std::ceil(n / epsilon)));
-
-  scratch.placed.assign(n, 0);
-  scratch.dp.resize(grid + 1);
+  const std::size_t grid = plan.grid;
+  const std::size_t stride = detail::knapsack_row_bytes(grid);
+  scratch.placed.assign(items.size(), 0);
+  std::int64_t* const dp = scratch.dp(grid);
 
   std::int64_t welfare = 0;
   for (std::size_t j : provider_order) {
-    const std::int64_t cap = instance.asks[j].capacity.micros();
-    if (cap <= 0) continue;
-
-    // Gather unplaced items that fit, with grid weights w = ⌈d·G/cap⌉.
+    // The unplaced items that fit provider j.
     std::vector<DpItem>& dp_items = scratch.dp_items;
     dp_items.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scratch.placed[i] || items[i].demand > cap) continue;
-      const __int128 w128 =
-          (static_cast<__int128>(items[i].demand) * static_cast<std::int64_t>(grid) +
-           cap - 1) /
-          cap;
-      const auto w = static_cast<std::size_t>(w128);
-      if (w > grid) continue;
-      dp_items.push_back({i, std::max<std::size_t>(w, 1), items[i].value});
+    for (std::size_t k = plan.begin[j]; k < plan.begin[j + 1]; ++k) {
+      if (!scratch.placed[plan.fits[k].item_idx]) dp_items.push_back(plan.fits[k]);
     }
     if (dp_items.empty()) continue;
 
-    // 0/1 knapsack over grid cells, one branch-free row-kernel call per
-    // item. The kernel fills each take row's [weight, grid] cells; only the
-    // prefix below the item's weight needs zeroing here.
-    const std::size_t stride = grid + 1;
-    std::fill(scratch.dp.begin(), scratch.dp.end(), 0);
+    // 0/1 knapsack over grid cells, one branch-free row-kernel call per item.
+    std::fill(dp, dp + grid + 1, 0);
     if (scratch.take.size() < dp_items.size() * stride) {
       scratch.take.resize(dp_items.size() * stride);
     }
-    std::int64_t* const dp = scratch.dp.data();
     for (std::size_t t = 0; t < dp_items.size(); ++t) {
-      const DpItem di = dp_items[t];
-      char* const row = scratch.take.data() + t * stride;
-      std::memset(row, 0, di.weight);
-      detail::knapsack_row(dp, row, grid, di.weight, di.value);
+      detail::knapsack_row(dp, scratch.take.data() + t * stride, grid, dp_items[t].weight,
+                           dp_items[t].value);
     }
 
     // Reconstruct the chosen subset.
     std::size_t w = grid;
     for (std::size_t t = dp_items.size(); t-- > 0;) {
-      if (scratch.take[t * stride + w]) {
-        const auto& di = dp_items[t];
+      const DpItem& di = dp_items[t];
+      if (detail::knapsack_row_taken(scratch.take.data() + t * stride, grid, di.weight, w)) {
         scratch.placed[di.item_idx] = 1;
         out.provider_of[items[di.item_idx].bidder] = static_cast<std::int32_t>(j);
         welfare += di.value;
@@ -301,9 +324,10 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
   // exactly like the reference loop — the schedule changes no result.
   std::vector<Item> items;
   active_items(instance, active, items);
+  const DpPlan plan = plan_dp(instance, items, epsilon_);
   std::vector<Assignment> results(unique.size());
   host::parallel_for(unique.size(), [&](std::size_t u) {
-    results[u] = solve_trial(instance, items, epsilon_, orders[unique[u]]);
+    results[u] = solve_trial(instance, items, plan, orders[unique[u]]);
   });
 
   Assignment best;

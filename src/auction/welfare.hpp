@@ -73,16 +73,19 @@ class ExactSolver final : public WelfareSolver {
 
 /// (1−ε)-style scaled dynamic program with randomized perturbed trials.
 ///
-/// Hot-path layout: the active item set is materialized once per solve (it is
-/// seed-independent), trials that draw the same provider permutation are
-/// solved once, the remaining unique trials run on the host worker pool
-/// (common/parallel.hpp), each reusing its thread's scratch arena (DP row,
-/// flat grow-only take-matrix) instead of allocating per provider, and each
-/// item's DP row goes through a branch-free kernel (auction/knapsack_row.hpp)
-/// dispatched once at startup to AVX2 or portable scalar code. Trial results
-/// are reduced in trial order (the earliest maximum wins) whatever the
-/// schedule, so every path returns bit-identical Assignments (enforced
-/// against ReferenceScaledDpSolver by the equivalence tests).
+/// Hot-path layout: the active item set, and for every provider the items
+/// that fit it with their grid weights, are computed once per solve (they
+/// are seed-independent); trials that draw the same provider permutation
+/// are solved once; the remaining unique trials run on the host worker pool
+/// (common/parallel.hpp), each reusing its thread's scratch arena (a
+/// line-aligned DP row, a flat grow-only matrix of bit-packed take rows —
+/// one bit per cell, never zeroed) instead of allocating per provider; and
+/// each item's DP row goes through a branch-free kernel
+/// (auction/knapsack_row.hpp) dispatched once at startup to AVX-512F, AVX2
+/// or portable scalar code. Trial results are reduced in trial order (the
+/// earliest maximum wins) whatever the schedule, so every path returns
+/// bit-identical Assignments (enforced against ReferenceScaledDpSolver by
+/// the equivalence tests).
 class ScaledDpSolver final : public WelfareSolver {
  public:
   /// `epsilon` controls the capacity grid (⌈n/ε⌉ cells) and the number of

@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -119,46 +122,105 @@ void reference_row(std::int64_t* dp, char* row, std::size_t grid, std::size_t we
 }
 
 TEST(ScaledDpEquivalence, RowKernelsMatchReferenceLoop) {
+  // Solves only ever run the body picked at startup, so this is the one
+  // check of every other body this host can run.
   std::vector<std::pair<const char*, detail::KnapsackRowFn>> kernels = {
       {"scalar", &detail::knapsack_row_scalar}};
   if (detail::KnapsackRowFn avx2 = detail::knapsack_row_avx2()) {
     kernels.emplace_back("avx2", avx2);
   }
-  // Grid sizes with grid + 1 ≡ 0, 1, 2, 3 (mod 4), plus the fig5 grid (834).
-  const std::size_t grids[] = {16, 17, 18, 19, 63, 64, 834};
+  if (detail::KnapsackRowFn avx512 = detail::knapsack_row_avx512()) {
+    kernels.emplace_back("avx512", avx512);
+  }
+  std::string ran;
+  for (const auto& kernel : kernels) ran += std::string(ran.empty() ? "" : " ") + kernel.first;
+  std::printf("knapsack_row bodies exercised: %s\n", ran.c_str());
+
+  // Grid sizes with every residue of (grid + 1) mod 8, plus the fig5 grid (834).
+  const std::size_t grids[] = {16, 17, 18, 19, 20, 21, 22, 23, 834};
   crypto::Rng rng(99);
   for (const auto& [name, kernel] : kernels) {
     for (const std::size_t grid : grids) {
-      // Weights 1..9 cover every lane remainder and the chunks whose reads
-      // overlap their own stores; grid − 1 and grid give two- and one-cell rows.
-      std::vector<std::size_t> weights = {1, 2, 3, 4, 5, 6, 7, 8, 9, grid - 1, grid};
+      // Weights 1..17 cover every remainder of the 8-cell steps and the steps
+      // whose reads overlap their own stores; grid − 1 and grid give two- and
+      // one-cell rows.
+      std::vector<std::size_t> weights = {grid - 1, grid};
+      for (std::size_t w = 1; w <= std::min<std::size_t>(17, grid); ++w) weights.push_back(w);
       for (int extra = 0; extra < 4; ++extra) weights.push_back(1 + rng.next_below(grid));
+      const std::size_t pad = detail::knapsack_row_pad(grid);
       for (const std::size_t weight : weights) {
-        for (int rep = 0; rep < 3; ++rep) {
+        for (int rep = 0; rep < 4; ++rep) {
           // Small values make ties (cand == dp[w], no take) frequent.
-          const std::uint64_t span = rep == 0 ? 4 : 1'000'000;
+          const std::uint64_t span = rep % 2 == 0 ? 4 : 1'000'000;
           std::vector<std::int64_t> dp_ref(grid + 1);
           for (auto& c : dp_ref) c = static_cast<std::int64_t>(rng.next_below(span));
           const auto value = static_cast<std::int64_t>(rng.next_below(span));
           std::vector<std::int64_t> dp_opt = dp_ref;
-          // The [0, weight) prefix holds a pattern both must leave alone; the
-          // kernel's [weight, grid] cells start as garbage it must overwrite.
           std::vector<char> row_ref(grid + 1, 0);
-          for (std::size_t w = 0; w < weight; ++w) {
-            row_ref[w] = static_cast<char>(w % 7 + 2);
-          }
-          std::vector<char> row_opt = row_ref;
-          std::fill(row_opt.begin() + static_cast<std::ptrdiff_t>(weight), row_opt.end(),
-                    static_cast<char>(0x5a));
+          // The bit row starts as garbage, 0xA5 and then its complement, so
+          // each bit of [weight, grid] must be written to match either way.
+          const auto fill = static_cast<std::uint8_t>(rep < 2 ? 0xA5 : 0x5A);
+          std::vector<std::uint8_t> row_opt(detail::knapsack_row_bytes(grid), fill);
 
           reference_row(dp_ref.data(), row_ref.data(), grid, weight, value);
           kernel(dp_opt.data(), row_opt.data(), grid, weight, value);
           ASSERT_EQ(dp_opt, dp_ref) << name << " grid " << grid << " weight " << weight;
-          ASSERT_EQ(row_opt, row_ref) << name << " grid " << grid << " weight " << weight;
+          for (std::size_t w = weight; w <= grid; ++w) {
+            ASSERT_EQ(detail::knapsack_row_taken(row_opt.data(), grid, weight, w),
+                      row_ref[w] != 0)
+                << name << " grid " << grid << " weight " << weight << " cell " << w;
+          }
+          // Bytes holding only cells below `weight` are left alone.
+          for (std::size_t b = 0; b < (weight + pad) / 8; ++b) {
+            ASSERT_EQ(row_opt[b], fill) << name << " grid " << grid << " weight " << weight
+                                        << " byte " << b;
+          }
         }
       }
     }
   }
+}
+
+TEST(ScaledDpEquivalence, SolverEdgeCases) {
+  // The per-provider fit lists built once per solve: a provider with zero and
+  // one with negative capacity (skipped), one nothing fits, and one whose
+  // capacity equals a demand exactly (weight == grid, a one-cell row). Three
+  // or four bidders put the grid at its 16-cell floor for ε ≥ 0.25.
+  const auto bid = [](BidderId i, double unit_value, double demand) {
+    return Bid{i, Money::from_double(unit_value), Money::from_double(demand)};
+  };
+  AuctionInstance inst;
+  inst.bids = {bid(0, 2.0, 0.75), bid(1, 1.5, 0.5), bid(2, 3.0, 0.25), bid(3, 1.0, 0.0),
+               bid(4, 2.5, 0.4)};
+  const Money caps[] = {Money::from_double(0.0), Money::from_double(0.5),
+                        Money::from_double(0.1), Money::from_micros(-3),
+                        Money::from_double(0.75), Money::from_double(0.3)};
+  for (std::size_t j = 0; j < std::size(caps); ++j) {
+    inst.asks.push_back(Ask{static_cast<NodeId>(j), Money::from_double(0.1), caps[j]});
+  }
+  for (const double eps : {1.0, 0.5, 0.3, 0.2}) {
+    const ScaledDpSolver opt(eps);
+    const reference::ReferenceScaledDpSolver ref(eps);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      EXPECT_EQ(opt.solve_all(inst, seed), ref.solve_all(inst, seed))
+          << "eps " << eps << " seed " << seed;
+      for (std::size_t out = 0; out < inst.bids.size(); ++out) {
+        std::vector<bool> mask(inst.bids.size(), true);
+        mask[out] = false;
+        EXPECT_EQ(opt.solve(inst, mask, seed), ref.solve(inst, mask, seed))
+            << "eps " << eps << " seed " << seed << " without bidder " << out;
+      }
+    }
+  }
+  // Every provider skipped or outsized, and no active bidder at all.
+  AuctionInstance none = inst;
+  for (Ask& a : none.asks) a.capacity = Money::from_double(0.05);
+  none.asks[0].capacity = kZeroMoney;
+  EXPECT_EQ(ScaledDpSolver(0.5).solve_all(none, 3),
+            reference::ReferenceScaledDpSolver(0.5).solve_all(none, 3));
+  const std::vector<bool> nobody(inst.bids.size(), false);
+  EXPECT_EQ(ScaledDpSolver(0.5).solve(inst, nobody, 3),
+            reference::ReferenceScaledDpSolver(0.5).solve(inst, nobody, 3));
 }
 
 TEST(ScaledDpEquivalence, Fig5ShapeClarkeMasks) {
