@@ -113,23 +113,63 @@ void BM_scaled_dp_opt(State& state) {
 }
 TINYBENCH(BM_scaled_dp_opt)->Args({32, 5, 100})->Args({50, 8, 60});
 
-// One fig5_vcg payment chunk: the 13 strided bidders {0, 4, ..., 48} of the
-// first of p = 4 groups at 50 users / 8 providers / ε = 0.06, one Clarke
-// re-solve each, spread over the host worker pool (so the point scales with
-// the host header's usable CPUs, like BM_scaled_dp_opt).
-void BM_standard_payments(State& state) {
-  const auto inst = scaled_dp_instance(state);
+// The fig5_vcg auction's Clarke payment chunks: p = 4 groups of strided
+// bidders {g, g + 4, ...} at 50 users / 8 providers / ε = 0.06.
+struct PaymentChunks {
+  auction::AuctionInstance inst;
   auction::StandardAuctionParams params;
-  params.epsilon = scaled_dp_epsilon(state);
-  params.seed = 42;
-  const auction::Assignment assignment = auction::standard_allocate(inst, params);
-  std::vector<BidderId> chunk;
-  for (BidderId i = 0; i < inst.bids.size(); i += 4) chunk.push_back(i);
-  for (auto _ : state) {
-    DoNotOptimize(auction::standard_payments(inst, params, assignment, chunk));
+  auction::Assignment assignment;
+  std::vector<std::vector<BidderId>> chunks;
+
+  explicit PaymentChunks(const State& state) : inst(scaled_dp_instance(state)) {
+    params.epsilon = scaled_dp_epsilon(state);
+    params.seed = 42;
+    assignment = auction::standard_allocate(inst, params);
+    chunks.resize(4);
+    for (BidderId i = 0; i < inst.bids.size(); ++i) chunks[i % 4].push_back(i);
   }
+
+  std::vector<Money> pay(std::size_t c, auction::BatchStats* stats = nullptr) const {
+    return auction::standard_payments(inst, params, assignment, chunks[c], stats);
+  }
+};
+
+// One payment chunk, the first group's 13 re-solves as one solver batch on
+// the host worker pool (so the point scales with the host header's usable
+// CPUs, like BM_scaled_dp_opt). Counters, per chunk: `stage_cells` (knapsack
+// DP cells computed — deterministic, gated in CI), `stages` (provider
+// stages the re-solves ran) and `table_hits` (of those, answered by an
+// identical earlier stage).
+void BM_standard_payments(State& state) {
+  const PaymentChunks chunks(state);
+  auction::BatchStats stats;
+  DoNotOptimize(chunks.pay(0, &stats));
+  state.counters["stage_cells"] = static_cast<double>(stats.cells);
+  state.counters["stages"] = static_cast<double>(stats.stages);
+  state.counters["table_hits"] = static_cast<double>(stats.table_hits);
+  for (auto _ : state) DoNotOptimize(chunks.pay(0));
 }
 TINYBENCH(BM_standard_payments)->Args({50, 8, 60});
+
+// The fig5_vcg auction's whole payment phase as a lookahead window runs it:
+// each of the 4 chunks has 2 executors (k = 1), and the 8 chunk computations
+// run at once as items of one parallel_for, their batches' stages nested
+// inside. `stage_cells` counts all 8.
+void BM_standard_payments_auction(State& state) {
+  const PaymentChunks chunks(state);
+  constexpr std::size_t kExecutions = 8;
+  std::uint64_t cells = 0;
+  for (std::size_t e = 0; e < kExecutions; ++e) {
+    auction::BatchStats stats;
+    DoNotOptimize(chunks.pay(e % 4, &stats));
+    cells += stats.cells;
+  }
+  state.counters["stage_cells"] = static_cast<double>(cells);
+  for (auto _ : state) {
+    host::parallel_for(kExecutions, [&](std::size_t e) { DoNotOptimize(chunks.pay(e % 4)); });
+  }
+}
+TINYBENCH(BM_standard_payments_auction)->Args({50, 8, 60});
 
 // One knapsack_row call (auction/knapsack_row.hpp) per iteration at the fig5
 // grid (834 cells), cycling through a fixed mix of 16 weights into a 16-row

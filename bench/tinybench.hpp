@@ -14,9 +14,11 @@
 // Each registered (benchmark, arg) pair is run with geometrically growing
 // iteration counts until the timed loop exceeds --min-time-ms (default 50),
 // then reported as ns/op plus throughput (bytes/s when SetBytesProcessed was
-// called, ops/s otherwise). Results can be dumped as JSON (--json=PATH) in
-// the BENCH_dauct.json trajectory format: one record per run with
-// op / n / ns_per_op / throughput fields.
+// called, ops/s otherwise) and any named counters the body set
+// (`state.counters["cells"] = …`, reported as given, e.g. work per op).
+// Results can be dumped as JSON (--json=PATH) in the BENCH_dauct.json
+// trajectory format: one record per run with op / n / ns_per_op /
+// throughput fields, plus a "counters" object when the body set any.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +84,10 @@ class State {
     return std::chrono::duration<double, std::nano>(finish_ - start_).count();
   }
   std::int64_t bytes_processed() const { return bytes_processed_; }
+
+  /// Named values reported next to the timing, as set (the last run of the
+  /// body wins).
+  std::map<std::string, double> counters;
 
  private:
   bool keep_running() {
@@ -149,6 +156,7 @@ struct Result {
   double ns_per_op = 0.0;
   double ops_per_sec = 0.0;
   double bytes_per_sec = 0.0;  ///< 0 unless SetBytesProcessed was used
+  std::map<std::string, double> counters;  ///< State::counters of the last run
 };
 
 struct Options {
@@ -203,6 +211,7 @@ inline Result run_one(const Benchmark& b, const std::vector<std::int64_t>& args,
       if (st.bytes_processed() > 0 && ns > 0) {
         r.bytes_per_sec = static_cast<double>(st.bytes_processed()) * 1e9 / ns;
       }
+      r.counters = std::move(st.counters);
       return r;
     }
     // Grow toward the target with headroom; at least ×2, at most ×100 per
@@ -241,8 +250,10 @@ inline void print_table(const std::vector<Result>& results) {
     } else {
       std::snprintf(thr, sizeof(thr), "%10.0f op/s", r.ops_per_sec);
     }
-    std::printf("%-44s %14llu %14.1f %16s\n", r.name.c_str(),
+    std::printf("%-44s %14llu %14.1f %16s", r.name.c_str(),
                 static_cast<unsigned long long>(r.iterations), r.ns_per_op, thr);
+    for (const auto& [key, value] : r.counters) std::printf("  %s=%.6g", key.c_str(), value);
+    std::printf("\n");
   }
 }
 
@@ -253,10 +264,20 @@ inline void json_record(std::FILE* f, const Result& r) {
   std::fprintf(f,
                "    {\"op\": \"%s\", \"name\": \"%s\", \"n\": %lld, "
                "\"iterations\": %llu, \"ns_per_op\": %.2f, \"ops_per_sec\": %.1f, "
-               "\"bytes_per_sec\": %.1f}",
+               "\"bytes_per_sec\": %.1f",
                r.op.c_str(), r.name.c_str(), static_cast<long long>(r.n),
                static_cast<unsigned long long>(r.iterations), r.ns_per_op,
                r.ops_per_sec, r.bytes_per_sec);
+  if (!r.counters.empty()) {
+    const char* sep = "";
+    std::fprintf(f, ", \"counters\": {");
+    for (const auto& [key, value] : r.counters) {
+      std::fprintf(f, "%s\"%s\": %.17g", sep, key.c_str(), value);
+      sep = ", ";
+    }
+    std::fprintf(f, "}");
+  }
+  std::fprintf(f, "}");
 }
 
 /// Write {"benchmarks": [...]} plus optional extra sections rendered by the

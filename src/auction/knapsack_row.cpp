@@ -137,6 +137,39 @@ KnapsackRowFn pick_knapsack_row() {
 // is invisible to callers.
 const KnapsackRowFn g_knapsack_row = pick_knapsack_row();
 
+// Eight cells per step: a fixed-length inner loop, which -O2 turns into whole
+// vector stores in whatever ISA the caller is compiled for.
+[[gnu::always_inline]] inline void fill_cells(std::int64_t* dp, std::size_t n,
+                                              std::int64_t value) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t k = 0; k < 8; ++k) dp[i + k] = value;
+  }
+  for (; i < n; ++i) dp[i] = value;
+}
+
+using KnapsackFillFn = void (*)(std::int64_t* dp, std::size_t n, std::int64_t value);
+
+void knapsack_fill_portable(std::int64_t* dp, std::size_t n, std::int64_t value) {
+  fill_cells(dp, n, value);
+}
+
+#ifdef DAUCT_KNAPSACK_X86_DISPATCH
+[[gnu::target("avx512f")]] void knapsack_fill_avx512(std::int64_t* dp, std::size_t n,
+                                                     std::int64_t value) {
+  fill_cells(dp, n, value);
+}
+#endif
+
+KnapsackFillFn pick_knapsack_fill() {
+#ifdef DAUCT_KNAPSACK_X86_DISPATCH
+  if (__builtin_cpu_supports("avx512f")) return &knapsack_fill_avx512;
+#endif
+  return &knapsack_fill_portable;
+}
+
+const KnapsackFillFn g_knapsack_fill = pick_knapsack_fill();
+
 }  // namespace
 
 KnapsackRowFn knapsack_row_avx2() {
@@ -156,6 +189,10 @@ KnapsackRowFn knapsack_row_avx512() {
 void knapsack_row(std::int64_t* dp, std::uint8_t* row, std::size_t grid,
                   std::size_t weight, std::int64_t value) {
   g_knapsack_row(dp, row, grid, weight, value);
+}
+
+void knapsack_fill(std::int64_t* dp, std::size_t n, std::int64_t value) {
+  g_knapsack_fill(dp, n, value);
 }
 
 }  // namespace dauct::auction::detail

@@ -1,5 +1,6 @@
 // One row of the 0/1-knapsack DP behind ScaledDpSolver, as a branch-free
-// kernel. Internal to the auction layer: welfare.cpp calls knapsack_row(),
+// kernel, and the fill that starts a DP row. Internal to the auction layer:
+// welfare.cpp calls knapsack_row() and knapsack_fill(),
 // and the equivalence test drives each body directly against the reference
 // loop.
 //
@@ -57,5 +58,10 @@ KnapsackRowFn knapsack_row_avx512();
 /// The body picked once at startup: AVX-512F, else AVX2, else scalar.
 void knapsack_row(std::int64_t* dp, std::uint8_t* row, std::size_t grid,
                   std::size_t weight, std::int64_t value);
+
+/// dp[0, n) = value: how a stage starts its DP row. Eight cells per step,
+/// one store each with AVX-512F (picked once at startup), so filling the
+/// row costs a few percent of a stage rather than ~15%.
+void knapsack_fill(std::int64_t* dp, std::size_t n, std::int64_t value);
 
 }  // namespace dauct::auction::detail

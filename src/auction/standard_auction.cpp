@@ -1,8 +1,7 @@
 #include "auction/standard_auction.hpp"
 
 #include <numeric>
-
-#include "common/parallel.hpp"
+#include <span>
 
 namespace dauct::auction {
 
@@ -16,45 +15,59 @@ Assignment standard_allocate(const AuctionInstance& instance,
   return make_solver(params)->solve_all(instance, params.seed);
 }
 
+namespace {
+
+/// The Clarke re-solve of bidder i: every bidder but i, and a seed offset
+/// per bidder so the perturbed trials differ between re-solves but stay
+/// identical across replicas.
+std::uint64_t clarke_seed(std::uint64_t seed, BidderId i) {
+  return seed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+}
+
+}  // namespace
+
 Money standard_payment(const AuctionInstance& instance,
                        const StandardAuctionParams& params,
                        const Assignment& assignment, BidderId i) {
-  if (i >= assignment.provider_of.size()) return kZeroMoney;
-  const bool winner = assignment.provider_of[i] >= 0;
-  if (!winner && params.skip_loser_resolve) {
-    return kZeroMoney;  // losers pay nothing; re-solve skipped (optimization)
-  }
-  const Bid& bid = instance.bids[i];
-  const Money own_value = winner ? bid.demand.mul(bid.unit_value) : kZeroMoney;
-
-  // Welfare of the others under the chosen assignment.
-  const Money others_with_i = assignment.welfare - own_value;
-
-  // Welfare of the others if i did not exist (the Clarke re-solve). The seed
-  // is offset per bidder so the perturbed trials differ between re-solves but
-  // stay identical across replicas.
-  std::vector<bool> active(instance.bids.size(), true);
-  active[i] = false;
-  const Assignment without =
-      make_solver(params)->solve(instance, active, params.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-
-  Money payment = without.welfare - others_with_i;
-  // Clamp for individual rationality / no-subsidy under approximate solvers
-  // (with the exact solver the clamp is a no-op: 0 ≤ p_i ≤ v_i·d_i always,
-  // and a loser's formula value is ≤ 0 → 0).
-  payment = max(payment, kZeroMoney);
-  payment = min(payment, own_value);
-  return payment;
+  return standard_payments(instance, params, assignment, std::span(&i, 1))[0];
 }
 
 std::vector<Money> standard_payments(const AuctionInstance& instance,
                                      const StandardAuctionParams& params,
                                      const Assignment& assignment,
-                                     std::span<const BidderId> bidders) {
+                                     std::span<const BidderId> bidders, BatchStats* stats) {
+  // The chunk's re-solves, one batch: bidder j's is masks[resolve[j]].
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> resolve(bidders.size(), kNone);
+  std::vector<std::vector<bool>> masks;
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t j = 0; j < bidders.size(); ++j) {
+    const BidderId i = bidders[j];
+    if (i >= assignment.provider_of.size()) continue;
+    if (assignment.provider_of[i] < 0 && params.skip_loser_resolve) {
+      continue;  // losers pay nothing; re-solve skipped (optimization)
+    }
+    resolve[j] = masks.size();
+    masks.emplace_back(instance.bids.size(), true);
+    masks.back()[i] = false;
+    seeds.push_back(clarke_seed(params.seed, i));
+  }
+  const std::vector<Assignment> without =
+      make_solver(params)->solve_batch(instance, masks, seeds, stats);
+
   std::vector<Money> payments(bidders.size(), kZeroMoney);
-  host::parallel_for(bidders.size(), [&](std::size_t j) {
-    payments[j] = standard_payment(instance, params, assignment, bidders[j]);
-  });
+  for (std::size_t j = 0; j < bidders.size(); ++j) {
+    if (resolve[j] == kNone) continue;
+    const Bid& bid = instance.bids[bidders[j]];
+    const bool winner = assignment.provider_of[bidders[j]] >= 0;
+    const Money own_value = winner ? bid.demand.mul(bid.unit_value) : kZeroMoney;
+    // p_i = W(−i) − (welfare of the others under the chosen assignment),
+    // clamped for individual rationality / no-subsidy under approximate
+    // solvers (with the exact solver the clamp is a no-op: 0 ≤ p_i ≤ v_i·d_i
+    // always, and a loser's formula value is ≤ 0 → 0).
+    const Money others_with_i = assignment.welfare - own_value;
+    payments[j] = min(max(without[resolve[j]].welfare - others_with_i, kZeroMoney), own_value);
+  }
   return payments;
 }
 

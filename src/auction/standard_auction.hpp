@@ -9,7 +9,9 @@
 //   Task 1   — compute the allocation (one welfare solve);
 //   Task 2.S — compute the Clarke-pivot payment of each user in subset S
 //              (one welfare *re-solve without that user* per payment: the
-//              computationally dominant, embarrassingly parallel part);
+//              computationally dominant, embarrassingly parallel part; the
+//              chunk's re-solves run as one solver batch, which shares the
+//              provider stages they have in common);
 //   Task 3   — gather payments and emit (x, p).
 // The functions below are those tasks; run_standard_auction() chains them
 // in one process (the trusted-auctioneer/centralized execution).
@@ -61,19 +63,24 @@ Assignment standard_allocate(const AuctionInstance& instance,
 
 /// Task 2 unit: the Clarke-pivot payment of bidder `i` given the Task-1
 /// assignment: p_i = W(−i) − (W − v_i·d_i), clamped to [0, v_i·d_i].
-/// This is the expensive call (a full welfare re-solve without bidder i).
+/// This is the expensive call (a full welfare re-solve without bidder i): a
+/// chunk of one.
 Money standard_payment(const AuctionInstance& instance,
                        const StandardAuctionParams& params,
                        const Assignment& assignment, BidderId i);
 
-/// Task 2 chunk: the Clarke payments of `bidders`, in order — one
-/// standard_payment() each. The re-solves are independent, so they run on the
-/// host worker pool (common/parallel.hpp); each payment is written by index,
-/// so the vector equals the sequential loop's.
+/// Task 2 chunk: the Clarke payments of `bidders`, in order — what
+/// standard_payment() returns for each. The chunk's re-solves run as one
+/// WelfareSolver::solve_batch() call: ScaledDpSolver solves each distinct
+/// provider stage among them once and spreads the stages over the host
+/// worker pool (common/parallel.hpp); ExactSolver runs one re-solve per pool
+/// item. Each payment is written by index, so the vector equals the
+/// per-bidder loop's. `stats`, if given, is added to by the batch.
 std::vector<Money> standard_payments(const AuctionInstance& instance,
                                      const StandardAuctionParams& params,
                                      const Assignment& assignment,
-                                     std::span<const BidderId> bidders);
+                                     std::span<const BidderId> bidders,
+                                     BatchStats* stats = nullptr);
 
 /// Task 3: assemble the final result from the assignment and payments.
 /// `user_payments` must have one entry per bidder (zero for losers).

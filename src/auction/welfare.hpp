@@ -16,7 +16,8 @@
 //    ε-controlled cost profile the paper's evaluation depends on (Fig. 5).
 //    A randomized perturbation of the bidder order (seeded by the common
 //    coin) mirrors the randomized mechanism of [18]; the mechanism runs
-//    ⌈1/ε⌉ perturbed trials and keeps the best.
+//    ⌈1/ε⌉ perturbed trials and keeps the best. A batch of solves (a payment
+//    chunk's Clarke re-solves) runs every distinct provider stage once.
 //
 // Determinism: given the same seed and inputs, both solvers return
 // bit-identical assignments on every platform (fixed-point arithmetic, id
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "auction/types.hpp"
@@ -45,6 +47,16 @@ struct Assignment {
   bool operator==(const Assignment&) const = default;
 };
 
+/// Work counters of one solve_batch() call, added to by each call. Only
+/// ScaledDpSolver counts; the counts are deterministic in the inputs.
+struct BatchStats {
+  std::uint64_t stages = 0;      ///< provider stages the batch's trials ran
+  std::uint64_t table_hits = 0;  ///< of those, answered by an earlier identical stage
+  std::uint64_t cells = 0;       ///< knapsack DP cells computed
+
+  bool operator==(const BatchStats&) const = default;
+};
+
 /// Interface for welfare maximizers. `active[i] == false` excludes bidder i
 /// (used for the Clarke-pivot payment re-solves).
 class WelfareSolver {
@@ -56,6 +68,14 @@ class WelfareSolver {
   virtual Assignment solve(const AuctionInstance& instance,
                            const std::vector<bool>& active,
                            std::uint64_t seed) const = 0;
+
+  /// Solve masks[b] with seeds[b] for every b (equal sizes): result b equals
+  /// solve(instance, masks[b], seeds[b]). This default runs the solves as
+  /// independent items on the host worker pool (common/parallel.hpp).
+  virtual std::vector<Assignment> solve_batch(const AuctionInstance& instance,
+                                              std::span<const std::vector<bool>> masks,
+                                              std::span<const std::uint64_t> seeds,
+                                              BatchStats* stats = nullptr) const;
 
   Assignment solve_all(const AuctionInstance& instance, std::uint64_t seed) const;
 };
@@ -73,27 +93,39 @@ class ExactSolver final : public WelfareSolver {
 
 /// (1−ε)-style scaled dynamic program with randomized perturbed trials.
 ///
-/// Hot-path layout: the active item set, and for every provider the items
-/// that fit it with their grid weights, are computed once per solve (they
-/// are seed-independent); trials that draw the same provider permutation
-/// are solved once; the remaining unique trials run on the host worker pool
-/// (common/parallel.hpp), each reusing its thread's scratch arena (a
-/// line-aligned DP row, a flat grow-only matrix of bit-packed take rows —
-/// one bit per cell, never zeroed) instead of allocating per provider; and
-/// each item's DP row goes through a branch-free kernel
+/// Every solve is a batch: solve() is a batch of one, and a payment chunk's
+/// Clarke re-solves are one batch. A trial is a walk over the providers in
+/// its shuffled order, and the DP of each step — a *stage* — depends only on
+/// its key: (grid, provider, set of still-unplaced bids that fit the
+/// provider). Weights come from grid, capacity and demand, values from the
+/// bids, and items run in bid order. So every unique trial of every solve
+/// in the batch (trials of one solve that draw the same provider permutation
+/// run once) is one host::parallel_for item, and a stage table kept for the
+/// whole batch solves each distinct key exactly once, for the first trial
+/// that asks; later trials read its result (taken bids, welfare gain). A
+/// stage runs in its thread's scratch arena (a line-aligned DP row and a
+/// grow-only matrix of bit-packed take rows, never zeroed) and computes only
+/// what its reconstruction reads: the first row is the DP row's initial
+/// fill, the middle rows go through a branch-free kernel
 /// (auction/knapsack_row.hpp) dispatched once at startup to AVX-512F, AVX2
-/// or portable scalar code. Trial results are reduced in trial order (the
-/// earliest maximum wins) whatever the schedule, so every path returns
-/// bit-identical Assignments (enforced against ReferenceScaledDpSolver by
-/// the equivalence tests).
+/// or portable scalar code, and the last few rows are evaluated at the cells
+/// the reconstruction stands on. Each solve keeps its earliest
+/// maximum-welfare trial, so every path returns bit-identical Assignments
+/// (enforced against ReferenceScaledDpSolver by the equivalence tests).
 class ScaledDpSolver final : public WelfareSolver {
  public:
   /// `epsilon` controls the capacity grid (⌈n/ε⌉ cells) and the number of
-  /// perturbed trials (⌈1/ε⌉). Must be in (0, 1].
+  /// perturbed trials (⌈1/ε⌉). Throws std::invalid_argument unless it is in
+  /// (0, 1].
   explicit ScaledDpSolver(double epsilon);
 
   Assignment solve(const AuctionInstance& instance, const std::vector<bool>& active,
                    std::uint64_t seed) const override;
+
+  std::vector<Assignment> solve_batch(const AuctionInstance& instance,
+                                      std::span<const std::vector<bool>> masks,
+                                      std::span<const std::uint64_t> seeds,
+                                      BatchStats* stats = nullptr) const override;
 
   double epsilon() const { return epsilon_; }
   std::size_t trials() const { return trials_; }

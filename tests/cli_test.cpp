@@ -171,6 +171,16 @@ TEST(Cli, ZeroRetransmitDelayIsRejectedLikeTheScenarioParser) {
   EXPECT_NE(retr.output.find("non-negative integer"), std::string::npos);
 }
 
+TEST(Cli, EpsilonOutsideUnitIntervalIsRejectedLikeTheScenarioParser) {
+  for (const char* eps : {"0", "-0.1", "1", "1.5", "abc", "0.1x", "nan"}) {
+    const auto r = run_command(std::string("--auction standard --epsilon ") + eps);
+    EXPECT_EQ(r.exit_code, 1) << eps << ": " << r.output;
+    EXPECT_NE(r.output.find("--epsilon must be a number in (0, 1)"), std::string::npos) << eps;
+  }
+  const auto ok = run_command("--auction standard --users 12 --providers 4 --epsilon 0.5");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
 TEST(Cli, ReliableScenarioPrintsCountersNextToFaults) {
   const auto r = run_command(std::string("--scenario ") + DAUCT_SCENARIO_DIR +
                              "/dup_storm.scn");

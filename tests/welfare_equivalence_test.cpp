@@ -181,6 +181,19 @@ TEST(ScaledDpEquivalence, RowKernelsMatchReferenceLoop) {
   }
 }
 
+TEST(ScaledDpEquivalence, RowFillMatchesStdFill) {
+  // Every length through three 8-cell steps, and the fig5 grid's row.
+  std::vector<std::size_t> lengths = {834, 835};
+  for (std::size_t n = 0; n <= 24; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    std::vector<std::int64_t> got(n + 2, -7);
+    std::vector<std::int64_t> want = got;
+    detail::knapsack_fill(got.data() + 1, n, 42);
+    std::fill(want.begin() + 1, want.begin() + 1 + static_cast<std::ptrdiff_t>(n), 42);
+    ASSERT_EQ(got, want) << "n " << n;
+  }
+}
+
 TEST(ScaledDpEquivalence, SolverEdgeCases) {
   // The per-provider fit lists built once per solve: a provider with zero and
   // one with negative capacity (skipped), one nothing fits, and one whose
@@ -253,6 +266,102 @@ TEST(ScaledDpEquivalence, FewProvidersManyTrials) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const AuctionInstance inst = random_instance(16, 3, seed);
     EXPECT_EQ(opt.solve_all(inst, seed), ref.solve_all(inst, seed)) << "seed " << seed;
+  }
+}
+
+// A batch must return exactly the per-mask reference solves, whatever the
+// stage table shares between its masks.
+void expect_batch_matches_reference(const AuctionInstance& inst, double eps,
+                                    const std::vector<std::vector<bool>>& masks,
+                                    const std::vector<std::uint64_t>& seeds,
+                                    BatchStats* stats = nullptr) {
+  const ScaledDpSolver opt(eps);
+  const reference::ReferenceScaledDpSolver ref(eps);
+  const std::vector<Assignment> batch = opt.solve_batch(inst, masks, seeds, stats);
+  ASSERT_EQ(batch.size(), masks.size());
+  for (std::size_t b = 0; b < masks.size(); ++b) {
+    EXPECT_EQ(batch[b], ref.solve(inst, masks[b], seeds[b])) << "eps " << eps << " mask " << b;
+  }
+}
+
+std::vector<bool> without(std::size_t n, std::size_t i) {
+  std::vector<bool> mask(n, true);
+  mask[i] = false;
+  return mask;
+}
+
+TEST(ScaledDpEquivalence, BatchMatchesPerMaskSolves) {
+  // The fig5 shape as a payment chunk: the base solve, the strided Clarke
+  // re-solves of one chunk (seed offsets as in standard_auction.cpp) and a
+  // duplicate of each kind. Re-solves of one chunk share many stages, so the
+  // table must answer some of them.
+  {
+    const AuctionInstance inst = random_instance(50, 8, 3);
+    std::vector<std::vector<bool>> masks = {std::vector<bool>(50, true)};
+    std::vector<std::uint64_t> seeds = {3};
+    for (std::size_t i = 1; i < 50; i += 4) {
+      masks.push_back(without(50, i));
+      seeds.push_back(3 ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+    }
+    masks.push_back(masks[0]);
+    seeds.push_back(seeds[0]);
+    masks.push_back(masks[2]);
+    seeds.push_back(seeds[2]);
+    BatchStats stats;
+    expect_batch_matches_reference(inst, 0.06, masks, seeds, &stats);
+    EXPECT_GT(stats.table_hits, 0u);
+    EXPECT_LT(stats.table_hits, stats.stages);
+    EXPECT_GT(stats.cells, 0u);
+    // The counts depend on the inputs alone.
+    BatchStats again;
+    (void)ScaledDpSolver(0.06).solve_batch(inst, masks, seeds, &again);
+    EXPECT_EQ(again, stats);
+  }
+  // n = 130: keys span three 64-bit words.
+  {
+    const AuctionInstance inst = random_instance(130, 4, 5);
+    crypto::Rng mask_rng(41);
+    std::vector<std::vector<bool>> masks = {without(130, 0), without(130, 64),
+                                            without(130, 129)};
+    std::vector<std::uint64_t> seeds = {1, 2, 3};
+    for (int r = 0; r < 3; ++r) {
+      masks.push_back(random_mask(130, mask_rng));
+      seeds.push_back(10 + static_cast<std::uint64_t>(r));
+    }
+    expect_batch_matches_reference(inst, 0.25, masks, seeds);
+  }
+  // Neutral (zero-demand) and zero-value bidders are never items: masking
+  // one out keeps the grid, masking a real bidder out shrinks it, so one
+  // batch runs stages on two grids. A mask shorter than the bid list leaves
+  // the rest active.
+  {
+    AuctionInstance inst = random_instance(20, 3, 9);
+    inst.bids[4].demand = kZeroMoney;
+    inst.bids[11].unit_value = kZeroMoney;
+    std::vector<std::vector<bool>> masks;
+    std::vector<std::uint64_t> seeds;
+    for (const std::size_t i : {4, 11, 0, 4, 7, 11}) {
+      masks.push_back(without(20, i));
+      seeds.push_back(5);
+    }
+    masks.push_back(std::vector<bool>(20, true));
+    seeds.push_back(5);
+    masks.push_back({true, false});
+    seeds.push_back(6);
+    for (const double eps : {0.5, 0.1}) expect_batch_matches_reference(inst, eps, masks, seeds);
+  }
+  // No provider, one provider (a single permutation), and an empty batch.
+  {
+    AuctionInstance no_asks = random_instance(16, 1, 2);
+    no_asks.asks.clear();
+    expect_batch_matches_reference(no_asks, 0.1, {without(16, 3), std::vector<bool>(16, true)},
+                                   {1, 2});
+    const AuctionInstance inst = random_instance(16, 1, 2);
+    expect_batch_matches_reference(inst, 0.1, {without(16, 3), without(16, 3), without(16, 8)},
+                                   {1, 1, 2});
+    BatchStats stats;
+    EXPECT_TRUE(ScaledDpSolver(0.1).solve_batch(inst, {}, {}, &stats).empty());
+    EXPECT_EQ(stats, BatchStats{});
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "auction/welfare.hpp"
 #include "auction/workload.hpp"
 #include "crypto/rng.hpp"
@@ -78,6 +81,14 @@ TEST(ScaledDpSolver, MatchesExactOnEasyInstance) {
   const Assignment dp = ScaledDpSolver(0.05).solve_all(inst, 7);
   // On this tiny instance the fine grid should find the optimum.
   EXPECT_EQ(dp.welfare, exact.welfare);
+}
+
+TEST(ScaledDpSolver, RejectsEpsilonOutsideUnitInterval) {
+  // ⌈1/ε⌉ trials and ⌈n/ε⌉ grid cells are only defined for ε in (0, 1].
+  for (const double eps : {0.0, -0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(ScaledDpSolver{eps}, std::invalid_argument) << eps;
+  }
+  EXPECT_EQ(ScaledDpSolver(1.0).trials(), 1u);
 }
 
 TEST(ScaledDpSolver, DeterministicGivenSeed) {

@@ -2,15 +2,21 @@
 """Compare a fresh BENCH_dauct.json against the committed baseline.
 
 Per-op deltas for every benchmark present in both files, plus new/dropped
-entries — rendered as a GitHub-flavoured markdown table so CI can append it
-to the job summary. Warn-only by design: the shared CI vCPU is far too noisy
-for a hard gate (see ROADMAP "Perf baseline"); the table is for humans (and
-the committed baseline at the repo root is the durable record).
+entries, and the same for the named counters a benchmark reports (work per
+op, such as `stage_cells`) — rendered as GitHub-flavoured markdown tables so
+CI can append them to the job summary. Timings are warn-only by design: the
+shared CI vCPU is far too noisy for a hard gate (see ROADMAP "Perf
+baseline"); the table is for humans (and the committed baseline at the repo
+root is the durable record). Counters that count deterministic work at a
+fixed seed can be gated: `--gate-counter NAME` fails the comparison when any
+benchmark's NAME counter rises above the baseline.
 
 Usage:
   tools/bench_compare.py BASELINE.json FRESH.json [--threshold-pct 15]
+                         [--gate-counter NAME ...]
 
-Exit code is always 0 unless a file is missing/unparseable.
+Exit code: 0, or 1 when a file is missing/unparseable or a gated counter
+rose.
 """
 
 import argparse
@@ -42,7 +48,10 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold-pct", type=float, default=15.0,
-                    help="flag |delta| above this (cosmetic only; never fails)")
+                    help="flag timing |delta| above this (cosmetic only; never fails)")
+    ap.add_argument("--gate-counter", action="append", default=[], metavar="NAME",
+                    help="fail if this deterministic counter rises above the "
+                         "baseline in any benchmark (repeatable)")
     args = ap.parse_args()
 
     try:
@@ -60,9 +69,11 @@ def main():
     print()
     print(f"{len(common)} benchmarks compared "
           f"({len(added)} new, {len(dropped)} dropped). "
-          f"Deltas beyond ±{args.threshold_pct:.0f}% are flagged; "
-          "this job is warn-only (noisy shared vCPU — trust ratios, "
-          "re-measure locally before acting).")
+          f"Timing deltas beyond ±{args.threshold_pct:.0f}% are flagged; "
+          "timings are warn-only (noisy shared vCPU — trust ratios, "
+          "re-measure locally before acting)"
+          + (f"; a rise in {', '.join(args.gate_counter)} fails."
+             if args.gate_counter else "."))
     print()
     print("| benchmark | baseline | fresh | delta |")
     print("|---|---:|---:|---:|")
@@ -92,10 +103,37 @@ def main():
             print(f"| `{key}` | {f'{b:.2f}×' if b else '—'} "
                   f"| {f'{f:.2f}×' if f else '—'} |")
 
+    counter_rows = []
+    for name in common:
+        bc = base[name].get("counters", {})
+        fc = fresh[name].get("counters", {})
+        for key in sorted(set(bc) | set(fc)):
+            counter_rows.append((name, key, bc.get(key), fc.get(key)))
+    risen = []
+    if counter_rows:
+        print()
+        print("| benchmark | counter | baseline | fresh | delta |")
+        print("|---|---|---:|---:|---:|")
+        for name, key, b, f in counter_rows:
+            if b is None or f is None:
+                delta = "new" if b is None else "dropped"
+            else:
+                delta = f"{(f - b) / b * 100.0:+.1f}%" if b else f"{f - b:+g}"
+                if key in args.gate_counter and f > b:
+                    risen.append(f"{name} {key}: {b:g} -> {f:g}")
+                    delta += " ❌"
+            print(f"| `{name}` | `{key}` | {'—' if b is None else f'{b:g}'} "
+                  f"| {'—' if f is None else f'{f:g}'} | {delta} |")
+
     print()
     if flagged:
         print(f"_{flagged} benchmark(s) beyond the ±{args.threshold_pct:.0f}% "
               "noise band._")
+    if risen:
+        print(f"**Gated counter(s) rose above the baseline:** {'; '.join(risen)}")
+        for line in risen:
+            print(f"bench_compare: gated counter rose: {line}", file=sys.stderr)
+        return 1
     return 0
 
 

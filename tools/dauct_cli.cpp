@@ -78,7 +78,8 @@ market (synthetic unless CSV files given):
 
 protocol:
   --k K                       coalition resilience bound (default 1)
-  --epsilon E                 (1-eps) welfare approximation (standard auction)
+  --epsilon E                 (1-eps) welfare approximation, 0 < E < 1
+                              (standard auction)
   --mode value|bits|perbit    bid agreement encoding (default value)
   --centralized               run the trusted-auctioneer baseline instead
 
@@ -182,7 +183,13 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.k = std::strtoul(v, nullptr, 10);
     } else if (arg == "--epsilon") {
       if (!(v = need_value(i))) return false;
-      opt.epsilon = std::strtod(v, nullptr);
+      char* end = nullptr;
+      opt.epsilon = std::strtod(v, &end);
+      // The scenario parser's range; strtod reads "abc" as 0.
+      if (end == v || *end != '\0' || !(opt.epsilon > 0 && opt.epsilon < 1)) {
+        std::fprintf(stderr, "--epsilon must be a number in (0, 1) (got %s)\n", v);
+        return false;
+      }
     } else if (arg == "--seed") {
       if (!(v = need_value(i))) return false;
       opt.seed = std::strtoull(v, nullptr, 10);
