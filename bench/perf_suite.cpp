@@ -545,6 +545,15 @@ TINYBENCH(BM_e2e_faulty_lossy)->Args({48, 4})->Args({128, 8});
 //    without the layer; with it the run completes, so this measures the full
 //    recovery path (retransmit timers, dedup, re-acks) at full protocol
 //    volume, and is directly comparable against the faulty_lossy point.
+// Both run kZero, so their counters — `retransmits`, `wire_kb` (bytes on the
+// wire / 1024) and `events` (scheduler events) — are deterministic; CI gates
+// `retransmits`.
+void link_counters(State& state, const runtime::RunStats& run) {
+  state.counters["retransmits"] = static_cast<double>(run.reliability_stats.retransmits);
+  state.counters["wire_kb"] = static_cast<double>(run.traffic.bytes) / 1024.0;
+  state.counters["events"] = static_cast<double>(run.events_dispatched);
+}
+
 void BM_e2e_reliable_clean(State& state) {
   const std::size_t users = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
@@ -561,6 +570,7 @@ void BM_e2e_reliable_clean(State& state) {
     cfg.reliability.enable = true;
     const auto run = runtime::SimRuntime(cfg).run_distributed(auctioneer, inst);
     DoNotOptimize(run.global_outcome.ok());
+    link_counters(state, run);
   }
 }
 TINYBENCH(BM_e2e_reliable_clean)->Args({48, 4})->Args({128, 8});
@@ -588,9 +598,56 @@ void BM_e2e_reliable_lossy(State& state) {
     cfg.reliability.enable = true;
     const auto run = runtime::SimRuntime(cfg).run_distributed(auctioneer, inst);
     DoNotOptimize(run.global_outcome.ok());
+    link_counters(state, run);
   }
 }
 TINYBENCH(BM_e2e_reliable_lossy)->Args({48, 4})->Args({128, 8});
+
+// The dauct_bench lossy_stream shape in kZero: a 20-instance depth-2 stream,
+// n bidders, m providers, k = (m+1)/2 − 1, reliability on, 2% loss and up to
+// 1 ms extra jitter on every provider↔provider link (client links clean).
+// Its retransmit count is what the per-peer timeout exists to cut: frames
+// acked late because the receiver was busy, not because they were lost.
+void BM_service_reliable_lossy(State& state) {
+  const std::size_t users = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kInstances = 20;
+  auto adapter = std::make_shared<core::DoubleAuctionAdapter>();
+  core::AuctioneerSpec spec;
+  spec.m = m;
+  spec.k = (m + 1) / 2 - 1;
+  spec.num_bidders = users;
+  const core::DistributedAuctioneer auctioneer(spec, adapter);
+  std::vector<auction::AuctionInstance> workloads;
+  for (std::size_t t = 0; t < kInstances; ++t) {
+    workloads.push_back(
+        make_double_instance(users, m, core::derive_instance_seed(5, t)));
+  }
+  sim::FaultPlan plan;
+  plan.seed = 7;
+  for (NodeId a = 0; a < m; ++a) {
+    for (NodeId b = a + 1; b < m; ++b) {
+      sim::LinkFault rule;
+      rule.from = a;
+      rule.to = b;
+      rule.drop = 0.02;
+      rule.jitter = sim::from_millis(1);
+      plan.links.push_back(rule);
+    }
+  }
+  for (auto _ : state) {
+    runtime::ServiceRunConfig svc;
+    svc.base.seed = 99;
+    svc.base.faults = plan;
+    svc.base.reliability.enable = true;
+    svc.instances = kInstances;
+    svc.pipeline_depth = 2;
+    const auto run = runtime::ServiceRuntime(svc).run(auctioneer, workloads);
+    DoNotOptimize(run.settled_ok);
+    link_counters(state, run);
+  }
+}
+TINYBENCH(BM_service_reliable_lossy)->Args({128, 8});
 
 // Signing-layer points (net/auth.hpp + crypto/ed25519.hpp). The per-message
 // cost is one ed25519 sign at the sender and one verify at each receiver,

@@ -52,6 +52,12 @@ class Endpoint {
   /// behaviour. Wrapper endpoints forward to the wrapped endpoint.
   virtual bool schedule_after(std::int64_t delay_ns, std::function<void()> fn);
 
+  /// Node-local virtual time in ns: when this node's current handler or
+  /// timer started. The reliability layer's round-trip clock; endpoints
+  /// without timers (the default) return 0 — their links never track sends,
+  /// so nothing reads it there.
+  virtual std::int64_t local_time() const { return 0; }
+
   /// Round liveness timeout of the reliability layer, in virtual ns; 0 (the
   /// default) disables the round watchdogs (RoundCollector::arm is a no-op).
   virtual std::int64_t round_timeout() const { return 0; }

@@ -39,7 +39,13 @@ ReliableLink::ReliableLink(blocks::Endpoint& base, ReliabilityConfig config)
       config_(config),
       m_(base.num_providers()),
       ack_topic_(kAckTopicName),
-      rreq_topic_(kRetransmitRequestTopicName) {}
+      rreq_topic_(kRetransmitRequestTopicName),
+      rtt_(m_) {}
+
+sim::SimTime ReliableLink::rto(NodeId peer) const {
+  if (peer >= rtt_.size() || !rtt_[peer].sampled) return config_.retransmit_delay;
+  return std::max(config_.retransmit_delay, rtt_[peer].srtt + 4 * rtt_[peer].rttvar);
+}
 
 void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload) {
   if (topic == rreq_topic_) {
@@ -63,7 +69,8 @@ void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload)
   sent_cache_[cache_key(to, topic.id())] = CachedSend{topic, payload};
   if (timers_available_) {
     const MsgKey key{to, topic.id(), payload_digest(payload)};
-    const auto [it, inserted] = unacked_.emplace(key, Pending{to, topic, payload, 0});
+    const auto [it, inserted] =
+        unacked_.emplace(key, Pending{to, topic, payload, 0, base_.local_time()});
     if (inserted) {
       if (schedule_retransmit(key, 0)) {
         ++stats_.tracked;
@@ -112,10 +119,10 @@ void ReliableLink::wire_send(NodeId to, const net::Topic& topic,
 }
 
 bool ReliableLink::schedule_retransmit(const MsgKey& key, std::size_t attempt) {
-  // Exponential backoff in virtual time: delay · 2^attempt (capped well
-  // below overflow; max_retries bounds the chain anyway).
-  const sim::SimTime delay =
-      config_.retransmit_delay << std::min<std::size_t>(attempt, 16);
+  // Exponential backoff in virtual time from the peer's current RTO:
+  // RTO · 2^attempt (capped well below overflow; max_retries bounds the
+  // chain anyway).
+  const sim::SimTime delay = rto(key.node) << std::min<std::size_t>(attempt, 16);
   return base_.schedule_after(delay, [this, weak = std::weak_ptr<int>(alive_), key] {
     if (weak.expired()) return;
     const auto it = unacked_.find(key);
@@ -131,10 +138,39 @@ bool ReliableLink::schedule_retransmit(const MsgKey& key, std::size_t attempt) {
       return;
     }
     ++p.attempt;
+    p.sent_once = false;
     ++stats_.retransmits;
     wire_send(p.to, p.topic, p.payload);
     schedule_retransmit(key, p.attempt);
   });
+}
+
+void ReliableLink::on_ack(const MsgKey& key) {
+  ++stats_.acks_received;
+  const auto it = unacked_.find(key);
+  if (it == unacked_.end()) return;  // redundant re-ack
+  if (it->second.sent_once) {
+    // RFC 6298 §2 in integer ns (α = 1/8, β = 1/4; RTTVAR from the old SRTT).
+    const sim::SimTime r =
+        std::max<sim::SimTime>(base_.local_time() - it->second.sent_at, 0);
+    RttEstimate& e = rtt_[key.node];
+    if (!e.sampled) {
+      e.sampled = true;
+      e.srtt = r;
+      e.rttvar = r / 2;
+    } else {
+      const sim::SimTime err = e.srtt > r ? e.srtt - r : r - e.srtt;
+      e.rttvar = (3 * e.rttvar + err) / 4;
+      e.srtt = (7 * e.srtt + r) / 8;
+    }
+  }
+  unacked_.erase(it);
+}
+
+void ReliableLink::mark_resent(NodeId to, const net::Topic& topic,
+                               const SharedBytes& payload) {
+  const auto it = unacked_.find(MsgKey{to, topic.id(), payload_digest(payload)});
+  if (it != unacked_.end()) it->second.sent_once = false;
 }
 
 void ReliableLink::send_ack_frame(NodeId to, const std::string& topic,
@@ -209,8 +245,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
     if (!topic) return false;  // ack for a topic nobody here ever sent
     MsgKey key{msg.from, topic->id(), {}};
     std::memcpy(key.digest.data(), v.data() + (v.size() - 32), 32);
-    unacked_.erase(key);  // redundant re-acks miss and are fine
-    ++stats_.acks_received;
+    on_ack(key);
     return false;
   }
   if (msg.topic == rreq_topic_) {
@@ -232,6 +267,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
                 });
       for (const CachedSend* cached : entries) {
         ++stats_.rejoin_answers;
+        mark_resent(msg.from, cached->topic, cached->payload);
         wire_send(msg.from, cached->topic, cached->payload);
       }
       return false;
@@ -240,10 +276,12 @@ bool ReliableLink::on_deliver(net::Message& msg) {
         std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
     if (!topic) return false;  // unknown round topic: nothing cached anyway
     // Resend untracked: the original's ack/retransmit entry (if still
-    // pending) keeps running, and the receiver dedups either way.
+    // pending) keeps running, and the receiver dedups either way. Its ack
+    // may now answer this copy, so it gives no RTT sample.
     if (const auto it = sent_cache_.find(cache_key(msg.from, topic->id()));
         it != sent_cache_.end()) {
       ++stats_.rerequests_answered;
+      mark_resent(msg.from, *topic, it->second.payload);
       wire_send(msg.from, *topic, it->second.payload);
     }
     return false;
@@ -266,8 +304,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
       if (!topic) continue;  // ack for a topic nobody here ever sent
       MsgKey key{msg.from, topic->id(), {}};
       std::memcpy(key.digest.data(), digest.data(), 32);
-      unacked_.erase(key);  // redundant re-acks miss and are fine
-      ++stats_.acks_received;
+      on_ack(key);
     }
     msg.set_payload(
         msg.payload.suffix(msg.payload.size() - r.remaining()));

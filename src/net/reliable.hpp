@@ -10,10 +10,15 @@
 //  * Sender side: every data message to a provider is keyed by
 //    (peer, topic, sha256(payload)) and kept until the matching ack arrives.
 //    A virtual-time timer retransmits it with exponential backoff
-//    (retransmit_delay · 2^attempt); after max_retries unacked retransmits
-//    the link gives up and reports the peer unreachable through the give-up
-//    callback (the runtime turns that into a clean ⊥ with
+//    (RTO(peer) · 2^attempt); after max_retries unacked retransmits the link
+//    gives up and reports the peer unreachable through the give-up callback
+//    (the runtime turns that into a clean ⊥ with
 //    AbortReason::kDeliveryFailed — termination instead of a silent stall).
+//  * Retransmission timeout: estimated per peer from measured round trips
+//    (RFC 6298: SRTT/RTTVAR with α = 1/8, β = 1/4, RTO = SRTT + 4·RTTVAR,
+//    floored at retransmit_delay), sampled only from frames that went out
+//    exactly once (Karn's rule — a digest-keyed ack cannot say which copy
+//    it answers). Until a peer's first sample its RTO is retransmit_delay.
 //  * Receiver side: every data message from a provider is acked
 //    (net::kAckTopicName, payload = topic string ++ 32-byte payload digest)
 //    and deduplicated by the same digest key *before* the blocks see it, so
@@ -39,6 +44,7 @@
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "blocks/block.hpp"
 #include "sim/clock.hpp"
@@ -50,7 +56,10 @@ namespace dauct::net {
 /// (one-way base 2.5 ms → first retransmit comfortably past one RTT).
 struct ReliabilityConfig {
   bool enable = false;
-  sim::SimTime retransmit_delay = sim::from_millis(8);  ///< backoff base
+  /// Initial retransmission timeout of every peer and the floor of its
+  /// measured one (RTO = max(retransmit_delay, SRTT + 4·RTTVAR)). Must be
+  /// > 0: a zero floor would burn every retry at the send instant.
+  sim::SimTime retransmit_delay = sim::from_millis(8);
   std::size_t max_retries = 6;       ///< retransmits before giving up
   sim::SimTime round_timeout = sim::from_millis(12);  ///< 0 = no watchdogs
 
@@ -168,6 +177,10 @@ class ReliableLink final : public blocks::Endpoint {
   const ReliabilityStats& stats() const { return stats_; }
   const ReliabilityConfig& config() const { return config_; }
 
+  /// Current retransmission timeout for `peer` (retransmit_delay until the
+  /// first round-trip sample from that peer).
+  sim::SimTime rto(NodeId peer) const;
+
   /// Current receiver-dedup set size (tests pin the dedup_window bound).
   std::size_t dedup_entries() const { return seen_.size(); }
   /// Current sender key-history size (bounded by the same window).
@@ -193,11 +206,27 @@ class ReliableLink final : public blocks::Endpoint {
     net::Topic topic;
     SharedBytes payload;
     std::size_t attempt = 0;
+    sim::SimTime sent_at = 0;  ///< node-local time of the original send
+    /// No second copy went out (retransmit or re-request answer), so the
+    /// ack can only answer the original: a valid RTT sample (Karn).
+    bool sent_once = true;
+  };
+  /// RFC 6298 state for one peer, integer ns (kZero runs stay pure
+  /// functions of the seed); rto() derives the timeout from it.
+  struct RttEstimate {
+    bool sampled = false;
+    sim::SimTime srtt = 0;
+    sim::SimTime rttvar = 0;
   };
 
-  /// Arm the next retransmit timer for `key`; false iff the wrapped
-  /// endpoint has no timer facility.
+  /// Arm the next retransmit timer for `key`, RTO(peer) · 2^attempt from
+  /// now; false iff the wrapped endpoint has no timer facility.
   bool schedule_retransmit(const MsgKey& key, std::size_t attempt);
+  /// Retire the pending entry an ack names (a miss is a redundant re-ack),
+  /// feeding the estimator when the frame went out once.
+  void on_ack(const MsgKey& key);
+  /// Mark a pending frame as sent more than once (Karn: no sample).
+  void mark_resent(NodeId to, const net::Topic& topic, const SharedBytes& payload);
   void queue_or_send_ack(const net::Message& msg);
   void send_ack_frame(NodeId to, const std::string& topic,
                       const crypto::Digest& digest);
@@ -219,6 +248,7 @@ class ReliableLink final : public blocks::Endpoint {
                       std::deque<MsgKey>& order, const MsgKey& key);
 
   std::unordered_map<MsgKey, Pending, MsgKeyHash> unacked_;
+  std::vector<RttEstimate> rtt_;  ///< per provider peer, indexed by NodeId
   /// Receiver dedup set + its FIFO eviction order: bounded at
   /// config_.dedup_window entries, not by run length.
   std::unordered_set<MsgKey, MsgKeyHash> seen_;

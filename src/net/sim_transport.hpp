@@ -1,6 +1,8 @@
 // Endpoint implementation over the virtual-time scheduler.
 #pragma once
 
+#include <algorithm>
+
 #include "blocks/block.hpp"
 #include "sim/scheduler.hpp"
 
@@ -25,6 +27,12 @@ class SimEndpoint final : public blocks::Endpoint {
   bool schedule_after(std::int64_t delay_ns, std::function<void()> fn) override {
     scheduler_.schedule_timer(scheduler_.now() + delay_ns, self_, std::move(fn));
     return true;
+  }
+
+  /// A handler's event time can trail the node's clock when the node is
+  /// backlogged; the handler starts at the later of the two.
+  std::int64_t local_time() const override {
+    return std::max(scheduler_.now(), scheduler_.clock(self_));
   }
 
   crypto::Rng& rng() override { return rng_; }

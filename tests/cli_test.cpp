@@ -171,6 +171,33 @@ TEST(Cli, ZeroRetransmitDelayIsRejectedLikeTheScenarioParser) {
   EXPECT_NE(retr.output.find("non-negative integer"), std::string::npos);
 }
 
+TEST(Cli, TimerFlagsAreParsedWholeAndFinite) {
+  // strtod alone read "abc" as 0 (silently turning the watchdogs off),
+  // passed inf/nan to a SimTime cast, and let a sub-ns delay truncate to a
+  // 0 ns floor. Each must now exit 1 with a one-line message.
+  for (const char* bad : {"abc", "8x", "", "inf", "nan", "-inf", "1e-7", "-1"}) {
+    const auto r = run_command(std::string("--reliable --retransmit-delay-ms '") + bad + "'");
+    EXPECT_EQ(r.exit_code, 1) << bad << ": " << r.output;
+    EXPECT_NE(r.output.find("--retransmit-delay-ms must be > 0"), std::string::npos) << bad;
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1) << bad << ": " << r.output;
+  }
+  for (const char* bad : {"abc", "12ms", "", "inf", "nan", "-inf", "-0.5"}) {
+    const auto r = run_command(std::string("--reliable --round-timeout-ms '") + bad + "'");
+    EXPECT_EQ(r.exit_code, 1) << bad << ": " << r.output;
+    EXPECT_NE(r.output.find("--round-timeout-ms must be >= 0"), std::string::npos) << bad;
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1) << bad << ": " << r.output;
+  }
+  // The smallest accepted delay is 1 ns after conversion (a run on a 1 ns
+  // floor gives up at once and ends in ⊥, exit 2 — but it parses); 0 still
+  // turns the watchdogs off.
+  const auto tiny = run_command("--reliable --users 6 --providers 3 --retransmit-delay-ms 1e-6");
+  EXPECT_NE(tiny.exit_code, 1) << tiny.output;
+  EXPECT_EQ(tiny.output.find("must be"), std::string::npos) << tiny.output;
+  const auto ok = run_command(
+      "--reliable --users 6 --providers 3 --retransmit-delay-ms 0.5 --round-timeout-ms 0");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
 TEST(Cli, EpsilonOutsideUnitIntervalIsRejectedLikeTheScenarioParser) {
   for (const char* eps : {"0", "-0.1", "1", "1.5", "abc", "0.1x", "nan"}) {
     const auto r = run_command(std::string("--auction standard --epsilon ") + eps);

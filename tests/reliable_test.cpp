@@ -372,6 +372,209 @@ TEST(PiggybackAcks, TimerlessEndpointFallsBackToImmediateStandaloneAcks) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-peer retransmission timeout (RFC 6298 estimator + Karn's rule)
+// ---------------------------------------------------------------------------
+
+/// m providers behind ReliableLinks on a kZero scheduler with a fixed,
+/// jitter-free one-way delay and no per-byte or receive costs: every round
+/// trip is exactly 2·(one-way + node delays), so timeouts can be computed by
+/// hand. Data frames ("t/..." topics) are timestamped on arrival; a "deaf"
+/// node drops them before its link (no dedup, no ack).
+struct RttNet {
+  sim::Scheduler scheduler;
+  std::vector<std::unique_ptr<net::SimEndpoint>> eps;
+  std::vector<std::unique_ptr<net::ReliableLink>> links;
+  std::vector<std::vector<sim::SimTime>> arrivals;
+  std::vector<bool> deaf;
+
+  RttNet(std::size_t m, sim::SimTime one_way, const net::ReliabilityConfig& cfg)
+      : scheduler(m, sim::LatencyModel{one_way, 0, 0.0, 0}, 7, sim::CostMode::kZero),
+        arrivals(m),
+        deaf(m, false) {
+    for (NodeId j = 0; j < m; ++j) {
+      eps.push_back(std::make_unique<net::SimEndpoint>(scheduler, j, m, 100 + j));
+      links.push_back(std::make_unique<net::ReliableLink>(*eps.back(), cfg));
+      scheduler.set_deliver(j, [this, j](const net::Message& msg) {
+        if (msg.topic.str().starts_with("t/")) {
+          arrivals[j].push_back(scheduler.now());
+          if (deaf[j]) return;
+        }
+        net::Message unwrapped = msg;
+        links[j]->on_deliver(unwrapped);
+      });
+    }
+  }
+
+  /// Send from inside node `from`'s context at exactly `at`.
+  void send_at(sim::SimTime at, NodeId from, NodeId to, std::string topic) {
+    scheduler.schedule_timer(at, from, [this, from, to, topic] {
+      links[from]->send(to, net::Topic(topic), SharedBytes(Bytes(topic.begin(), topic.end())));
+    });
+  }
+};
+
+net::ReliabilityConfig rtt_config() {
+  net::ReliabilityConfig cfg;
+  cfg.enable = true;
+  cfg.retransmit_delay = sim::from_millis(8);
+  cfg.max_retries = 3;
+  cfg.round_timeout = 0;
+  return cfg;
+}
+
+/// Two clean 6 ms round trips 0 → 1 (one-way 3 ms): SRTT = 6 ms, RTTVAR =
+/// (3·3 ms + |6 − 6| ms)/4 = 2.25 ms, RTO = 6 + 4·2.25 = 15 ms.
+constexpr sim::SimTime kLearnedRto = sim::from_millis(15);
+
+void learn_two_six_ms_round_trips(RttNet& net) {
+  net.send_at(0, 0, 1, "t/a");
+  net.send_at(sim::from_millis(20), 0, 1, "t/b");
+  net.scheduler.run();
+  EXPECT_EQ(net.links[0]->stats().retransmits, 0u);
+  EXPECT_EQ(net.links[0]->rto(1), kLearnedRto);
+}
+
+TEST(RtoEstimator, WithoutASampleTheScheduleIsTheFixedBackoff) {
+  // No ack ever comes back: every attempt follows retransmit_delay · 2^i from
+  // the previous one, exactly the schedule of a fixed backoff base.
+  const net::ReliabilityConfig cfg = rtt_config();
+  RttNet net(2, sim::from_millis(3), cfg);
+  net.deaf[1] = true;
+  sim::SimTime gave_up_at = -1;
+  net.links[0]->set_on_give_up(
+      [&](NodeId, const net::Topic&, std::size_t) { gave_up_at = net.scheduler.now(); });
+  EXPECT_EQ(net.links[0]->rto(1), cfg.retransmit_delay);
+  net.send_at(0, 0, 1, "t/x");
+  net.scheduler.run();
+
+  const sim::SimTime d = cfg.retransmit_delay, one_way = sim::from_millis(3);
+  EXPECT_EQ(net.arrivals[1], (std::vector<sim::SimTime>{one_way, one_way + d,
+                                                         one_way + 3 * d, one_way + 7 * d}));
+  EXPECT_EQ(gave_up_at, 15 * d);
+  EXPECT_EQ(net.links[0]->rto(1), d) << "a peer that never acked has no sample";
+}
+
+TEST(RtoEstimator, FirstRetransmitFiresAtTheHandComputedTimeout) {
+  RttNet net(2, sim::from_millis(3), rtt_config());
+  learn_two_six_ms_round_trips(net);
+  // A third sample of 10 ms (node 1 now 2 ms further away each way):
+  // RTTVAR = (3·2.25 + |6 − 10|)/4 = 2.6875 ms, SRTT = (7·6 + 10)/8 = 6.5 ms,
+  // RTO = 6.5 + 4·2.6875 = 17.25 ms.
+  net.scheduler.set_node_delay(1, sim::from_millis(2));
+  net.send_at(sim::from_millis(40), 0, 1, "t/c");
+  net.scheduler.run();
+  ASSERT_EQ(net.links[0]->stats().retransmits, 0u);
+  EXPECT_EQ(net.links[0]->rto(1), sim::from_micros(17'250));
+
+  net.deaf[1] = true;
+  net.arrivals[1].clear();
+  const sim::SimTime t = sim::from_millis(80), one_way = sim::from_millis(5);
+  net.send_at(t, 0, 1, "t/d");
+  net.scheduler.run();
+  ASSERT_GE(net.arrivals[1].size(), 2u);
+  EXPECT_EQ(net.arrivals[1][0], t + one_way);
+  EXPECT_EQ(net.arrivals[1][1], t + sim::from_micros(17'250) + one_way);
+}
+
+TEST(RtoEstimator, MeasuredTimeoutNeverDropsBelowTheFloor) {
+  // 2 ms round trips: SRTT + 4·RTTVAR = 2 + 4·1 = 6 ms, then 2 + 4·0.75 =
+  // 5 ms, both under the 8 ms floor.
+  const net::ReliabilityConfig cfg = rtt_config();
+  RttNet net(2, sim::from_millis(1), cfg);
+  net.send_at(0, 0, 1, "t/a");
+  net.scheduler.run();
+  EXPECT_EQ(net.links[0]->rto(1), cfg.retransmit_delay);
+  net.send_at(sim::from_millis(20), 0, 1, "t/b");
+  net.scheduler.run();
+  EXPECT_EQ(net.links[0]->rto(1), cfg.retransmit_delay);
+}
+
+TEST(RtoEstimator, AckOfARetransmittedFrameGivesNoSample) {
+  // Karn's rule. Node 1 moves 6 ms further away each way (18 ms round
+  // trip): the 15 ms timer retransmits before the original's ack lands, so
+  // that ack is ambiguous and must leave the estimate where it was.
+  RttNet net(2, sim::from_millis(3), rtt_config());
+  learn_two_six_ms_round_trips(net);
+  net.scheduler.set_node_delay(1, sim::from_millis(6));
+  net.send_at(sim::from_millis(40), 0, 1, "t/k");
+  net.scheduler.run();
+  EXPECT_EQ(net.links[0]->stats().retransmits, 1u);
+  EXPECT_EQ(net.links[0]->stats().give_ups, 0u);
+  EXPECT_EQ(net.links[0]->rto(1), kLearnedRto);
+}
+
+TEST(RtoEstimator, AckAfterAReRequestAnswerGivesNoSample) {
+  // The same rule for the other way a frame goes out twice: node 1 misses
+  // the original, re-requests it 5 ms later, and the answer's ack retires
+  // the pending entry 14 ms after the original send — before the 15 ms
+  // retransmit. That ack may answer either copy: no sample.
+  RttNet net(2, sim::from_millis(3), rtt_config());
+  learn_two_six_ms_round_trips(net);
+  const sim::SimTime t = sim::from_millis(40);
+  net.deaf[1] = true;
+  net.send_at(t, 0, 1, "t/r");
+  net.scheduler.schedule_timer(t + sim::from_millis(5), 1, [&net] {
+    net.deaf[1] = false;
+    const std::string topic = "t/r";
+    net.links[1]->send(0, net::kRetransmitRequestTopicName,
+                       SharedBytes(Bytes(topic.begin(), topic.end())));
+  });
+  net.scheduler.run();
+  EXPECT_EQ(net.links[0]->stats().rerequests_answered, 1u);
+  EXPECT_EQ(net.links[0]->stats().retransmits, 0u);
+  EXPECT_EQ(net.links[0]->rto(1), kLearnedRto);
+}
+
+TEST(RtoEstimator, BackoffDoublesFromTheLearnedTimeoutUntilGiveUp) {
+  RttNet net(2, sim::from_millis(3), rtt_config());
+  learn_two_six_ms_round_trips(net);
+  net.deaf[1] = true;
+  net.arrivals[1].clear();
+  sim::SimTime gave_up_at = -1;
+  std::size_t attempts = 0;
+  net.links[0]->set_on_give_up([&](NodeId, const net::Topic&, std::size_t a) {
+    gave_up_at = net.scheduler.now();
+    attempts = a;
+  });
+  const sim::SimTime t = sim::from_millis(40), one_way = sim::from_millis(3);
+  const sim::SimTime r = kLearnedRto;
+  net.send_at(t, 0, 1, "t/x");
+  net.scheduler.run();
+  EXPECT_EQ(net.arrivals[1],
+            (std::vector<sim::SimTime>{t + one_way, t + r + one_way,
+                                       t + 3 * r + one_way, t + 7 * r + one_way}));
+  EXPECT_EQ(attempts, 4u);  // original + max_retries (3)
+  EXPECT_EQ(gave_up_at, t + 15 * r);
+  EXPECT_EQ(net.links[0]->stats().give_ups, 1u);
+}
+
+TEST(RtoEstimator, EachPeerKeepsItsOwnEstimate) {
+  // One 12 ms peer and one 28 ms peer behind the same link, 30 ms floor
+  // (above both round trips, so neither first send is retransmitted):
+  // after one sample each, RTO = 3·RTT — 36 ms and 84 ms.
+  net::ReliabilityConfig cfg = rtt_config();
+  cfg.retransmit_delay = sim::from_millis(30);
+  RttNet net(4, sim::from_millis(6), cfg);
+  net.scheduler.set_node_delay(2, sim::from_millis(8));
+  net.send_at(0, 0, 2, "t/slow");
+  net.send_at(sim::from_millis(1), 0, 1, "t/fast");
+  net.scheduler.run();
+  ASSERT_EQ(net.links[0]->stats().retransmits, 0u);
+  EXPECT_EQ(net.links[0]->rto(1), sim::from_millis(36));
+  EXPECT_EQ(net.links[0]->rto(2), sim::from_millis(84));
+  EXPECT_EQ(net.links[0]->rto(3), cfg.retransmit_delay) << "peer 3 has no sample";
+
+  // The fast peer's next loss is retransmitted on its own 36 ms timeout.
+  net.deaf[1] = true;
+  net.arrivals[1].clear();
+  const sim::SimTime t = sim::from_millis(100);
+  net.send_at(t, 0, 1, "t/fast2");
+  net.scheduler.run();
+  ASSERT_GE(net.arrivals[1].size(), 2u);
+  EXPECT_EQ(net.arrivals[1][1] - net.arrivals[1][0], sim::from_millis(36));
+}
+
+// ---------------------------------------------------------------------------
 // Timer semantics
 // ---------------------------------------------------------------------------
 
@@ -702,6 +905,34 @@ TEST(ReliableRecovery, UnreachablePeerTerminatesWithDeliveryFailed) {
   // The run terminates on its own (bounded retransmit chains drain the
   // queue) — nowhere near the 50M event budget.
   EXPECT_LT(run.traffic.messages, 100'000u);
+}
+
+TEST(ReliableRecovery, PeerLostAfterTheLinksLearnedTerminatesWithDeliveryFailed) {
+  // Like the test above, but provider 2 goes unreachable 8 ms in, after the
+  // links have sampled round trips: give-up still follows the (now learned)
+  // retransmit schedule and still ends in the distinct reason.
+  const testutil::GoldenRun& g = testutil::kGoldenRuns[1];
+  sim::FaultPlan plan;
+  sim::LinkFault rule;
+  rule.to = 2;
+  rule.symmetric = false;
+  rule.drop = 1.0;
+  rule.active_from = sim::from_millis(8);
+  plan.links.push_back(rule);
+
+  net::ReliabilityConfig cfg;
+  cfg.enable = true;
+  cfg.max_retries = 2;
+  const auto run = run_golden(g, plan, cfg);
+
+  ASSERT_FALSE(run.global_outcome.ok());
+  EXPECT_GT(run.reliability_stats.give_ups, 0u);
+  EXPECT_TRUE(std::any_of(
+      run.provider_outcomes.begin(), run.provider_outcomes.end(),
+      [](const auction::AuctionOutcome& o) {
+        return o.is_bottom() && o.bottom().reason == AbortReason::kDeliveryFailed;
+      }));
+  EXPECT_FALSE(run.stalled);
 }
 
 }  // namespace

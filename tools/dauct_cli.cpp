@@ -27,6 +27,7 @@
 #include "runtime/tcp_runtime.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "serde/csv.hpp"
+#include "serde/ini_values.hpp"
 
 namespace {
 
@@ -103,7 +104,8 @@ single-node tcp deployment (one process per node; see docs/DURABILITY.md):
 
 reliability (sim runtime only; ack/retransmit layer, see docs/RELIABILITY.md):
   --reliable                  enable the reliable-delivery layer
-  --retransmit-delay-ms D     backoff base before the first retransmit (default 8)
+  --retransmit-delay-ms D     initial retransmission timeout and floor of each
+                              peer's measured one (default 8)
   --max-retries N             retransmits before giving up on a peer (default 6)
   --round-timeout-ms D        round liveness watchdog period; 0 disables
                               (default 12)
@@ -252,12 +254,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--retransmit-delay-ms") {
       if (!(v = need_value(i))) return false;
-      const double ms = std::strtod(v, nullptr);
-      if (!(ms > 0)) {  // 0 would burn every retry at the send instant
-        std::fprintf(stderr, "--retransmit-delay-ms must be > 0 (got %s)\n", v);
+      // The scenario parser's rule, on the converted value: a whole finite
+      // number of ms that is still >= 1 ns (a 0 ns floor would burn every
+      // retry at the send instant).
+      const auto ns = serde::parse_time_ms(v);
+      if (!ns || *ns < 1) {
+        std::fprintf(stderr,
+                     "--retransmit-delay-ms must be > 0: a finite number of ms, "
+                     "at least 1 ns (got %s)\n", v);
         return false;
       }
-      opt.reliability.retransmit_delay = static_cast<sim::SimTime>(ms * 1e6);
+      opt.reliability.retransmit_delay = *ns;
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--max-retries") {
       if (!(v = need_value(i))) return false;
@@ -271,12 +278,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--round-timeout-ms") {
       if (!(v = need_value(i))) return false;
-      const double ms = std::strtod(v, nullptr);
-      if (ms < 0) {  // 0 is the documented "watchdogs off" value
-        std::fprintf(stderr, "--round-timeout-ms must be >= 0 (got %s)\n", v);
+      // 0 is the documented "watchdogs off" value — so "abc", which strtod
+      // reads as 0, must not reach it.
+      const auto ns = serde::parse_time_ms(v);
+      if (!ns) {
+        std::fprintf(stderr,
+                     "--round-timeout-ms must be >= 0: a finite number of ms (got %s)\n", v);
         return false;
       }
-      opt.reliability.round_timeout = static_cast<sim::SimTime>(ms * 1e6);
+      opt.reliability.round_timeout = *ns;
       opt.sim_only_flags.push_back(arg);
     } else {
       std::fprintf(stderr, "unknown option: %s (try --help)\n", arg.c_str());
