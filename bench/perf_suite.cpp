@@ -444,13 +444,18 @@ void BM_e2e_sim_distributed(State& state) {
     cfg.seed = 99;
     const auto run = runtime::SimRuntime(cfg).run_distributed(auctioneer, inst);
     DoNotOptimize(run.global_outcome.ok());
+    // kZero, so both are deterministic; CI gates wire_kb.
+    state.counters["wire_kb"] = static_cast<double>(run.traffic.bytes) / 1024.0;
+    state.counters["messages"] = static_cast<double>(run.traffic.messages);
   }
 }
+// {512, 8} is the Fig. 4 shape (k = 3), the dauct_bench fig4_double workload.
 TINYBENCH(BM_e2e_sim_distributed)
     ->Args({12, 3})
     ->Args({48, 4})
     ->Args({128, 8})
     ->Args({256, 12})
+    ->Args({512, 8})
     ->Args({512, 16});
 
 void BM_e2e_sim_centralized(State& state) {

@@ -55,21 +55,40 @@ class CorruptCoinReveal final : public DeviationStrategy {
   }
 };
 
+/// A non-empty payload on a bid-agreement vote topic. Vote topics end in
+/// "/v" in all three agreement modes, the value mode's fallback included.
+bool is_vote(const std::string& topic, const SharedBytes& payload) {
+  return !payload.empty() && blocks::topic_has_prefix(topic, "ba") &&
+         topic.size() >= 2 && topic.compare(topic.size() - 2, 2, "/v") == 0;
+}
+
+/// The vote with its last byte flipped: still well-formed in every mode (a
+/// digest, the last slot of an encoded vector, or the last bits).
+Bytes forge_vote(const SharedBytes& payload) {
+  Bytes forged = payload.to_bytes();
+  forged.back() ^= 0x01;
+  return forged;
+}
+
 class EquivocateVotes final : public DeviationStrategy {
  public:
   std::string name() const override { return "equivocate-votes"; }
 
   std::optional<SharedBytes> on_send(NodeId, NodeId to, const std::string& topic,
                                const SharedBytes& payload) override {
-    // Vote topics end in "/v" for all three agreement modes.
-    if (payload.empty() || !blocks::topic_has_prefix(topic, "ba") ||
-        topic.size() < 2 || topic.compare(topic.size() - 2, 2, "/v") != 0) {
-      return payload;
-    }
-    if (to % 2 == 0) return payload;
-    Bytes forged = payload.to_bytes();
-    forged.back() ^= 0x01;  // different vote for odd-id providers
-    return forged;
+    if (!is_vote(topic, payload) || to % 2 == 0) return payload;
+    return forge_vote(payload);  // different vote for odd-id providers
+  }
+};
+
+class Misvote final : public DeviationStrategy {
+ public:
+  std::string name() const override { return "misvote"; }
+
+  std::optional<SharedBytes> on_send(NodeId, NodeId, const std::string& topic,
+                               const SharedBytes& payload) override {
+    if (!is_vote(topic, payload)) return payload;
+    return forge_vote(payload);  // the same forged vote for everyone
   }
 };
 
@@ -148,6 +167,7 @@ std::shared_ptr<DeviationStrategy> corrupt_coin_reveal() {
 std::shared_ptr<DeviationStrategy> equivocate_votes() {
   return std::make_shared<EquivocateVotes>();
 }
+std::shared_ptr<DeviationStrategy> misvote() { return std::make_shared<Misvote>(); }
 std::shared_ptr<DeviationStrategy> forge_output_digest(std::vector<NodeId> coalition) {
   return std::make_shared<ForgeOutputDigest>(std::move(coalition));
 }

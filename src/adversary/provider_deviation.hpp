@@ -46,6 +46,11 @@ std::shared_ptr<DeviationStrategy> corrupt_coin_reveal();
 /// to even and odd providers.
 std::shared_ptr<DeviationStrategy> equivocate_votes();
 
+/// Vote a forged value in the bid-agreement vote round: the same rewritten
+/// vote payload to every provider, so the echoes stay consistent and the
+/// forged vote is counted rather than detected.
+std::shared_ptr<DeviationStrategy> misvote();
+
 /// Forge the output-agreement digest sent to non-coalition providers.
 std::shared_ptr<DeviationStrategy> forge_output_digest(std::vector<NodeId> coalition);
 

@@ -12,10 +12,12 @@
 // Three agreement modes, all semantically equivalent:
 //  * kPerBitMessages — paper-literal: one rational-consensus *message flow*
 //    per bit of the serialized bid (2·m broadcasts per bit). Ablation only.
-//  * kBitStream      — per-bit consensus decisions, votes/echoes batched into
-//    one message per round (the faithful default).
-//  * kValueBatched   — value-level majority with digest echoes (production
-//    mode; constant-size echo round).
+//  * kBitStream      — the paper's per-bit consensus decisions, votes/echoes
+//    batched into one message per round (the faithful bitwise construction).
+//  * kValueBatched   — the default everywhere (AuctioneerSpec, EngineConfig,
+//    `dauct_cli --mode`): a vote on the digest of the whole bid vector, with
+//    a value-level per-slot majority over full vectors as the fallback when
+//    the digests differ (consensus/batched_consensus.hpp).
 //
 // Invalid decoded bids (malformed bytes, out-of-limits, wrong bidder id, or
 // a no-majority fallback) are replaced by the *pre-determined valid bid* the
@@ -35,8 +37,8 @@ namespace dauct::blocks {
 
 enum class AgreementMode {
   kPerBitMessages,  ///< one message flow per bit (paper-literal; ablation)
-  kBitStream,       ///< per-bit decisions, batched transport (default)
-  kValueBatched,    ///< value-level majority, digest echoes (production)
+  kBitStream,       ///< per-bit decisions, batched transport
+  kValueBatched,    ///< digest vote, full-vector majority fallback (default)
 };
 
 const char* agreement_mode_name(AgreementMode mode);

@@ -9,6 +9,8 @@ using blocks::topic_join;
 
 namespace {
 
+constexpr std::size_t kDigestBytes = 32;
+
 Bytes encode_slots(const std::vector<Bytes>& slots) {
   serde::Writer w;
   w.varint(slots.size());
@@ -32,116 +34,136 @@ std::optional<std::vector<BytesView>> decode_slot_views(BytesView data,
 
 }  // namespace
 
+BatchedConsensus::Round::Round(std::size_t m, std::string_view prefix)
+    : vote_topic(topic_join(prefix, "v")),
+      echo_topic(topic_join(prefix, "e")),
+      votes(m),
+      echoes(m),
+      vote_digests(m) {}
+
 BatchedConsensus::BatchedConsensus(blocks::Endpoint& endpoint, std::string topic_prefix,
                                    std::size_t num_slots)
     : endpoint_(endpoint),
-      vote_topic_(topic_join(topic_prefix, "v")),
-      echo_topic_(topic_join(topic_prefix, "e")),
       num_slots_(num_slots),
-      votes_(endpoint.num_providers()),
-      echoes_(endpoint.num_providers()) {}
+      digest_(endpoint.num_providers(), topic_prefix),
+      full_(endpoint.num_providers(), topic_join(topic_prefix, "full")) {}
 
 void BatchedConsensus::start(const std::vector<Bytes>& input) {
-  std::vector<Bytes> slots = input;
-  slots.resize(num_slots_);
-  endpoint_.broadcast(vote_topic_, encode_slots(slots));
-  votes_.arm(endpoint_, vote_topic_);
+  slots_ = input;
+  slots_.resize(num_slots_);
+  encoded_ = encode_slots(slots_);
+  // Hashing through the payload's digest slot means the fallback broadcast
+  // of encoded_, if it happens, reuses this digest for its own echo entry.
+  const crypto::Digest& d = net::payload_digest(encoded_);
+  endpoint_.broadcast(digest_.vote_topic, Bytes(d.begin(), d.end()));
+  digest_.votes.arm(endpoint_, digest_.vote_topic);
 }
 
 void BatchedConsensus::abort(AbortReason reason, std::string detail) {
   if (!result_) result_ = Outcome<std::vector<Bytes>>(Bottom{reason, std::move(detail)});
-  votes_.cancel();
-  echoes_.cancel();
+  for (Round* round : {&digest_, &full_}) {
+    round->votes.cancel();
+    round->echoes.cancel();
+  }
 }
 
 bool BatchedConsensus::handle(const net::Message& msg) {
-  if (msg.topic == vote_topic_) {
-    if (result_) return true;
-    if (!decode_slot_views(msg.payload.view(), num_slots_)) {
-      abort(AbortReason::kProtocolViolation, "malformed batched vote");
-      return true;
-    }
-    if (!votes_.add(msg.from, msg.payload)) {
-      abort(AbortReason::kProtocolViolation, "duplicate batched vote");
-      return true;
-    }
-    // Take the digest from the message cache now: the echo round then builds
-    // from stored 32-byte digests instead of re-hashing every vote payload.
-    if (vote_digests_.size() < endpoint_.num_providers()) {
-      vote_digests_.resize(endpoint_.num_providers());
-    }
-    vote_digests_[msg.from] = msg.payload_digest();
-    maybe_echo();
-    maybe_decide();
-    return true;
-  }
-  if (msg.topic == echo_topic_) {
-    if (result_) return true;
-    if (msg.payload.size() != 32 * endpoint_.num_providers()) {
-      abort(AbortReason::kProtocolViolation, "malformed batched echo");
-      return true;
-    }
-    if (!echoes_.add(msg.from, msg.payload)) {
-      abort(AbortReason::kProtocolViolation, "duplicate batched echo");
-      return true;
-    }
-    maybe_decide();
+  if (handle_round(digest_, msg) || handle_round(full_, msg)) {
+    advance();
     return true;
   }
   return false;
 }
 
-void BatchedConsensus::maybe_echo() {
-  if (echoed_ || !votes_.complete()) return;
-  echoed_ = true;
-  // Echo = digest of every provider's raw vote payload, in id order.
-  Bytes echo;
-  echo.reserve(32 * endpoint_.num_providers());
-  for (NodeId j = 0; j < endpoint_.num_providers(); ++j) {
-    const crypto::Digest& d = vote_digests_[j];
-    append(echo, BytesView(d.data(), d.size()));
+bool BatchedConsensus::handle_round(Round& round, const net::Message& msg) {
+  if (msg.topic == round.vote_topic) {
+    if (result_) return true;
+    const bool well_formed =
+        &round == &digest_ ? msg.payload.size() == kDigestBytes
+                           : decode_slot_views(msg.payload.view(), num_slots_).has_value();
+    if (!well_formed) {
+      abort(AbortReason::kProtocolViolation, "malformed batched vote");
+      return true;
+    }
+    if (!round.votes.add(msg.from, msg.payload)) {
+      abort(AbortReason::kProtocolViolation, "duplicate batched vote");
+      return true;
+    }
+    // Take the digest from the message cache now: the echo round then builds
+    // from stored 32-byte digests instead of re-hashing every vote payload.
+    round.vote_digests[msg.from] = msg.payload_digest();
+    return true;
   }
-  endpoint_.broadcast(echo_topic_, std::move(echo));
-  echoes_.arm(endpoint_, echo_topic_);
+  if (msg.topic == round.echo_topic) {
+    if (result_) return true;
+    if (msg.payload.size() != kDigestBytes * endpoint_.num_providers()) {
+      abort(AbortReason::kProtocolViolation, "malformed batched echo");
+      return true;
+    }
+    if (!round.echoes.add(msg.from, msg.payload)) {
+      abort(AbortReason::kProtocolViolation, "duplicate batched echo");
+      return true;
+    }
+    return true;
+  }
+  return false;
 }
 
-void BatchedConsensus::maybe_decide() {
-  if (result_ || !echoes_.complete() || !votes_.complete()) return;
+void BatchedConsensus::maybe_echo(Round& round) {
+  if (round.echoed || !round.votes.complete()) return;
+  round.echoed = true;
+  // Echo = digest of every provider's raw vote payload, in id order.
+  Bytes echo;
+  echo.reserve(kDigestBytes * endpoint_.num_providers());
+  for (const crypto::Digest& d : round.vote_digests) {
+    append(echo, BytesView(d.data(), d.size()));
+  }
+  endpoint_.broadcast(round.echo_topic, std::move(echo));
+  round.echoes.arm(endpoint_, round.echo_topic);
+}
 
-  const SharedBytes& reference = echoes_.payloads()[0];
+bool BatchedConsensus::settled(const Round& round) {
+  if (!round.echoes.complete() || !round.votes.complete()) return false;
+  const SharedBytes& reference = round.echoes.payloads()[0];
   for (NodeId j = 1; j < endpoint_.num_providers(); ++j) {
-    if (echoes_.payloads()[j] != reference) {
+    if (round.echoes.payloads()[j] != reference) {
       abort(AbortReason::kEquivocationDetected,
             "batched echo mismatch at provider " + std::to_string(j));
-      return;
+      return false;
     }
   }
+  return true;
+}
 
+void BatchedConsensus::advance() {
+  if (result_) return;
+  maybe_echo(digest_);
+  if (!fell_back_) {
+    if (!settled(digest_)) return;
+    const auto& votes = digest_.votes.payloads();
+    bool unanimous = true;
+    for (NodeId j = 1; j < votes.size() && unanimous; ++j) unanimous = votes[j] == votes[0];
+    if (unanimous) {
+      // Every provider hashed the same vector as this one.
+      result_ = Outcome<std::vector<Bytes>>(std::move(slots_));
+      return;
+    }
+    // The digests differ: agree on the vectors themselves. Fallback votes
+    // and echoes that arrived before this point are already collected.
+    fell_back_ = true;
+    endpoint_.broadcast(full_.vote_topic, encoded_);
+    full_.votes.arm(endpoint_, full_.vote_topic);
+  }
+  maybe_echo(full_);
+  if (settled(full_)) decide_by_majority();
+}
+
+void BatchedConsensus::decide_by_majority() {
   const std::size_t m = endpoint_.num_providers();
-  const auto& votes = votes_.payloads();
+  const auto& votes = full_.votes.payloads();
 
-  // Unanimous fast path (the honest case): every provider voted the same
-  // bytes, so every slot's strict majority is vote 0's value. One decode, no
-  // per-slot grouping. The digests screen; the bytes confirm.
-  bool unanimous = true;
-  for (NodeId j = 1; j < m && unanimous; ++j) {
-    unanimous = vote_digests_[j] == vote_digests_[0] && votes[j] == votes[0];
-  }
-  if (unanimous) {
-    auto slots = decode_slot_views(votes[0].view(), num_slots_);
-    if (!slots) {
-      abort(AbortReason::kProtocolViolation, "undecodable agreed vote");
-      return;
-    }
-    std::vector<Bytes> decided;
-    decided.reserve(num_slots_);
-    for (const BytesView v : *slots) decided.emplace_back(v.begin(), v.end());
-    result_ = Outcome<std::vector<Bytes>>(std::move(decided));
-    return;
-  }
-
-  // Otherwise decide per slot by strict majority of exact values; fallback =
-  // empty bytes (neutral) when no majority. The vote payloads stay in the
+  // Decide per slot by strict majority of exact values; fallback = empty
+  // bytes (neutral) when no majority. The vote payloads stay in the
   // collector's shared buffers, so the per-sender slot vectors are views,
   // not copies.
   std::vector<std::vector<BytesView>> votes_by_sender;

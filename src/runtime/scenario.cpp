@@ -543,6 +543,7 @@ std::shared_ptr<adversary::DeviationStrategy> make_strategy(
   if (dev.strategy == "honest") return adversary::honest_provider();
   if (dev.strategy == "corrupt-coin-reveal") return adversary::corrupt_coin_reveal();
   if (dev.strategy == "equivocate-votes") return adversary::equivocate_votes();
+  if (dev.strategy == "misvote") return adversary::misvote();
   if (dev.strategy == "forge-task-results") {
     return adversary::forge_task_results(std::move(coalition));
   }
@@ -612,8 +613,8 @@ std::string instance_result_digest(const InstanceRunResult& inst) {
 const std::vector<std::string>& deviation_strategy_names() {
   static const std::vector<std::string> names = {
       "honest",           "corrupt-coin-reveal", "equivocate-votes",
-      "forge-task-results", "forge-output-digest", "selective-silence",
-      "misreport-ask",
+      "misvote",          "forge-task-results",  "forge-output-digest",
+      "selective-silence", "misreport-ask",
   };
   return names;
 }

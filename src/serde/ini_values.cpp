@@ -9,7 +9,8 @@
 namespace dauct::serde {
 
 std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+  // strtoull would skip leading blanks and accept a sign, wrapping "-1".
+  if (s.empty() || s[0] < '0' || s[0] > '9') return std::nullopt;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);

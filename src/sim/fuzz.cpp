@@ -458,7 +458,18 @@ FuzzCase PlanFuzzer::generate(std::uint64_t index,
   // --- bidder-side adversaries ---
   // Bidders are not providers: no k budget — however many misbehave, the
   // honest providers' agreement must exclude their bids or ⊥ explicitly.
-  if (!b.bidder_behaviours.empty() && s.coin(b.p_bidder_adversary)) {
+  // A misvoting provider's forged vote counts like any vote. Where an
+  // equivocating bidder splits the honest votes on its slot, that one vote
+  // can tip the slot's majority: a different agreed bid, but a legitimate
+  // one (validity covers only bidders that sent every provider the same
+  // bid), which the matches-clean oracle would misreport, as it would
+  // misreport-ask. So a case with a misvote draws no equivocating bidder.
+  std::vector<std::string> behaviours = b.bidder_behaviours;
+  if (std::any_of(c.deviations.begin(), c.deviations.end(),
+                  [](const FuzzCase::Deviation& d) { return d.strategy == "misvote"; })) {
+    std::erase(behaviours, "equivocate");
+  }
+  if (!behaviours.empty() && s.coin(b.p_bidder_adversary)) {
     std::vector<NodeId> bidder_pool(c.users);
     for (std::size_t j = 0; j < c.users; ++j)
       bidder_pool[j] = static_cast<NodeId>(j);
@@ -467,8 +478,7 @@ FuzzCase PlanFuzzer::generate(std::uint64_t index,
     for (std::size_t i = 0; i < n_bad; ++i) {
       FuzzCase::BidderAdversary bad;
       bad.bidder = static_cast<BidderId>(s.draw(bidder_pool));
-      bad.behaviour =
-          b.bidder_behaviours[s.rng.next_below(b.bidder_behaviours.size())];
+      bad.behaviour = behaviours[s.rng.next_below(behaviours.size())];
       c.bidder_adversaries.push_back(bad);
     }
     std::sort(c.bidder_adversaries.begin(), c.bidder_adversaries.end(),

@@ -107,10 +107,11 @@ struct FuzzBounds {
   /// is deliberately absent — lying about one's own cost is input
   /// manipulation the mechanism prices in, so the run completes ok with a
   /// legitimately different result and would false-positive the
-  /// matches-clean oracle.
+  /// matches-clean oracle. For the same reason a case that draws misvote
+  /// draws no equivocating bidder (see generate()).
   std::vector<std::string> strategies = {
       "corrupt-coin-reveal", "equivocate-votes",   "forge-task-results",
-      "forge-output-digest", "selective-silence",
+      "forge-output-digest", "selective-silence",  "misvote",
   };
 };
 

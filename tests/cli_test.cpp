@@ -198,6 +198,43 @@ TEST(Cli, TimerFlagsAreParsedWholeAndFinite) {
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
 }
 
+TEST(Cli, IntegerFlagsAreParsedWholeAndInRange) {
+  // strtoul alone ran "--k abc" as k = 0, "--providers 4x" as m = 4, and
+  // wrapped "--base-port 70000" into a uint16_t. Each bad value must exit 1
+  // with one line that names the flag. No huge --users value is run: a
+  // valid one would allocate that many bidders.
+  const struct {
+    const char* flag;
+    const char* value;
+  } bad[] = {
+      {"--users", "abc"},      {"--users", "0"},        {"--users", "-3"},
+      {"--users", "12x"},      {"--users", "4294967296"},
+      {"--providers", "4x"},   {"--providers", "0"},    {"--providers", "+5"},
+      {"--k", "abc"},          {"--k", "-1"},           {"--k", "1.5"},
+      {"--seed", "x7"},        {"--seed", ""},          {"--seed", " 7"},
+      {"--seed", "18446744073709551616"},
+      {"--base-port", "70000"}, {"--base-port", "65536"}, {"--base-port", "-1"},
+      {"--crash-after", "0"},  {"--instances", "2x"},   {"--pipeline-depth", "0"},
+  };
+  for (const auto& b : bad) {
+    const auto r = run_command(std::string(b.flag) + " '" + b.value + "'");
+    EXPECT_EQ(r.exit_code, 1) << b.flag << " " << b.value << ": " << r.output;
+    EXPECT_EQ(r.output.find(std::string(b.flag) + " must be"), 0u)
+        << b.flag << " " << b.value << ": " << r.output;
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1) << r.output;
+  }
+  const auto ok = run_command("--users 6 --providers 3 --k 1 --seed 18446744073709551615");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  const auto port = run_command("--base-port 65535 --users 6 --providers 3");
+  EXPECT_EQ(port.exit_code, 0) << port.output;
+  // A cluster's ports are base + j and base + m for the client: they must
+  // all fit, or they would wrap to low ports. Rejected before any socket.
+  const auto wrap =
+      run_command("--runtime tcp --tcp-node client --base-port 65533 --providers 3 --users 6");
+  EXPECT_EQ(wrap.exit_code, 1) << wrap.output;
+  EXPECT_NE(wrap.output.find("leaves no room"), std::string::npos) << wrap.output;
+}
+
 TEST(Cli, EpsilonOutsideUnitIntervalIsRejectedLikeTheScenarioParser) {
   for (const char* eps : {"0", "-0.1", "1", "1.5", "abc", "0.1x", "nan"}) {
     const auto r = run_command(std::string("--auction standard --epsilon ") + eps);
@@ -287,6 +324,29 @@ TEST(Fuzz, UnknownFlagAndMissingValueFail) {
   EXPECT_EQ(run_fuzz("--no-such-flag").exit_code, 1);
   EXPECT_EQ(run_fuzz("--plans").exit_code, 1);
   EXPECT_EQ(run_fuzz("--bounds /nonexistent/b.ini").exit_code, 1);
+}
+
+TEST(Fuzz, IntegerFlagsAreParsedWholeAndInRange) {
+  // "--plans abc" used to check 0 plans and exit 0, so a typo in a fuzz
+  // shard passed vacuously; "--seed x7" ran seed 0.
+  const struct {
+    const char* flag;
+    const char* value;
+  } bad[] = {
+      {"--plans", "abc"}, {"--plans", "0"},  {"--plans", "5x"},  {"--plans", "-1"},
+      {"--seed", "x7"},   {"--seed", "7x"},  {"--seed", ""},     {"--index", "-2"},
+      {"--index", "1.0"}, {"--near-miss-probes", "two"},
+  };
+  for (const auto& b : bad) {
+    const auto r = run_fuzz(std::string(b.flag) + " '" + b.value + "'");
+    EXPECT_EQ(r.exit_code, 1) << b.flag << " " << b.value << ": " << r.output;
+    EXPECT_EQ(r.output.find(std::string(b.flag) + " must be"), 0u)
+        << b.flag << " " << b.value << ": " << r.output;
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1) << r.output;
+  }
+  const auto ok = run_fuzz("--plans 1 --seed 7 --index 3 --near-miss-probes 0");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("1 plan(s) checked"), std::string::npos) << ok.output;
 }
 
 TEST(Fuzz, SmallFixedSeedRunPassesCleanly) {

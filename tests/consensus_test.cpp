@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "adversary/provider_deviation.hpp"
 #include "consensus/batched_consensus.hpp"
 #include "consensus/bit_consensus.hpp"
@@ -160,22 +162,45 @@ TEST(StreamConsensus, ShortInputZeroPadded) {
 
 // ---------------------------------------------------------------------------
 
-std::vector<Outcome<std::vector<Bytes>>> run_batched(
-    std::size_t m, std::size_t slots, const std::vector<std::vector<Bytes>>& in) {
+struct BatchedRun {
+  std::vector<Outcome<std::vector<Bytes>>> outs;
+  std::vector<bool> fell_back;
+};
+
+/// Drive m BatchedConsensus instances over a LocalNet; `deviant`'s sends go
+/// through `strategy` when both are given.
+BatchedRun run_batched_with(std::size_t m, std::size_t slots,
+                            const std::vector<std::vector<Bytes>>& in,
+                            NodeId deviant = kNoNode,
+                            std::shared_ptr<adversary::DeviationStrategy> strategy = nullptr) {
   LocalNet net(m);
+  std::unique_ptr<adversary::DeviantEndpoint> wrapped;
   std::vector<std::unique_ptr<BatchedConsensus>> nodes(m);
   for (NodeId j = 0; j < m; ++j) {
-    nodes[j] = std::make_unique<BatchedConsensus>(net.endpoint(j), "ba/b", slots);
+    blocks::Endpoint* ep = &net.endpoint(j);
+    if (j == deviant && strategy) {
+      wrapped = std::make_unique<adversary::DeviantEndpoint>(*ep, strategy);
+      ep = wrapped.get();
+    }
+    nodes[j] = std::make_unique<BatchedConsensus>(*ep, "ba/b", slots);
     net.set_handler(j, [&, j](const net::Message& msg) { nodes[j]->handle(msg); });
   }
   for (NodeId j = 0; j < m; ++j) nodes[j]->start(in[j]);
   net.run();
-  std::vector<Outcome<std::vector<Bytes>>> outs;
+  BatchedRun run;
   for (NodeId j = 0; j < m; ++j) {
-    EXPECT_TRUE(nodes[j]->done());
-    outs.push_back(*nodes[j]->result());
+    EXPECT_TRUE(nodes[j]->done()) << "node " << j << " did not decide";
+    run.outs.push_back(nodes[j]->done()
+                           ? *nodes[j]->result()
+                           : Outcome<std::vector<Bytes>>(Bottom{AbortReason::kTimeout, ""}));
+    run.fell_back.push_back(nodes[j]->fell_back());
   }
-  return outs;
+  return run;
+}
+
+std::vector<Outcome<std::vector<Bytes>>> run_batched(
+    std::size_t m, std::size_t slots, const std::vector<std::vector<Bytes>>& in) {
+  return run_batched_with(m, slots, in).outs;
 }
 
 TEST(BatchedConsensus, UnanimousSlots) {
@@ -236,9 +261,10 @@ std::vector<Bytes> majority_by_slot(const std::vector<std::vector<Bytes>>& votes
 }
 
 TEST(BatchedConsensus, UnanimousAndSplitVoteSetsDecideByTheMajorityRule) {
-  // Many slots, some empty: the unanimous set takes the one-decode fast path,
-  // the split set (one provider disagrees on every third slot, two on every
-  // fifth) the per-slot grouping. Both must decide what the rule says.
+  // Many slots, some empty: the unanimous set takes the digest-vote fast
+  // path, the split set (one provider disagrees on every third slot, two on
+  // every fifth) the fallback's per-slot grouping. Both must decide what the
+  // rule says.
   constexpr std::size_t kM = 5, kSlots = 64;
   std::vector<Bytes> base(kSlots);
   for (std::size_t s = 0; s < kSlots; ++s) {
@@ -263,6 +289,195 @@ TEST(BatchedConsensus, UnanimousAndSplitVoteSetsDecideByTheMajorityRule) {
   // Slots 15, 30, 45 and 60 split 2-1-1-1 and fall back to empty.
   EXPECT_EQ(majority_by_slot(unanimous), base);
   EXPECT_TRUE(majority_by_slot(split)[15].empty());
+}
+
+TEST(BatchedConsensus, RandomVoteSetsMatchTheReferenceRule) {
+  // Differential: seeded random vote sets of four shapes per m, each decided
+  // by the digest vote (unanimous) or its fallback (the rest), against
+  // majority_by_slot. The fast path is taken exactly when every vector is
+  // the same.
+  enum class Shape { kUnanimous, kMajority, kSplit, kNoMajority };
+  for (const std::size_t m : {3, 4, 5, 7, 8}) {
+    for (const Shape shape :
+         {Shape::kUnanimous, Shape::kMajority, Shape::kSplit, Shape::kNoMajority}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        crypto::Rng rng(seed * 100 + m);
+        const std::size_t slots = 1 + rng.next_below(24);
+        auto value = [&] {
+          Bytes v(rng.next_below(4));  // empty slots included
+          for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_below(3));
+          return v;
+        };
+        std::vector<Bytes> base(slots);
+        for (auto& v : base) v = value();
+        std::vector<std::vector<Bytes>> votes(m, base);
+        const std::size_t minority = (m - 1) / 2;  // largest set a majority outvotes
+        for (std::size_t s = 0; s < slots; ++s) {
+          switch (shape) {
+            case Shape::kUnanimous:
+              break;
+            case Shape::kMajority:  // up to (m−1)/2 providers disagree
+              for (std::size_t j = 0; j < minority; ++j) {
+                if (rng.next_below(2)) votes[rng.next_below(m)][s] = value();
+              }
+              break;
+            case Shape::kSplit:  // every provider draws its own value
+              for (auto& v : votes) v[s] = value();
+              break;
+            case Shape::kNoMajority:  // m distinct values
+              for (std::size_t j = 0; j < m; ++j) {
+                votes[j][s] = Bytes{0xf0, static_cast<std::uint8_t>(j)};
+              }
+              break;
+          }
+        }
+        const bool identical =
+            std::all_of(votes.begin(), votes.end(), [&](const auto& v) { return v == votes[0]; });
+        const std::vector<Bytes> expected = majority_by_slot(votes);
+        const auto run = run_batched_with(m, slots, votes);
+        for (NodeId j = 0; j < m; ++j) {
+          ASSERT_TRUE(run.outs[j].ok()) << "m=" << m << " seed=" << seed;
+          EXPECT_EQ(run.outs[j].value(), expected) << "m=" << m << " seed=" << seed;
+          EXPECT_EQ(run.fell_back[j], !identical) << "m=" << m << " seed=" << seed;
+        }
+        if (shape == Shape::kNoMajority) {
+          for (const Bytes& v : expected) EXPECT_TRUE(v.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedConsensus, MisvotingProviderForcesTheFallbackButIsOutvoted) {
+  // The same forged vote to every receiver: echoes agree, nothing is
+  // detected, and the fallback's per-slot majority ignores the forgery.
+  const std::vector<Bytes> slots = {{1, 2, 3}, {}, {9}};
+  const auto run = run_batched_with(5, 3, std::vector<std::vector<Bytes>>(5, slots),
+                                    /*deviant=*/2, adversary::misvote());
+  for (NodeId j = 0; j < 5; ++j) {
+    ASSERT_TRUE(run.outs[j].ok()) << "node " << j;
+    EXPECT_EQ(run.outs[j].value(), slots);
+    EXPECT_TRUE(run.fell_back[j]);
+  }
+}
+
+TEST(BatchedConsensus, EquivocatedDigestVoteIsBottom) {
+  const std::vector<Bytes> slots = {{1}, {2}};
+  const auto run = run_batched_with(5, 2, std::vector<std::vector<Bytes>>(5, slots),
+                                    /*deviant=*/0, adversary::equivocate_votes());
+  for (NodeId j = 1; j < 5; ++j) {
+    ASSERT_TRUE(run.outs[j].is_bottom()) << "node " << j;
+    EXPECT_EQ(run.outs[j].bottom().reason, AbortReason::kEquivocationDetected);
+    EXPECT_FALSE(run.fell_back[j]);
+  }
+}
+
+/// Equivocates only in the fallback vote round: the digest vote is honest.
+class EquivocateFallbackVote final : public adversary::DeviationStrategy {
+ public:
+  std::string name() const override { return "equivocate-fallback-vote"; }
+  std::optional<SharedBytes> on_send(NodeId, NodeId to, const std::string& topic,
+                                     const SharedBytes& payload) override {
+    const std::string leaf = "/full/v";
+    if (to % 2 == 0 || topic.size() < leaf.size() ||
+        topic.compare(topic.size() - leaf.size(), leaf.size(), leaf) != 0) {
+      return payload;
+    }
+    Bytes forged = payload.to_bytes();
+    forged.back() ^= 0x01;
+    return forged;
+  }
+};
+
+TEST(BatchedConsensus, EquivocationInTheFallbackVoteIsBottom) {
+  // Differing inputs force the fallback; there provider 0 sends odd
+  // receivers a different vector than even ones, which the fallback's echoes
+  // expose.
+  const Bytes a = {0xaa}, b = {0xbb};
+  const auto run = run_batched_with(5, 1, {{a}, {a}, {a}, {b}, {b}},
+                                    /*deviant=*/0, std::make_shared<EquivocateFallbackVote>());
+  for (NodeId j = 1; j < 5; ++j) {
+    ASSERT_TRUE(run.outs[j].is_bottom()) << "node " << j;
+    EXPECT_EQ(run.outs[j].bottom().reason, AbortReason::kEquivocationDetected);
+    EXPECT_TRUE(run.fell_back[j]);
+  }
+}
+
+/// Endpoint whose sends wait in a shared queue until the test delivers them,
+/// in whatever order it likes.
+class QueuedEndpoint final : public blocks::Endpoint {
+ public:
+  QueuedEndpoint(NodeId self, std::size_t m, std::vector<net::Message>& queue)
+      : self_(self), m_(m), queue_(queue), rng_(self + 1) {}
+  NodeId self() const override { return self_; }
+  std::size_t num_providers() const override { return m_; }
+  crypto::Rng& rng() override { return rng_; }
+  void send(NodeId to, const net::Topic& topic, SharedBytes payload) override {
+    net::Message msg;
+    msg.from = self_;
+    msg.to = to;
+    msg.topic = topic;
+    msg.payload = std::move(payload);
+    queue_.push_back(std::move(msg));
+  }
+
+ private:
+  NodeId self_;
+  std::size_t m_;
+  std::vector<net::Message>& queue_;
+  crypto::Rng rng_;
+};
+
+TEST(BatchedConsensus, EarlyFallbackVotesAreKeptAndCounted) {
+  // Providers 0 and 1 finish the digest round and cast their fallback votes
+  // while provider 2 still waits for their digest echoes. Provider 2 gets
+  // those fallback votes before its echo round completes and must keep
+  // them: nobody sends them again.
+  constexpr std::size_t kM = 3;
+  const Bytes a = {0xaa}, b = {0xbb};
+  const std::vector<std::vector<Bytes>> in = {{a}, {a}, {b}};
+  std::vector<net::Message> queue;
+  std::vector<std::unique_ptr<QueuedEndpoint>> eps;
+  std::vector<std::unique_ptr<BatchedConsensus>> nodes;
+  for (NodeId j = 0; j < kM; ++j) {
+    eps.push_back(std::make_unique<QueuedEndpoint>(j, kM, queue));
+    nodes.push_back(std::make_unique<BatchedConsensus>(*eps[j], "ba/b", 1));
+  }
+  for (NodeId j = 0; j < kM; ++j) nodes[j]->start(in[j]);
+  auto drain = [&](auto hold) {
+    std::vector<net::Message> held;
+    while (!queue.empty()) {
+      net::Message msg = std::move(queue.front());
+      queue.erase(queue.begin());
+      if (hold(msg)) {
+        held.push_back(std::move(msg));
+      } else {
+        ASSERT_TRUE(nodes[msg.to]->handle(msg));
+      }
+    }
+    queue = std::move(held);
+  };
+
+  // Hold every digest echo addressed to provider 2; deliver the rest.
+  std::size_t early_full_votes = 0;
+  drain([&](const net::Message& msg) {
+    if (msg.to != 2) return false;
+    if (msg.topic.str() == "ba/b/full/v") ++early_full_votes;
+    return msg.topic.str() == "ba/b/e";
+  });
+  EXPECT_EQ(early_full_votes, 2u);
+  ASSERT_TRUE(nodes[0]->fell_back());
+  ASSERT_TRUE(nodes[1]->fell_back());
+  ASSERT_FALSE(nodes[2]->fell_back());
+  ASSERT_FALSE(nodes[2]->done());
+
+  drain([](const net::Message&) { return false; });
+  for (NodeId j = 0; j < kM; ++j) {
+    ASSERT_TRUE(nodes[j]->done()) << "node " << j;
+    ASSERT_TRUE(nodes[j]->result()->ok()) << "node " << j;
+    EXPECT_EQ(nodes[j]->result()->value(), std::vector<Bytes>{a});
+    EXPECT_TRUE(nodes[j]->fell_back());
+  }
 }
 
 }  // namespace

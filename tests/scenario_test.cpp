@@ -545,7 +545,9 @@ TEST(ScenarioLibrary, EveryShippedScenarioParsesRunsAndSelfChecks) {
 /// and service runtimes were still two separate implementations. Every
 /// field is pinned exactly: the merge onto one simulated runtime must not
 /// move a result byte, a virtual instant, a frame, an event, a WAL record, a
-/// retransmit, a signature, or a verification.
+/// retransmit, a signature, or a verification. The result digests are the
+/// originals; the other fields were re-pinned when bid agreement moved to
+/// 32-byte digest votes.
 struct ScenarioFingerprint {
   const char* file;
   const char* result_sha256;  ///< "" when the run ends in ⊥
@@ -559,71 +561,76 @@ struct ScenarioFingerprint {
 constexpr ScenarioFingerprint kScenarioFingerprints[] = {
     {"amnesia_beyond_k.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     53177001, 495, 52150, 1037, 220, 21745, 23, 0, 0},
+     53885937, 488, 38781, 1031, 220, 16195, 13, 0, 0},
     {"auth_forged_frame.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     25175098, 220, 39995, 220, 0, 0, 0, 35, 175},
+     24479969, 220, 33365, 220, 0, 0, 0, 35, 175},
     {"auth_replayed_round.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     25242756, 215, 39350, 215, 0, 0, 0, 35, 175},
+     24788376, 215, 32720, 215, 0, 0, 0, 35, 175},
     {"auth_stolen_key.scn",
      "",
-     13116905, 110, 23625, 110, 0, 0, 0, 24, 100},
+     12444904, 110, 16000, 110, 0, 0, 0, 24, 100},
     {"beyond_k.scn",
      "",
-     12716503, 90, 14530, 90, 0, 0, 0, 0, 0},
+     12282232, 90, 9005, 90, 0, 0, 0, 0, 0},
     {"bidder_adversary_replay.scn",
      "5753a88188e069bb29854472fa7c5841baa7c31a497fdf712763511dc9ff75d8",
-     23224735, 72, 7344, 72, 0, 0, 0, 0, 0},
+     23004398, 72, 6111, 72, 0, 0, 0, 0, 0},
+    {"bidder_equivocation.scn",
+     "5fbfe89039cb5a2feff762a6b103c01048f3dea16d330e74e92bae9d7edfebed",
+     31591171, 235, 31240, 235, 0, 0, 0, 0, 0},
     {"byzantine_echo.scn",
      "",
-     12754748, 110, 17125, 110, 0, 0, 0, 0, 0},
+     12099628, 110, 9500, 110, 0, 0, 0, 0, 0},
     {"clean.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
     {"dup_storm.scn",
      "c177b1d45156bce029fded7ef8f1904755669db505152eca59301afc4d822fe7",
-     25635224, 360, 38050, 823, 0, 0, 0, 0, 0},
+     24971060, 355, 30097, 812, 0, 0, 0, 0, 0},
     {"dup_storm_legacy.scn",
      "",
-     10539819, 90, 14270, 104, 0, 0, 0, 0, 0},
+     11258527, 95, 7560, 110, 0, 0, 0, 0, 0},
     {"flaky_provider.scn",
      "368b37bd280db1853216186dc97d795433405f7bbfb83eb6839ef50ee403cdf1",
-     41377089, 381, 43148, 787, 0, 0, 14, 0, 0},
+     39243341, 372, 32429, 775, 0, 0, 15, 0, 0},
     {"k_crash.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
     {"kill_restart.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     33875682, 392, 40821, 833, 220, 21745, 10, 0, 0},
+     32856544, 389, 32252, 825, 220, 16195, 7, 0, 0},
     {"lossy_extreme.scn",
      "",
-     40209088, 821, 84670, 1214, 0, 0, 239, 0, 0},
+     40619050, 645, 46399, 960, 0, 0, 177, 0, 0},
     {"lossy_lan.scn",
      "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f",
-     5678102, 1146, 230858, 2358, 0, 0, 25, 0, 0},
+     8555842, 1149, 121799, 2364, 0, 0, 26, 0, 0},
     {"multi_instance_clean.scn",
      "721ae4a1bdd4802872cb7b9c168dd6c77a49fa1ec9b5eda0e5b14107f8145b1c",
-     49898848, 273, 34029, 273, 0, 0, 0, 0, 0},
+     49147660, 273, 26073, 273, 0, 0, 0, 0, 0},
     {"multi_instance_faulty.scn",
      "",
-     113195971, 471, 50612, 1009, 0, 0, 20, 0, 0},
+     105283617, 470, 41334, 1011, 0, 0, 23, 0, 0},
     {"partition_heal.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     25214028, 185, 22520, 185, 0, 0, 0, 0, 0},
+     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
     {"partition_stall.scn",
      "",
-     6779738, 35, 6155, 21, 0, 0, 0, 0, 0},
-    {"slow_wan.scn",
-     "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
-     74108722, 185, 25520, 185, 0, 0, 0, 0, 0},
-    {"wal_torn_tail.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     33875682, 392, 40821, 833, 222, 22297, 10, 0, 0},
-    // Added with service-mode amnesia recovery (no earlier value exists).
+     6515915, 35, 2840, 21, 0, 0, 0, 0, 0},
     {"service_amnesia.scn",
      "bc0a75069e83d4f56198fe00b229ca484c2ae5259857c41d2653561c32ab357f",
-     58032184, 1653, 173098, 3458, 865, 89660, 15, 0, 0},
+     54979416, 1643, 144471, 3441, 865, 67460, 10, 0, 0},
+    {"slow_wan.scn",
+     "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
+     73645470, 185, 17895, 185, 0, 0, 0, 0, 0},
+    {"split_digest_vote.scn",
+     "9fef6918d1e0e0ac0e57c0c030e8f187b88ab7531243f59fbd4ab0d1cc0997f8",
+     31352436, 235, 31400, 235, 0, 0, 0, 0, 0},
+    {"wal_torn_tail.scn",
+     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
+     35380553, 401, 33356, 845, 223, 16343, 7, 0, 0},
 };
 
 TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {

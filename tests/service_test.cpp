@@ -116,7 +116,8 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   // Reliability + batch auth + WAL all on. run_distributed is the
   // one-instance service run, so comparing the two would compare the code
   // with itself; both are pinned to literals recorded when the single-auction
-  // runtime was a separate implementation.
+  // runtime was a separate implementation (makespan, bytes and WAL bytes
+  // re-pinned when bid agreement moved to 32-byte digest votes).
   const auto auctioneer = make_auctioneer(12, 3, 1);
   const auto workload = testutil::make_instance(12, 3, 99);
 
@@ -140,12 +141,12 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   ASSERT_TRUE(direct.global_outcome.ok());
   const runtime::RunStats* runs[] = {&service, &direct};
   for (const runtime::RunStats* r : runs) {
-    EXPECT_EQ(r->makespan, 24722779);
+    EXPECT_EQ(r->makespan, 24268370);
     EXPECT_EQ(r->traffic.messages, 117u);
-    EXPECT_EQ(r->traffic.bytes, 16263u);
+    EXPECT_EQ(r->traffic.bytes, 14274u);
     EXPECT_EQ(r->events_dispatched, 264u);
     EXPECT_EQ(r->wal_stats.records_appended, 84u);
-    EXPECT_EQ(r->wal_stats.bytes_appended, 12462u);
+    EXPECT_EQ(r->wal_stats.bytes_appended, 10464u);
     EXPECT_EQ(r->auth_stats.signed_sends, 21u);
     EXPECT_EQ(r->auth_stats.verified_batched, 63u);
     EXPECT_EQ(r->auth_stats.batches, 21u);

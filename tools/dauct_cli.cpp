@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "runtime/thread_runtime.hpp"
 #include "serde/csv.hpp"
 #include "serde/ini_values.hpp"
+#include "uint_flag.hpp"
 
 namespace {
 
@@ -81,7 +83,10 @@ protocol:
   --k K                       coalition resilience bound (default 1)
   --epsilon E                 (1-eps) welfare approximation, 0 < E < 1
                               (standard auction)
-  --mode value|bits|perbit    bid agreement encoding (default value)
+  --mode value|bits|perbit    bid agreement (default value: a vote on the
+                              bid vector's digest, the full vector only when
+                              the digests differ; bits: per-bit decisions;
+                              perbit: one message flow per bit, ablation)
   --centralized               run the trusted-auctioneer baseline instead
 
 execution:
@@ -143,6 +148,9 @@ output:
 )");
 }
 
+/// Bidder and provider ids are 32-bit, which also keeps 2k from wrapping.
+constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max();
+
 bool parse_args(int argc, char** argv, Options& opt) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -176,13 +184,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.mode = v;
     } else if (arg == "--users") {
       if (!(v = need_value(i))) return false;
-      opt.users = std::strtoul(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--users", v, 1, kMaxId);
+      if (!n) return false;
+      opt.users = *n;
     } else if (arg == "--providers") {
       if (!(v = need_value(i))) return false;
-      opt.providers = std::strtoul(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--providers", v, 1, kMaxId);
+      if (!n) return false;
+      opt.providers = *n;
     } else if (arg == "--k") {
       if (!(v = need_value(i))) return false;
-      opt.k = std::strtoul(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--k", v, 0, kMaxId);
+      if (!n) return false;
+      opt.k = *n;
     } else if (arg == "--epsilon") {
       if (!(v = need_value(i))) return false;
       char* end = nullptr;
@@ -194,7 +208,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
     } else if (arg == "--seed") {
       if (!(v = need_value(i))) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--seed", v, 0);
+      if (!n) return false;
+      opt.seed = *n;
     } else if (arg == "--bids") {
       if (!(v = need_value(i))) return false;
       opt.bids_file = v;
@@ -209,19 +225,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.tcp_node = v;
     } else if (arg == "--base-port") {
       if (!(v = need_value(i))) return false;
-      opt.base_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+      const auto n = tools::parse_uint_flag("--base-port", v, 0, 65535);
+      if (!n) return false;
+      opt.base_port = static_cast<std::uint16_t>(*n);
     } else if (arg == "--wal-dir") {
       if (!(v = need_value(i))) return false;
       opt.wal_dir = v;
     } else if (arg == "--crash-after") {
       if (!(v = need_value(i))) return false;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (*v == '\0' || *v == '-' || end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "--crash-after must be a positive integer (got %s)\n", v);
-        return false;
-      }
-      opt.crash_after = n;
+      const auto n = tools::parse_uint_flag("--crash-after", v, 1);
+      if (!n) return false;
+      opt.crash_after = *n;
     } else if (arg == "--reliable") {
       opt.reliability.enable = true;
       opt.sim_only_flags.push_back(arg);
@@ -234,23 +248,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--instances") {
       if (!(v = need_value(i))) return false;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (*v == '\0' || *v == '-' || end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "--instances must be a positive integer (got %s)\n", v);
-        return false;
-      }
-      opt.instances = static_cast<std::size_t>(n);
+      const auto n = tools::parse_uint_flag("--instances", v, 1);
+      if (!n) return false;
+      opt.instances = static_cast<std::size_t>(*n);
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--pipeline-depth") {
       if (!(v = need_value(i))) return false;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (*v == '\0' || *v == '-' || end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "--pipeline-depth must be a positive integer (got %s)\n", v);
-        return false;
-      }
-      opt.pipeline_depth = static_cast<std::size_t>(n);
+      const auto n = tools::parse_uint_flag("--pipeline-depth", v, 1);
+      if (!n) return false;
+      opt.pipeline_depth = static_cast<std::size_t>(*n);
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--retransmit-delay-ms") {
       if (!(v = need_value(i))) return false;
@@ -268,13 +274,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--max-retries") {
       if (!(v = need_value(i))) return false;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (*v == '\0' || *v == '-' || end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "--max-retries must be a non-negative integer (got %s)\n", v);
-        return false;
-      }
-      opt.reliability.max_retries = n;
+      const auto n = tools::parse_uint_flag("--max-retries", v, 0);
+      if (!n) return false;
+      opt.reliability.max_retries = static_cast<std::size_t>(*n);
       opt.sim_only_flags.push_back(arg);
     } else if (arg == "--round-timeout-ms") {
       if (!(v = need_value(i))) return false;
@@ -483,6 +485,12 @@ int main(int argc, char** argv) {
   if (!opt.tcp_node.empty() && opt.base_port == 0) {
     return fail("--tcp-node requires an explicit --base-port (every process "
                 "of the cluster must agree on the port plan)");
+  }
+  if (!opt.tcp_node.empty() && opt.base_port + opt.providers > 65535) {
+    // Node j listens on base + j and the client on base + m; past 65535
+    // those ports would wrap to low ones.
+    return fail("--base-port " + std::to_string(opt.base_port) + " leaves no room for " +
+                std::to_string(opt.providers) + " providers and the client below port 65536");
   }
   if (!opt.tcp_node.empty() && opt.centralized) {
     return fail("--tcp-node runs the distributed protocol; drop --centralized");

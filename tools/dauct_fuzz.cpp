@@ -22,6 +22,7 @@
 
 #include "runtime/fuzz_harness.hpp"
 #include "sim/fuzz.hpp"
+#include "uint_flag.hpp"
 
 namespace {
 
@@ -89,13 +90,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.minimize = true;
     } else if (arg == "--plans") {
       if (!(v = need_value(i))) return false;
-      opt.plans = std::strtoull(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--plans", v, 1);
+      if (!n) return false;
+      opt.plans = *n;
     } else if (arg == "--seed") {
       if (!(v = need_value(i))) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--seed", v, 0);
+      if (!n) return false;
+      opt.seed = *n;
     } else if (arg == "--index") {
       if (!(v = need_value(i))) return false;
-      opt.index = std::strtoull(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--index", v, 0);
+      if (!n) return false;
+      opt.index = *n;
     } else if (arg == "--bounds") {
       if (!(v = need_value(i))) return false;
       opt.bounds_file = v;
@@ -107,7 +114,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.near_miss_log = v;
     } else if (arg == "--near-miss-probes") {
       if (!(v = need_value(i))) return false;
-      opt.near_miss_probes = std::strtoull(v, nullptr, 10);
+      const auto n = tools::parse_uint_flag("--near-miss-probes", v, 0);
+      if (!n) return false;
+      opt.near_miss_probes = *n;
     } else {
       std::fprintf(stderr, "unknown option: %s (try --help)\n", arg.c_str());
       return false;
