@@ -613,6 +613,9 @@ TINYBENCH(BM_e2e_reliable_lossy)->Args({48, 4})->Args({128, 8});
 // 1 ms extra jitter on every provider↔provider link (client links clean).
 // Its retransmit count is what the per-peer timeout exists to cut: frames
 // acked late because the receiver was busy, not because they were lost.
+// peak_live_engines is the most engine bundles one provider held at once:
+// settled instances' engines are freed, so it tracks the depth, not the
+// stream length.
 void BM_service_reliable_lossy(State& state) {
   const std::size_t users = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
@@ -650,6 +653,7 @@ void BM_service_reliable_lossy(State& state) {
     const auto run = runtime::ServiceRuntime(svc).run(auctioneer, workloads);
     DoNotOptimize(run.settled_ok);
     link_counters(state, run);
+    state.counters["peak_live_engines"] = static_cast<double>(run.peak_live_engines);
   }
 }
 TINYBENCH(BM_service_reliable_lossy)->Args({128, 8});

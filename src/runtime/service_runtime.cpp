@@ -128,19 +128,32 @@ ServiceRunResult ServiceRuntime::run(
   std::vector<std::uint64_t> endpoint_seeds(m);
   for (NodeId j = 0; j < m; ++j) endpoint_seeds[j] = seeder.next_u64();
 
-  // Per-instance protocol state. Engine bundles live until the run ends —
-  // a settled instance's engines are quiescent, not destroyed, so a late
-  // timer or straggler frame can never dangle. The progress fields sit
-  // outside the bundle: an amnesia rebuild replaces the bundle, while
-  // `reported` and the phase times survive it (only `started` is re-derived
-  // by replay).
+  // Per-instance protocol state. On the multi-instance path a settled
+  // instance's engine bundle on node j is freed by node j itself, at the
+  // start of its next delivery (`to_release`); what the result and the WAL
+  // snapshots still need of the engine is copied out first (`final`). Live
+  // frames for a settled instance already die at routing, and a freed
+  // engine takes its round watchdogs with it, so nothing can dangle. The
+  // single-instance identity path keeps its bundles until the run ends. The
+  // progress fields sit outside the bundle: an amnesia rebuild replaces the
+  // bundle (and rebuilds freed ones, to be freed again once replayed),
+  // while `reported` and the phase times survive it (only `started` is
+  // re-derived by replay).
   struct EngineBundle {
     std::unique_ptr<core::ScopedEndpoint> scoped;
     std::unique_ptr<adversary::DeviantEndpoint> deviant;
     std::unique_ptr<core::ProviderEngine> engine;
   };
+  /// A freed engine's last word: its outcome (nullopt: it never finished),
+  /// its coin value and whether its bid agreement had completed.
+  struct EngineFinal {
+    std::optional<auction::AuctionOutcome> outcome;
+    std::uint64_t shared_seed = 0;
+    bool bids_agreed = false;
+  };
   struct InstanceNode {
-    EngineBundle bundle;
+    EngineBundle bundle;  ///< engine null once freed
+    EngineFinal final;    ///< meaningful once freed
     std::uint64_t endpoint_seed = 0;  ///< the ScopedEndpoint's RNG stream
     bool started = false;
     bool reported = false;
@@ -159,6 +172,11 @@ ServiceRunResult ServiceRuntime::run(
   // live frame for a *settled* tenant is dropped at routing, which is what
   // keeps slot reuse safe against stragglers.
   std::unordered_map<std::string, core::InstanceId> prefix_owner;
+  // Per node: settled instances whose bundle the node frees at the start of
+  // its next delivery (the client appends while it runs alone; the node
+  // drains its own list), and its live / peak engine counts.
+  std::vector<std::vector<core::InstanceId>> to_release(m);
+  std::vector<std::size_t> live_engines(m, 0), peak_engines(m, 0);
 
   const net::Topic bids_topic(detail::kBidsTopic);
   const net::Topic result_topic(detail::kResultTopic);
@@ -174,11 +192,20 @@ ServiceRunResult ServiceRuntime::run(
   // what a snapshot's started/agreed/done flags describe.
   std::vector<core::InstanceId> last_dispatched(m, 0);
 
+  /// Node j's engine outcome for one instance, live or freed.
+  const auto outcome_of = [](const InstanceNode& nd)
+      -> const std::optional<auction::AuctionOutcome>& {
+    return nd.bundle.engine ? nd.bundle.engine->outcome() : nd.final.outcome;
+  };
+
   const auto snapshot_of = [&](NodeId j) {
     const InstanceNode& nd = insts[last_dispatched[j]]->nodes[j];
-    return store::Snapshot{.started = nd.started,
-                           .bids_agreed = nd.bundle.engine->agreed_bids().has_value(),
-                           .done = nd.bundle.engine->done()};
+    const core::ProviderEngine* engine = nd.bundle.engine.get();
+    return store::Snapshot{
+        .started = nd.started,
+        .bids_agreed = engine ? engine->agreed_bids().has_value()
+                              : nd.final.bids_agreed,
+        .done = outcome_of(nd).has_value()};
   };
 
   /// The instance a scoped topic string ("i<slot>g<gen>/…") belongs to.
@@ -236,6 +263,9 @@ ServiceRunResult ServiceRuntime::run(
   const auto dispatch_app = [&](core::InstanceId t, NodeId j,
                                 const net::Message& msg) {
     InstanceNode& nd = insts[t]->nodes[j];
+    // Freed: a late duplicate of the epoch-0 batch, the one live frame that
+    // still reaches a settled instance (the validator has seen it already).
+    if (!nd.bundle.engine) return;
     if (msg.topic == bids_topic) {
       // Idempotent against a (faulty) network duplicating the client batch:
       // the engine starts exactly once.
@@ -271,7 +301,9 @@ ServiceRunResult ServiceRuntime::run(
           dispatch_app(t, j, app);
         },
         [&](Bottom b) {
-          insts[t]->nodes[j].bundle.engine->abort(std::move(b));
+          const auto& engine = insts[t]->nodes[j].bundle.engine;
+          if (!engine) return;  // freed: nothing left to abort
+          engine->abort(std::move(b));
           note_progress(t, j);
         });
   };
@@ -279,9 +311,10 @@ ServiceRunResult ServiceRuntime::run(
   /// Route one post-link frame at node j to its instance: the epoch-0 batch
   /// splits into per-instance starts, everything else demultiplexes by
   /// prefix. A LIVE frame for a settled instance is a straggler and dies
-  /// here; replay delivers it (a settled instance's rebuilt engine must reach
-  /// done again, or it would come back "never finished"). False: nothing was
-  /// dispatched.
+  /// here (only a late duplicate of the batch still reaches one, and a freed
+  /// engine ignores it); replay delivers it (a settled instance's rebuilt
+  /// engine must reach done again, or it would come back "never finished").
+  /// False: nothing was dispatched.
   const auto route = [&](NodeId j, const net::Message& msg, bool live) {
     if (msg.topic == batch_topic) {
       serde::Reader r(BytesView(msg.payload));
@@ -317,6 +350,8 @@ ServiceRunResult ServiceRuntime::run(
             // to that topic's instance alone.
             .on_give_up = [&, j](NodeId to, const net::Topic& topic,
                                  std::size_t attempts) {
+              // A settled instance's engine may already be freed: its
+              // give-ups are moot either way.
               const auto d = demux(topic);
               if (!d || !insts[d->first] || insts[d->first]->res.settled) return;
               insts[d->first]->nodes[j].bundle.engine->abort(Bottom{
@@ -360,6 +395,20 @@ ServiceRunResult ServiceRuntime::run(
                                  ? workloads[t].asks[j]
                                  : auction::Ask{j, {}, {}};
     nd.bundle.engine = auctioneer.make_engine(*ep, ask);
+    peak_engines[j] = std::max(peak_engines[j], ++live_engines[j]);
+  };
+
+  /// Free node j's bundle of settled instance t, keeping the engine's last
+  /// word. Runs in node j's own handler: the frees of different nodes run
+  /// in parallel, off the client's serial path.
+  const auto release = [&](core::InstanceId t, NodeId j) {
+    InstanceNode& nd = insts[t]->nodes[j];
+    const core::ProviderEngine& engine = *nd.bundle.engine;
+    nd.final = EngineFinal{.outcome = engine.outcome(),
+                           .shared_seed = engine.shared_seed(),
+                           .bids_agreed = engine.agreed_bids().has_value()};
+    EngineBundle gone = std::move(nd.bundle);  // engine first, then endpoints
+    --live_engines[j];
   };
 
   const auto honest = adversary::honest_bidder();
@@ -471,6 +520,7 @@ ServiceRunResult ServiceRuntime::run(
     scheduler.bump_incarnation(j);
     for (auto& up : insts) {
       if (!up) continue;
+      if (up->nodes[j].bundle.engine) --live_engines[j];
       up->nodes[j].bundle = EngineBundle{};  // engines go before the stack
       up->nodes[j].started = false;  // re-derived by replay (bids are logged)
     }
@@ -491,11 +541,17 @@ ServiceRunResult ServiceRuntime::run(
             Bottom{AbortReason::kProtocolViolation, "wal recovery refused: " + why});
         note_progress(t, j);
       }
-      return;
+    } else {
+      stacks[j].replay(
+          [&, j](const net::Message& msg) { route(j, msg, /*live=*/false); },
+          [&, j] { return snapshot_of(j); });
     }
-    stacks[j].replay(
-        [&, j](const net::Message& msg) { route(j, msg, /*live=*/false); },
-        [&, j] { return snapshot_of(j); });
+    // Settled instances' rebuilt engines are freed again at the node's next
+    // delivery, as after their settlement.
+    to_release[j].clear();
+    for (core::InstanceId t = 0; t < N && !identity; ++t) {
+      if (insts[t] && insts[t]->res.settled) to_release[j].push_back(t);
+    }
   };
 
   // A provider's handler and timers touch only node j's stack, WAL, engines
@@ -504,6 +560,8 @@ ServiceRunResult ServiceRuntime::run(
   // and the prefix map the providers read: it stays kShared and runs alone.
   for (NodeId j = 0; j < m; ++j) {
     scheduler.set_deliver(j, [&, j](const net::Message& raw) {
+      for (const core::InstanceId t : to_release[j]) release(t, j);
+      to_release[j].clear();
       stacks[j].deliver(
           raw, [&](const net::Message& msg) { return route(j, msg, /*live=*/true); },
           [&] { return snapshot_of(j); });
@@ -529,6 +587,9 @@ ServiceRunResult ServiceRuntime::run(
     inst.res.settled = true;
     inst.res.settled_at = scheduler.now();
     last_settle_at = scheduler.now();
+    if (!identity) {
+      for (NodeId j = 0; j < m; ++j) to_release[j].push_back(t);
+    }
     const core::InstanceId next = t + D;
     if (next < N) {
       create_instance(next);
@@ -609,6 +670,8 @@ ServiceRunResult ServiceRuntime::run(
   ServiceRunResult result;
   result.event_budget_exhausted = overflow;
   result.events_dispatched = scheduler.events_dispatched();
+  result.peak_live_engines =
+      *std::max_element(peak_engines.begin(), peak_engines.end());
   result.instances.reserve(N);
   bool all_settled = true;
   for (core::InstanceId t = 0; t < N; ++t) {
@@ -634,8 +697,8 @@ ServiceRunResult ServiceRuntime::run(
       InstanceNode& nd = inst.nodes[j];
       if (nd.override_abort) {
         inst.res.provider_outcomes.emplace_back(*nd.override_abort);
-      } else if (nd.bundle.engine->done()) {
-        inst.res.provider_outcomes.push_back(*nd.bundle.engine->outcome());
+      } else if (const auto& out = outcome_of(nd)) {
+        inst.res.provider_outcomes.push_back(*out);
       } else if (overflow) {
         // Distinct from a drained-queue stall: events were still pending
         // when the budget ran out, i.e. the run was cut off, not out of
@@ -660,7 +723,9 @@ ServiceRunResult ServiceRuntime::run(
       for (NodeId j = 0; j < m; ++j) {
         const auction::AuctionOutcome& o = inst.res.provider_outcomes[j];
         if (o.ok() && o.value() == inst.res.outcome.value()) {
-          inst.res.shared_seed = inst.nodes[j].bundle.engine->shared_seed();
+          const InstanceNode& nd = inst.nodes[j];
+          inst.res.shared_seed = nd.bundle.engine ? nd.bundle.engine->shared_seed()
+                                                  : nd.final.shared_seed;
           break;
         }
       }

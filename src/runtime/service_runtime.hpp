@@ -87,6 +87,11 @@ struct InstanceRunResult {
 struct ServiceRunResult : RunStats {
   std::vector<InstanceRunResult> instances;
   std::size_t settled_ok = 0;  ///< instances whose combined outcome is ok
+  /// Most engine bundles alive at once on any one provider. A settled
+  /// instance's bundles are freed as the stream moves on, so this is bounded
+  /// by the pipeline depth, not by the instance count (deterministic at a
+  /// fixed seed).
+  std::size_t peak_live_engines = 0;
 
   /// Service throughput in auctions per virtual second (0 if nothing
   /// cleared) — what BM_service_throughput sweeps and the ≥1.5× pipelining

@@ -455,6 +455,59 @@ TEST(ServiceDurability, AmnesiaInALongStreamKeepsGenerationPrefixesUnique) {
   }
 }
 
+TEST(ServiceDurability, AmnesiaInADepthTwoStreamRebuildsSettledInstancesAndFreesThemAgain) {
+  // Depth 2: by the crash, instances 0-3 settled and their engines were
+  // freed; 4 and 5 are live. The rebuild must bring back every created
+  // instance's engine on node 2 (replay needs the settled ones to reach done
+  // again), then free the settled ones again — otherwise they would stay
+  // alive under every later launch.
+  const auto auctioneer = make_auctioneer(12, 5, 2);
+  const auto workloads = derived_workloads(12, 5, 7, 12);
+
+  runtime::ServiceRunConfig svc;
+  svc.base.seed = 7;
+  svc.base.reliability.enable = true;
+  svc.base.wal.enable = true;
+  svc.instances = 12;
+  svc.pipeline_depth = 2;
+  sim::FaultPlan plan;
+  plan.seed = 11;
+  sim::CrashEvent crash;
+  crash.node = 2;
+  crash.at = sim::from_millis(60);  // inside instances 4 and 5's epoch
+  crash.recover_at = sim::from_millis(64);
+  crash.mode = sim::CrashMode::kAmnesia;
+  plan.crashes.push_back(crash);
+  svc.base.faults = plan;
+  const auto run = runtime::ServiceRuntime(svc).run(*auctioneer, workloads);
+
+  ASSERT_EQ(run.instances.size(), 12u);
+  EXPECT_GT(run.wal_stats.messages_replayed, 0u);
+  EXPECT_EQ(run.wal_stats.snapshot_mismatches, 0u);
+  std::size_t created_at_rebuild = 0, settled_at_rebuild = 0;
+  for (const runtime::InstanceRunResult& inst : run.instances) {
+    if (inst.launched_at < crash.recover_at) ++created_at_rebuild;
+    if (inst.settled_at < crash.recover_at) ++settled_at_rebuild;
+  }
+  ASSERT_EQ(created_at_rebuild, 6u);
+  ASSERT_EQ(settled_at_rebuild, 4u);
+  // Node 2 held all six at once right after the rebuild, and never more:
+  // six instances launched after it, and none stacked on the rebuilt ones.
+  EXPECT_EQ(run.peak_live_engines, created_at_rebuild);
+
+  std::set<std::string> prefixes;
+  for (const runtime::InstanceRunResult& inst : run.instances) {
+    SCOPED_TRACE("instance " + std::to_string(inst.id));
+    EXPECT_TRUE(prefixes.insert(inst.topic_prefix).second);
+    ASSERT_TRUE(inst.settled);
+    ASSERT_TRUE(inst.outcome.ok());
+    const auto twin = run_twin(svc.base, inst.derived_seed, *auctioneer,
+                               workloads[inst.id]);
+    ASSERT_TRUE(twin.global_outcome.ok());
+    EXPECT_EQ(digest_of(inst.outcome), digest_of(twin.global_outcome));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pipelining: overlap must actually buy throughput.
 // ---------------------------------------------------------------------------
@@ -510,6 +563,83 @@ TEST(ServiceTopics, RegistryGrowthIsBoundedByPipelineSlotsNotInstanceCount) {
       << "doubling the instance count must not grow the interned-topic "
          "registry: scoped names are keyed by (pipeline slot, generation "
          "cycle), both bounded";
+}
+
+TEST(ServiceEngines, LiveEngineCountIsBoundedByPipelineDepthNotInstanceCount) {
+  // Each provider frees a settled instance's engines as the stream moves
+  // on, so the most bundles alive at once on one provider is set by the
+  // pipeline depth: a four times longer stream must not raise it.
+  const auto auctioneer = make_auctioneer(8, 3, 1);
+  runtime::ServiceRunConfig svc;
+  svc.base.seed = 1;
+  svc.base.reliability.enable = true;
+  svc.base.wal.enable = true;
+  svc.pipeline_depth = 2;
+  svc.instances = 20;
+  const auto short_run = runtime::ServiceRuntime(svc).run(
+      *auctioneer, derived_workloads(8, 3, 1, 20));
+  svc.instances = 80;
+  const auto long_run = runtime::ServiceRuntime(svc).run(
+      *auctioneer, derived_workloads(8, 3, 1, 80));
+  ASSERT_EQ(short_run.settled_ok, 20u);
+  ASSERT_EQ(long_run.settled_ok, 80u);
+  EXPECT_EQ(long_run.peak_live_engines, short_run.peak_live_engines);
+  EXPECT_GE(short_run.peak_live_engines, svc.pipeline_depth);
+  EXPECT_LE(short_run.peak_live_engines, 2 * svc.pipeline_depth);
+}
+
+TEST(ServiceEngines, TrafficNamingAFreedInstanceFindsNoEngine) {
+  // 70% loss on instance 0's provider links and only 3 retries: instance 0
+  // ends in ⊥ by a give-up and settles, its engines are freed, and its
+  // frames keep going — traced at this seed, after every provider freed
+  // instance 0 there were 54 retransmits, 2 answered re-requests and 15
+  // give-ups naming its topics. None may reach a freed engine (ASan/UBSan
+  // runs check that), and the neighbours must stay clean.
+  const auto auctioneer = make_auctioneer(12, 5, 2);
+  const auto workloads = derived_workloads(12, 5, 3, 6);
+  runtime::ServiceRunConfig svc;
+  svc.base.seed = 3;
+  svc.base.reliability.enable = true;
+  svc.base.reliability.max_retries = 3;
+  svc.base.wal.enable = true;
+  svc.instances = 6;
+  svc.pipeline_depth = 2;
+  sim::FaultPlan plan;
+  plan.seed = 1;
+  for (NodeId a = 0; a < 5; ++a) {
+    for (NodeId b = 0; b < 5; ++b) {
+      if (a == b) continue;
+      sim::LinkFault lossy;  // provider links only: reports reach the client
+      lossy.from = a;
+      lossy.to = b;
+      lossy.drop = 0.7;
+      lossy.instance = 0;
+      plan.links.push_back(lossy);
+    }
+  }
+  svc.base.faults = plan;
+  const auto run = runtime::ServiceRuntime(svc).run(*auctioneer, workloads);
+
+  EXPECT_FALSE(run.stalled);
+  EXPECT_GE(run.reliability_stats.give_ups, 1u);
+  EXPECT_GE(run.reliability_stats.retransmits, 1u);
+  EXPECT_GE(run.reliability_stats.rerequests_answered, 1u);
+  const runtime::InstanceRunResult& lossy = run.instances[0];
+  ASSERT_TRUE(lossy.settled);
+  ASSERT_FALSE(lossy.outcome.ok());
+  EXPECT_EQ(lossy.outcome.bottom().reason, AbortReason::kDeliveryFailed);
+  EXPECT_LE(run.peak_live_engines, 2 * svc.pipeline_depth);
+  EXPECT_EQ(run.settled_ok, 5u);
+  for (core::InstanceId t = 1; t < 6; ++t) {
+    SCOPED_TRACE("instance " + std::to_string(t));
+    const runtime::InstanceRunResult& inst = run.instances[t];
+    ASSERT_TRUE(inst.settled);
+    ASSERT_TRUE(inst.outcome.ok());
+    const auto twin = run_twin(svc.base, inst.derived_seed, *auctioneer,
+                               workloads[t]);
+    ASSERT_TRUE(twin.global_outcome.ok());
+    EXPECT_EQ(digest_of(inst.outcome), digest_of(twin.global_outcome));
+  }
 }
 
 // ---------------------------------------------------------------------------

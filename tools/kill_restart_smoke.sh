@@ -11,13 +11,62 @@
 # provider must exit on the client's shutdown: a provider log that says
 # "timed out" fails the smoke.
 #
+# The cluster listens on base_port .. base_port+3 (providers 0-2, then the
+# client). Without a base_port the script probes for four free consecutive
+# ports on 127.0.0.1 in [10000, 20000): below both net::pick_base_port's
+# [20000, 40000) and Linux's default ephemeral range (32768-60999), from
+# which outbound connections take their ports. On failure the work
+# directory is kept and every log in it (providers and client) is printed.
+#
 # Usage: kill_restart_smoke.sh <path-to-dauct_cli> [base_port]
 set -u
 
 CLI=${1:?usage: kill_restart_smoke.sh <path-to-dauct_cli> [base_port]}
-BASE_PORT=${2:-19700}
+
+probe_base_port() {
+  python3 - <<'PY' 2>/dev/null || echo 19700
+import random, socket
+for _ in range(200):
+    base = random.randrange(10000, 20000 - 4)
+    held = []
+    try:
+        for port in range(base, base + 4):
+            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            held.append(s)
+            s.bind(("127.0.0.1", port))
+    except OSError:
+        continue
+    finally:
+        for s in held:
+            s.close()
+    print(base)
+    break
+else:
+    raise SystemExit(1)
+PY
+}
+BASE_PORT=${2:-$(probe_base_port)}
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+
+on_exit() {
+  local status=$?
+  if [ "$status" -eq 0 ]; then
+    rm -rf "$WORK"
+    return
+  fi
+  # Stop what is still running so it cannot hold the ports, then show why.
+  local pids
+  pids=$(jobs -p)
+  [ -z "$pids" ] || kill $pids 2>/dev/null
+  for log in "$WORK"/*.log; do
+    [ -e "$log" ] || continue
+    echo "----- $log -----" >&2
+    cat "$log" >&2
+  done
+  echo "base port $BASE_PORT; logs and WALs kept in $WORK" >&2
+}
+trap on_exit EXIT
+echo "base port: $BASE_PORT"
 
 ARGS="--runtime tcp --users 8 --providers 3 --k 1 --seed 7 --base-port $BASE_PORT"
 fail() { echo "FAIL: $*" >&2; exit 1; }
