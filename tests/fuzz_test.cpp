@@ -725,27 +725,55 @@ strategies = selective-silence
 }
 
 TEST(FuzzBoundsFile, RejectsUnknownKeysAndInconsistentRanges) {
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nmax_wombats = 3\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[wombats]\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nmax_drop = 0.1\n").ok())
-      << "a [faults] key must not be accepted under [shape]";
-  EXPECT_FALSE(
-      sim::parse_fuzz_bounds("[shape]\nmin_users = 9\nmax_users = 3\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nmin_providers = 2\n").ok())
-      << "m >= 3 is required for k >= 1";
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[faults]\nmax_drop = 1.5\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[faults]\nhorizon = 0\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nlatencies = warp\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[knobs]\np_auth = nope\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\np_wal = 0.5\n").ok())
-      << "a [knobs] key must not be accepted under [shape]";
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[knobs]\nallow_amnesia = true\n").ok())
-      << "a [faults] key must not be accepted under [knobs]";
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nmax_instances = 1\n").ok())
-      << "a service case multiplexes at least two auctions";
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[shape]\nmax_pipeline_depth = 0\n").ok());
-  EXPECT_FALSE(sim::parse_fuzz_bounds("[knobs]\nmax_instances = 3\n").ok())
-      << "a [shape] key must not be accepted under [knobs]";
+  // One row per rejection: the text, the line the error names (0 = a
+  // range check over the whole file) and a substring of the message.
+  struct Row {
+    const char* text;
+    std::size_t line;
+    const char* what;
+  };
+  const std::vector<Row> rows = {
+      {"[shape]\nmax_wombats = 3\n", 2, "unknown key 'max_wombats' in [shape]"},
+      {"[wombats]\n", 1, "unknown section [wombats]"},
+      {"max_users = 3\n", 1, "section"},
+      // A key is accepted only under its own section.
+      {"[shape]\nmax_drop = 0.1\n", 2, "unknown key 'max_drop' in [shape]"},
+      {"[shape]\np_wal = 0.5\n", 2, "unknown key 'p_wal' in [shape]"},
+      {"[knobs]\nallow_amnesia = true\n", 2, "unknown key 'allow_amnesia'"},
+      {"[knobs]\nmax_instances = 3\n", 2, "unknown key 'max_instances'"},
+      // Malformed values.
+      {"[shape]\nmax_users = -1\n", 2, "'max_users'"},
+      {"[shape]\nmax_events = 0\n", 2, "'max_events'"},
+      {"[faults]\nmax_drop = 1.5\n", 2, "'max_drop'"},
+      {"[faults]\nmax_delay = -1\n", 2, "'max_delay'"},
+      {"[faults]\nallow_crash_recover = maybe\n", 2, "'allow_crash_recover'"},
+      {"[knobs]\np_auth = nope\n", 2, "'p_auth'"},
+      // Range checks over the whole file.
+      {"[shape]\nmin_users = 9\nmax_users = 3\n", 0, "inconsistent users range"},
+      {"[shape]\nmin_users = 0\n", 0, "inconsistent users range"},
+      {"[shape]\nmin_providers = 2\n", 0, "inconsistent providers range"},
+      {"[shape]\nmin_providers = 8\nmax_providers = 7\n", 0,
+       "inconsistent providers range"},
+      {"[faults]\nhorizon = 0\n", 0, "horizon must be positive"},
+      {"[shape]\nlatencies = warp\n", 0, "unknown latency model 'warp'"},
+      {"[shape]\nlatencies =\n", 0, "latencies must name at least one model"},
+      {"[knobs]\nstrategies = ,\n", 0, "strategies must name at least one"},
+      {"[knobs]\nbidder_behaviours =\n", 0, "bidder_behaviours must name"},
+      {"[shape]\nmax_instances = 1\n", 0, "max_instances must be >= 2"},
+      {"[shape]\nmax_pipeline_depth = 0\n", 0, "max_pipeline_depth must be positive"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.text);
+    const auto p = sim::parse_fuzz_bounds(row.text);
+    ASSERT_FALSE(p.ok());
+    if (row.line > 0) {
+      EXPECT_EQ(p.error.rfind("line " + std::to_string(row.line) + ": ", 0), 0u)
+          << p.error;
+    } else {
+      EXPECT_NE(p.error.rfind("line ", 0), 0u) << p.error;
+    }
+    EXPECT_NE(p.error.find(row.what), std::string::npos) << p.error;
+  }
   // The empty text is the default bounds.
   EXPECT_TRUE(sim::parse_fuzz_bounds("").ok());
 }

@@ -162,32 +162,157 @@ TEST(ScenarioParse, FullSchemaRoundTrip) {
 }
 
 TEST(ScenarioParse, StrictnessRejectsTypos) {
-  // Unknown key in a known section.
-  EXPECT_FALSE(runtime::parse_scenario("[run]\nuserz = 10\n").ok());
-  // Unknown section.
-  EXPECT_FALSE(runtime::parse_scenario("[lnik]\ndrop = 0.5\n").ok());
-  // Probability out of range.
-  EXPECT_FALSE(runtime::parse_scenario("[link]\ndrop = 1.5\n").ok());
-  // Unknown deviation strategy.
-  EXPECT_FALSE(
-      runtime::parse_scenario("[deviation]\nnode = 1\nstrategy = lie-a-lot\n").ok());
-  // Inconsistent spec: m ≤ 2k.
-  EXPECT_FALSE(runtime::parse_scenario("[run]\nproviders = 4\nk = 2\n").ok());
-  // Deviant node outside the provider range.
-  EXPECT_FALSE(runtime::parse_scenario(
-                   "[run]\nproviders = 5\nk = 1\n"
-                   "[deviation]\nnode = 7\nstrategy = equivocate-votes\n")
-                   .ok());
-  // Keys before any section header.
-  EXPECT_FALSE(runtime::parse_scenario("users = 10\n").ok());
-  // Fault-section node beyond the deployment (providers 0..4, client = 5):
-  // a typo'd id must be an error, not a rule that silently never fires.
-  EXPECT_FALSE(runtime::parse_scenario(
-                   "[run]\nproviders = 5\nk = 1\n[crash]\nnode = 7\nat_ms = 1\n")
-                   .ok());
-  EXPECT_FALSE(runtime::parse_scenario(
-                   "[run]\nproviders = 5\nk = 1\n[partition]\ngroup = 0, 9\n")
-                   .ok());
+  // One row per rejection the parser makes: the text, the line the error
+  // names (0 = a cross-section rule, reported without a line) and a
+  // substring of the message.
+  struct Row {
+    std::string text;
+    std::size_t line;
+    const char* what;
+  };
+  const std::string m5 = "[run]\nproviders = 5\nk = 1\n";  // lines 1-3
+  const std::string durable =
+      m5 + "[wal]\nenable = true\n[reliability]\nenable = true\n";  // 4-7
+  const std::vector<Row> rows = {
+      // Unknown keys, sections and keys before any section.
+      {"[run]\nuserz = 10\n", 2, "unknown key 'userz' in [run]"},
+      {"[lnik]\ndrop = 0.5\n", 1, "unknown section [lnik]"},
+      {"users = 10\n", 1, "keys before any [section] header"},
+      // Malformed or out-of-range values.
+      {"[run]\nusers = 0\n", 2, "bad value for 'users'"},
+      {"[run]\nproviders = 0\n", 2, "bad value for 'providers'"},
+      {"[run]\nk = -1\n", 2, "bad value for 'k'"},
+      {"[run]\nepsilon = 0\n", 2, "bad value for 'epsilon'"},
+      {"[run]\nepsilon = 1\n", 2, "bad value for 'epsilon'"},
+      {"[run]\nauction = dutch\n", 2, "bad value for 'auction'"},
+      {"[run]\nlatency = warp\n", 2, "bad value for 'latency'"},
+      {"[run]\nmax_events = 0\n", 2, "bad value for 'max_events'"},
+      {"[fault]\nseed = x\n", 2, "bad value for 'seed'"},
+      {"[link]\ndrop = 1.5\n", 2, "bad value for 'drop'"},
+      {"[link]\nsymmetric = maybe\n", 2, "bad value for 'symmetric'"},
+      {"[link]\ndelay_ms = -1\n", 2, "bad value for 'delay_ms'"},
+      {"[link]\nfrom = 4294967295\n", 2, "bad value for 'from'"},
+      {"[link]\ninstance = 18446744073709551615\n", 2, "bad value for 'instance'"},
+      {"[cut]\na = 0\nb = 1\ninstance = 18446744073709551615\n", 4,
+       "bad value for 'instance'"},
+      {"[partition]\ngroup = 0\ninstance = 18446744073709551615\n", 3,
+       "bad value for 'instance'"},
+      {"[deviation]\nnode = 1\nstrategy = honest\n"
+       "instance = 18446744073709551615\n",
+       4, "bad value for 'instance'"},
+      {"[cut]\na = any\nb = 1\n", 2, "bad value for 'a'"},
+      {"[partition]\ngroup = 0, any\n", 2, "bad value for 'group'"},
+      {"[partition]\ngroup = 0,,1\n", 2, "bad value for 'group'"},
+      {"[crash]\nnode = any\n", 2, "bad value for 'node'"},
+      {"[crash]\nnode = 1\nmode = zombie\n", 3, "bad value for 'mode'"},
+      {"[deviation]\nnode = any\nstrategy = honest\n", 2, "bad value for 'node'"},
+      {"[deviation]\nnode = 1\nstrategy = lie-a-lot\n", 3, "lie-a-lot"},
+      {"[deviation]\nnode = 1\nstrategy = misreport-ask\nfake_cost = lots\n", 4,
+       "bad value for 'fake_cost'"},
+      {"[bidder]\nbidder = 1\nbehaviour = sneaky\n", 3, "sneaky"},
+      {"[auth_adversary]\nnode = any\nmode = forge\n", 2, "bad value for 'node'"},
+      {"[auth_adversary]\nnode = 1\nmode = sneak\n", 3, "bad value for 'mode'"},
+      {"[reliability]\nretransmit_delay_ms = 0\n", 2,
+       "bad value for 'retransmit_delay_ms'"},
+      {"[wal]\nsnapshot_every = -1\n", 2, "bad value for 'snapshot_every'"},
+      {"[service]\ninstances = 0\n", 2, "bad value for 'instances'"},
+      {"[service]\npipeline_depth = 0\n", 2, "bad value for 'pipeline_depth'"},
+      {"[expect]\noutcome = maybe\n", 2, "bad value for 'outcome'"},
+      {"[expect]\nmin_faults = few\n", 2, "bad value for 'min_faults'"},
+      // Section-local rules, reported at the section header.
+      {"[crash]\nat_ms = 1\n", 1, "[crash] needs"},
+      {"[cut]\na = 1\n", 1, "[cut] needs"},
+      {"[partition]\nfrom_ms = 1\n", 1, "[partition] needs"},
+      {"[bidder]\nbidder = 1\n", 1, "[bidder] needs"},
+      {"[auth_adversary]\nnode = 1\n", 1, "[auth_adversary] needs"},
+      {"[deviation]\nnode = 1\n", 1, "[deviation] needs"},
+      {durable + "[crash]\nnode = 1\nat_ms = 1\nmode = amnesia\n", 8,
+       "mode=amnesia needs recover_ms"},
+      {"[reliability]\nmax_retries = 3\n", 1, "without enable=true"},
+      {"[reliability]\nretransmit_delay_ms = 8\n", 1, "without enable=true"},
+      {"[reliability]\nround_timeout_ms = 9\n", 1, "without enable=true"},
+      {"[reliability]\npiggyback_acks = false\n", 1, "without enable=true"},
+      {"[wal]\nsnapshot_every = 4\n", 1, "without enable=true"},
+      {"[wal]\ncorrupt = true\n", 1, "without enable=true"},
+      {"[wal]\ntorn = 0.1\n", 1, "without enable=true"},
+      {"[wal]\nenable = true\ntorn = 0.1\n", 1, "without corrupt=true"},
+      {"[wal]\nenable = true\ncorrupt = false\ncorrupt_seed = 3\n", 1,
+       "without corrupt=true"},
+      {"[wal]\nenable = true\ncorrupt = true\ntorn = 0.6\nflip = 0.6\n", 1,
+       "torn + flip must not exceed 1"},
+      {"[auth]\nbatch = true\n", 1, "without enable=true"},
+      {"[bid_frames]\n", 1, "[bid_frames] needs replay=true or reorder=true"},
+      {"[bid_frames]\nreplay = false\n", 1, "[bid_frames] needs"},
+      // Cross-section rules (no line: they relate several sections).
+      {"[run]\nproviders = 4\nk = 2\n", 0, "requires providers > 2k"},
+      {m5 + "[deviation]\nnode = 7\nstrategy = equivocate-votes\n", 0,
+       "[deviation] node 7 is not a provider"},
+      {m5 + "[crash]\nnode = 7\nat_ms = 1\n", 0, "[crash] node 7 does not exist"},
+      {m5 + "[partition]\ngroup = 0, 9\n", 0, "[partition] node 9 does not exist"},
+      {m5 + "[link]\nfrom = 6\n", 0, "[link] node 6 does not exist"},
+      {m5 + "[cut]\na = 0\nb = 6\n", 0, "[cut] node 6 does not exist"},
+      {m5 + "[auth_adversary]\nnode = 1\nmode = forge\n", 0,
+       "[auth_adversary] requires [auth] enable=true"},
+      {m5 + "[auth]\nenable = true\n[auth_adversary]\nnode = 5\nmode = replay\n",
+       0, "[auth_adversary] node 5 is not a provider"},
+      {m5 + "[expect]\nmin_auth_rejects = 1\n", 0,
+       "min_auth_rejects requires [auth] enable=true"},
+      {m5 + "[expect]\nequivocation_proof = true\n", 0,
+       "equivocation_proof=true requires [auth] enable=true"},
+      {m5 + "[crash]\nnode = 1\nat_ms = 1\nrecover_ms = 2\nmode = amnesia\n", 0,
+       "mode=amnesia requires [wal] enable=true"},
+      {m5 + "[wal]\nenable = true\n[crash]\nnode = 1\nat_ms = 1\nrecover_ms = 2\n"
+            "mode = amnesia\n",
+       0, "mode=amnesia requires [reliability] enable=true"},
+      {m5 + "[service]\ninstances = 2\npipeline_depth = 3\n", 0,
+       "pipeline_depth 3 exceeds instances 2"},
+      {m5 + "[link]\ninstance = 0\n", 0, "[link] instance= requires [service]"},
+      {m5 + "[cut]\na = 0\nb = 1\ninstance = 0\n", 0,
+       "[cut] instance= requires [service]"},
+      {m5 + "[partition]\ngroup = 0\ninstance = 0\n", 0,
+       "[partition] instance= requires [service]"},
+      {m5 + "[deviation]\nnode = 1\nstrategy = honest\ninstance = 0\n", 0,
+       "[deviation] instance= requires [service]"},
+      {m5 + "[service]\ninstances = 2\n[link]\ninstance = 2\n", 0,
+       "[link] instance 2 does not exist"},
+      {m5 + "[service]\ninstances = 2\n[deviation]\nnode = 1\nstrategy = honest\n"
+            "instance = 5\n",
+       0, "[deviation] instance 5 does not exist"},
+      {m5 + "[bidder]\nbidder = 99\nbehaviour = silent\n", 0,
+       "[bidder] bidder 99 does not exist"},
+      {m5 + "[bidder]\nbidder = 1\nbehaviour = silent\n"
+            "[bidder]\nbidder = 1\nbehaviour = malformed\n",
+       0, "appears in more than one [bidder] section"},
+      {m5 + "[wal]\nenable = true\ncorrupt = true\n", 0,
+       "requires a [crash] with mode=amnesia"},
+      {m5 + "[expect]\nmin_instances_ok = 1\n", 0,
+       "min_instances_ok requires [service] instances > 1"},
+      {m5 + "[expect]\ninstances_match_twins = true\n", 0,
+       "instances_match_twins requires [service] instances > 1"},
+      {m5 + "[service]\ninstances = 2\n[expect]\nmin_instances_ok = 3\n", 0,
+       "min_instances_ok 3 exceeds [service] instances 2"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.text);
+    const auto p = runtime::parse_scenario(row.text);
+    ASSERT_FALSE(p.ok());
+    if (row.line > 0) {
+      EXPECT_EQ(p.error.rfind("line " + std::to_string(row.line) + ": ", 0), 0u)
+          << p.error;
+    } else {
+      EXPECT_NE(p.error.rfind("line ", 0), 0u) << p.error;
+    }
+    EXPECT_NE(p.error.find(row.what), std::string::npos) << p.error;
+  }
+  // The inert spellings stay legal: they switch nothing on.
+  for (const char* ok_text : {
+           "[reliability]\nround_timeout_ms = 0\npiggyback_acks = true\n",
+           "[wal]\ncorrupt = false\n", "[auth]\nbatch = false\n",
+           "[expect]\nequivocation_proof = false\n"}) {
+    SCOPED_TRACE(ok_text);
+    const auto p = runtime::parse_scenario(m5 + ok_text);
+    EXPECT_TRUE(p.ok()) << p.error;
+  }
 }
 
 TEST(ScenarioParse, ReliabilitySectionRoundTrip) {
