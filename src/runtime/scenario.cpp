@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
 #include <set>
+#include <sstream>
 
 #include "auction/workload.hpp"
 #include "core/adapters.hpp"
@@ -12,522 +11,64 @@
 #include "crypto/sha256.hpp"
 #include "serde/auction_codec.hpp"
 #include "serde/csv.hpp"
-#include "serde/ini.hpp"
-#include "serde/ini_values.hpp"
 
 namespace dauct::runtime {
 
 namespace {
 
-// --- Typed value parsing ---------------------------------------------------
-// Scalar grammar lives in serde/ini_values.hpp (shared with the fuzz-bounds
-// parser and the to_scn emitter); these aliases keep the section schemas
-// below readable.
-
-const auto& to_u64 = serde::parse_u64;
-const auto& to_double = serde::parse_f64;
-const auto& to_bool = serde::parse_bool_word;
-const auto& to_time_ms = serde::parse_time_ms;
-const auto& to_probability = serde::parse_probability;
+using serde::Emit;
 
 /// Node field: a provider index, "client" (= providers, the client node of
 /// the sim deployment), or "any" (wildcard, link rules only).
 std::optional<NodeId> to_node(const std::string& s, std::size_t providers) {
   if (s == "any" || s == "*") return kNoNode;
   if (s == "client") return static_cast<NodeId>(providers);
-  const auto v = to_u64(s);
+  const auto v = serde::parse_u64(s);
   if (!v || *v >= kNoNode) return std::nullopt;
   return static_cast<NodeId>(*v);
 }
 
-// --- Section schemas -------------------------------------------------------
-
-struct ParseCtx {
-  Scenario sc;
-  std::string error;  ///< first error; parsing stops
-
-  bool fail(std::size_t line, const std::string& what) {
-    if (error.empty()) error = "line " + std::to_string(line) + ": " + what;
-    return false;
-  }
-  bool bad_value(const serde::IniKeyValue& kv) {
-    return fail(kv.line, "bad value for '" + kv.key + "': '" + kv.value + "'");
-  }
-  bool unknown_key(const std::string& section, const serde::IniKeyValue& kv) {
-    return fail(kv.line, "unknown key '" + kv.key + "' in [" + section + "]");
-  }
-};
-
-bool parse_scenario_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "name") ctx.sc.name = kv.value;
-    else if (kv.key == "description") ctx.sc.description = kv.value;
-    else return ctx.unknown_key("scenario", kv);
-  }
-  return true;
+std::string node_name(NodeId n, std::size_t providers) {
+  if (n == kNoNode) return "any";
+  if (n == static_cast<NodeId>(providers)) return "client";
+  return std::to_string(n);
 }
 
-bool parse_run_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "auction") {
-      if (kv.value != "double" && kv.value != "standard") return ctx.bad_value(kv);
-      ctx.sc.auction = kv.value;
-    } else if (kv.key == "users") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);
-      ctx.sc.users = static_cast<std::size_t>(*v);
-    } else if (kv.key == "providers") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);
-      ctx.sc.providers = static_cast<std::size_t>(*v);
-    } else if (kv.key == "k") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.k = static_cast<std::size_t>(*v);
-    } else if (kv.key == "epsilon") {
-      const auto v = to_double(kv.value);
-      if (!v || *v <= 0 || *v >= 1) return ctx.bad_value(kv);
-      ctx.sc.epsilon = *v;
-    } else if (kv.key == "seed") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.seed = *v;
-    } else if (kv.key == "latency") {
-      if (kv.value != "zero" && kv.value != "lan" && kv.value != "community") {
-        return ctx.bad_value(kv);
-      }
-      ctx.sc.latency = kv.value;
-    } else if (kv.key == "max_events") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);
-      ctx.sc.max_events = *v;
-    } else {
-      return ctx.unknown_key("run", kv);
-    }
-  }
-  return true;
+/// A node key; only [link] filters accept the "any" wildcard.
+template <class Rec>
+serde::IniKey<Rec, Scenario> node_key(const char* name, NodeId Rec::*field,
+                                      Emit emit, bool any = false) {
+  return serde::IniTable<Rec, Scenario>::custom(
+      name, field,
+      [any](const std::string& s, const Scenario& sc) {
+        const auto n = to_node(s, sc.providers);
+        return n && (any || *n != kNoNode) ? n : std::nullopt;
+      },
+      [](NodeId n, const Scenario& sc) { return node_name(n, sc.providers); },
+      emit);
 }
 
-bool parse_fault_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "seed") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.faults.seed = *v;
-    } else {
-      return ctx.unknown_key("fault", kv);
-    }
+/// Comma-separated concrete nodes ([partition] group).
+std::optional<std::vector<NodeId>> to_group(const std::string& s,
+                                            const Scenario& sc) {
+  std::vector<NodeId> group;
+  std::istringstream in(s);
+  for (std::string item; std::getline(in, item, ',');) {
+    const std::size_t a = item.find_first_not_of(' ');
+    const std::string word =
+        a == std::string::npos ? "" : item.substr(a, item.find_last_not_of(' ') - a + 1);
+    const auto n = to_node(word, sc.providers);
+    if (!n || *n == kNoNode) return std::nullopt;
+    group.push_back(*n);
   }
-  return true;
+  if (group.empty()) return std::nullopt;
+  return group;
 }
 
-bool parse_link_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  sim::LinkFault rule;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "from" || kv.key == "to") {
-      const auto v = to_node(kv.value, ctx.sc.providers);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "from" ? rule.from : rule.to) = *v;
-    } else if (kv.key == "symmetric") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      rule.symmetric = *v;
-    } else if (kv.key == "drop" || kv.key == "duplicate") {
-      const auto v = to_probability(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "drop" ? rule.drop : rule.duplicate) = *v;
-    } else if (kv.key == "delay_ms" || kv.key == "jitter_ms" ||
-               kv.key == "from_ms" || kv.key == "until_ms") {
-      const auto v = to_time_ms(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      if (kv.key == "delay_ms") rule.extra_delay = *v;
-      else if (kv.key == "jitter_ms") rule.jitter = *v;
-      else if (kv.key == "from_ms") rule.active_from = *v;
-      else rule.active_until = *v;
-    } else if (kv.key == "instance") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == sim::kAnyInstance) return ctx.bad_value(kv);
-      rule.instance = *v;
-    } else {
-      return ctx.unknown_key("link", kv);
-    }
-  }
-  ctx.sc.faults.links.push_back(rule);
-  return true;
-}
-
-bool parse_cut_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  sim::LinkCut cut;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "a" || kv.key == "b") {
-      const auto v = to_node(kv.value, ctx.sc.providers);
-      if (!v || *v == kNoNode) return ctx.bad_value(kv);
-      (kv.key == "a" ? cut.a : cut.b) = *v;
-    } else if (kv.key == "from_ms" || kv.key == "until_ms") {
-      const auto v = to_time_ms(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "from_ms" ? cut.from : cut.until) = *v;
-    } else if (kv.key == "instance") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == sim::kAnyInstance) return ctx.bad_value(kv);
-      cut.instance = *v;
-    } else {
-      return ctx.unknown_key("cut", kv);
-    }
-  }
-  if (cut.a == kNoNode || cut.b == kNoNode) {
-    return ctx.fail(sec.line, "[cut] needs both endpoints 'a' and 'b'");
-  }
-  ctx.sc.faults.cuts.push_back(cut);
-  return true;
-}
-
-bool parse_partition_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  sim::Partition part;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "group") {
-      std::string_view rest = kv.value;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        std::string item(rest.substr(0, comma));
-        rest.remove_prefix(comma == std::string_view::npos ? rest.size() : comma + 1);
-        while (!item.empty() && item.front() == ' ') item.erase(item.begin());
-        while (!item.empty() && item.back() == ' ') item.pop_back();
-        const auto v = to_node(item, ctx.sc.providers);
-        if (!v || *v == kNoNode) return ctx.bad_value(kv);
-        part.group.push_back(*v);
-      }
-      if (part.group.empty()) return ctx.bad_value(kv);
-    } else if (kv.key == "from_ms" || kv.key == "until_ms") {
-      const auto v = to_time_ms(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "from_ms" ? part.from : part.until) = *v;
-    } else if (kv.key == "instance") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == sim::kAnyInstance) return ctx.bad_value(kv);
-      part.instance = *v;
-    } else {
-      return ctx.unknown_key("partition", kv);
-    }
-  }
-  if (part.group.empty()) {
-    return ctx.fail(sec.line, "[partition] needs a 'group'");
-  }
-  ctx.sc.faults.partitions.push_back(std::move(part));
-  return true;
-}
-
-bool parse_crash_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  sim::CrashEvent crash;
-  bool have_node = false;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "node") {
-      const auto v = to_node(kv.value, ctx.sc.providers);
-      if (!v || *v == kNoNode) return ctx.bad_value(kv);
-      crash.node = *v;
-      have_node = true;
-    } else if (kv.key == "at_ms" || kv.key == "recover_ms") {
-      const auto v = to_time_ms(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "at_ms" ? crash.at : crash.recover_at) = *v;
-    } else if (kv.key == "mode") {
-      if (kv.value == "recover") crash.mode = sim::CrashMode::kRecover;
-      else if (kv.value == "amnesia") crash.mode = sim::CrashMode::kAmnesia;
-      else return ctx.bad_value(kv);
-    } else {
-      return ctx.unknown_key("crash", kv);
-    }
-  }
-  if (!have_node) return ctx.fail(sec.line, "[crash] needs a 'node'");
-  if (crash.mode == sim::CrashMode::kAmnesia &&
-      crash.recover_at == sim::kSimForever) {
-    return ctx.fail(sec.line,
-                    "[crash] mode=amnesia needs recover_ms (a node that never "
-                    "restarts has nothing to recover)");
-  }
-  ctx.sc.faults.crashes.push_back(crash);
-  return true;
-}
-
-bool parse_reliability_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  bool knobs = false;  // any key besides enable
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "enable") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.reliability.enable = *v;
-    } else if (kv.key == "retransmit_delay_ms") {
-      const auto v = to_time_ms(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);  // 0 would retransmit in a spin
-      ctx.sc.reliability.retransmit_delay = *v;
-      knobs = true;
-    } else if (kv.key == "max_retries") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.reliability.max_retries = static_cast<std::size_t>(*v);
-      knobs = true;
-    } else if (kv.key == "round_timeout_ms") {
-      const auto v = to_time_ms(kv.value);  // 0 = watchdogs off
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.reliability.round_timeout = *v;
-      // 0 is the documented "watchdogs off" value — consistent with a
-      // disabled layer, so it does not count as a dangling knob.
-      knobs = knobs || *v != 0;
-    } else if (kv.key == "piggyback_acks") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.reliability.piggyback_acks = *v;
-      // true is the default — only turning the optimization *off* counts as
-      // a knob worth failing fast over on a disabled layer.
-      knobs = knobs || !*v;
-    } else {
-      return ctx.unknown_key("reliability", kv);
-    }
-  }
-  // Tuning knobs on a disabled layer would silently do nothing (no link is
-  // constructed): that is a config mistake, not a request — fail fast.
-  if (knobs && !ctx.sc.reliability.enable) {
-    return ctx.fail(sec.line,
-                    "[reliability] sets tuning knobs without enable=true; "
-                    "they would silently do nothing");
-  }
-  return true;
-}
-
-bool parse_wal_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  bool knobs = false;         // any key besides enable
-  bool corrupt_knobs = false; // any corrupt sub-knob besides corrupt itself
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "enable") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.wal.enable = *v;
-    } else if (kv.key == "snapshot_every") {
-      const auto v = to_u64(kv.value);  // 0 = no snapshots (documented)
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.wal.snapshot_every = static_cast<std::size_t>(*v);
-      knobs = true;
-    } else if (kv.key == "corrupt") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.wal_fault.enable = *v;
-      knobs = knobs || *v;
-    } else if (kv.key == "corrupt_seed") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.wal_fault.seed = *v;
-      knobs = corrupt_knobs = true;
-    } else if (kv.key == "sync_drop" || kv.key == "torn" || kv.key == "flip") {
-      const auto v = to_probability(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      if (kv.key == "sync_drop") ctx.sc.wal_fault.sync_drop = *v;
-      else if (kv.key == "torn") ctx.sc.wal_fault.torn = *v;
-      else ctx.sc.wal_fault.flip = *v;
-      knobs = corrupt_knobs = true;
-    } else {
-      return ctx.unknown_key("wal", kv);
-    }
-  }
-  // Same fail-fast contract as [reliability]: tuning knobs on a disabled
-  // layer would silently do nothing (no WAL is constructed).
-  if (knobs && !ctx.sc.wal.enable) {
-    return ctx.fail(sec.line,
-                    "[wal] sets tuning knobs without enable=true; they would "
-                    "silently do nothing");
-  }
-  if (corrupt_knobs && !ctx.sc.wal_fault.enable) {
-    return ctx.fail(sec.line,
-                    "[wal] sets corrupt knobs without corrupt=true; they "
-                    "would silently do nothing");
-  }
-  if (ctx.sc.wal_fault.torn + ctx.sc.wal_fault.flip > 1.0) {
-    return ctx.fail(sec.line,
-                    "[wal] torn + flip must not exceed 1 (a crash draws one "
-                    "damage mode)");
-  }
-  return true;
-}
-
-bool parse_bidder_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  BidderSpec spec;
-  bool have_bidder = false;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "bidder") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      spec.bidder = static_cast<BidderId>(*v);
-      have_bidder = true;
-    } else if (kv.key == "behaviour") {
-      const auto& names = adversary::bidder_behaviour_names();
-      if (std::find(names.begin(), names.end(), kv.value) == names.end()) {
-        return ctx.fail(kv.line, "unknown bidder behaviour '" + kv.value + "'");
-      }
-      spec.behaviour = kv.value;
-    } else {
-      return ctx.unknown_key("bidder", kv);
-    }
-  }
-  if (!have_bidder || spec.behaviour.empty()) {
-    return ctx.fail(sec.line, "[bidder] needs 'bidder' and 'behaviour'");
-  }
-  ctx.sc.bidders.push_back(std::move(spec));
-  return true;
-}
-
-bool parse_bid_frames_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "replay" || kv.key == "reorder") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "replay" ? ctx.sc.bid_frames.replay
-                          : ctx.sc.bid_frames.reorder) = *v;
-    } else {
-      return ctx.unknown_key("bid_frames", kv);
-    }
-  }
-  // A no-trick section would silently do nothing — config mistake, fail fast.
-  if (!ctx.sc.bid_frames.any()) {
-    return ctx.fail(sec.line,
-                    "[bid_frames] needs replay=true or reorder=true");
-  }
-  return true;
-}
-
-bool parse_auth_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "enable") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.auth.enable = *v;
-    } else if (kv.key == "batch") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.auth.batch_verify = *v;
-    } else {
-      return ctx.unknown_key("auth", kv);
-    }
-  }
-  // Same fail-fast contract as [reliability]: a batch knob on a disabled
-  // layer would silently do nothing.
-  if (ctx.sc.auth.batch_verify && !ctx.sc.auth.enable) {
-    return ctx.fail(sec.line,
-                    "[auth] sets batch without enable=true; it would "
-                    "silently do nothing");
-  }
-  return true;
-}
-
-bool parse_auth_adversary_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "node") {
-      const auto v = to_node(kv.value, ctx.sc.providers);
-      if (!v || *v == kNoNode) return ctx.bad_value(kv);
-      ctx.sc.auth_adversary.node = *v;
-    } else if (kv.key == "mode") {
-      if (kv.value == "forge") {
-        ctx.sc.auth_adversary.mode = adversary::AuthTamperMode::kForge;
-      } else if (kv.value == "replay") {
-        ctx.sc.auth_adversary.mode = adversary::AuthTamperMode::kReplay;
-      } else {
-        return ctx.bad_value(kv);
-      }
-    } else {
-      return ctx.unknown_key("auth_adversary", kv);
-    }
-  }
-  if (ctx.sc.auth_adversary.node == kNoNode ||
-      ctx.sc.auth_adversary.mode == adversary::AuthTamperMode::kNone) {
-    return ctx.fail(sec.line, "[auth_adversary] needs 'node' and 'mode'");
-  }
-  return true;
-}
-
-bool parse_deviation_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  DeviationSpec dev;
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "node") {
-      const auto v = to_node(kv.value, ctx.sc.providers);
-      if (!v || *v == kNoNode) return ctx.bad_value(kv);
-      dev.node = *v;
-    } else if (kv.key == "strategy") {
-      const auto& names = deviation_strategy_names();
-      if (std::find(names.begin(), names.end(), kv.value) == names.end()) {
-        return ctx.fail(kv.line, "unknown strategy '" + kv.value + "'");
-      }
-      dev.strategy = kv.value;
-    } else if (kv.key == "fake_cost") {
-      const auto v = serde::parse_money(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      dev.fake_cost = *v;
-    } else if (kv.key == "instance") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == sim::kAnyInstance) return ctx.bad_value(kv);
-      dev.instance = *v;
-    } else {
-      return ctx.unknown_key("deviation", kv);
-    }
-  }
-  if (dev.node == kNoNode || dev.strategy.empty()) {
-    return ctx.fail(sec.line, "[deviation] needs 'node' and 'strategy'");
-  }
-  ctx.sc.deviations.push_back(std::move(dev));
-  return true;
-}
-
-bool parse_service_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "instances") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);
-      ctx.sc.instances = static_cast<std::size_t>(*v);
-    } else if (kv.key == "pipeline_depth") {
-      const auto v = to_u64(kv.value);
-      if (!v || *v == 0) return ctx.bad_value(kv);
-      ctx.sc.pipeline_depth = static_cast<std::size_t>(*v);
-    } else {
-      return ctx.unknown_key("service", kv);
-    }
-  }
-  return true;
-}
-
-bool parse_expect_section(ParseCtx& ctx, const serde::IniSection& sec) {
-  for (const auto& kv : sec.entries) {
-    if (kv.key == "outcome") {
-      if (kv.value == "ok") ctx.sc.expect.outcome = ScenarioExpect::Outcome::kOk;
-      else if (kv.value == "bottom") ctx.sc.expect.outcome = ScenarioExpect::Outcome::kBottom;
-      else return ctx.bad_value(kv);
-    } else if (kv.key == "stalled" || kv.key == "matches_clean") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      (kv.key == "stalled" ? ctx.sc.expect.stalled : ctx.sc.expect.matches_clean) = *v;
-    } else if (kv.key == "abort_reason") {
-      ctx.sc.expect.abort_reason = kv.value;
-    } else if (kv.key == "min_faults") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.expect.min_faults = *v;
-    } else if (kv.key == "min_auth_rejects") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.expect.min_auth_rejects = *v;
-    } else if (kv.key == "equivocation_proof") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.expect.equivocation_proof = *v;
-    } else if (kv.key == "min_instances_ok") {
-      const auto v = to_u64(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.expect.min_instances_ok = *v;
-    } else if (kv.key == "instances_match_twins") {
-      const auto v = to_bool(kv.value);
-      if (!v) return ctx.bad_value(kv);
-      ctx.sc.expect.instances_match_twins = *v;
-    } else {
-      return ctx.unknown_key("expect", kv);
-    }
-  }
-  return true;
+std::string group_name(const std::vector<NodeId>& group, const Scenario& sc) {
+  std::string out;
+  for (NodeId n : group) out += (out.empty() ? "" : ", ") + node_name(n, sc.providers);
+  return out;
 }
 
 // --- Run helpers -----------------------------------------------------------
@@ -619,439 +160,313 @@ const std::vector<std::string>& deviation_strategy_names() {
   return names;
 }
 
-std::string Scenario::to_scn() const {
-  // Emission rules that make to_scn a fixpoint of parse ∘ to_scn:
-  //  * keys whose value equals the parsed default are omitted;
-  //  * scalars use the canonical serde/ini_values.hpp formatters;
-  //  * sections appear in a fixed order (the parser accepts any order).
-  const Scenario defaults;
-  std::string out;
-  const auto node_str = [this](NodeId n) -> std::string {
-    if (n == kNoNode) return "any";
-    if (n == static_cast<NodeId>(providers)) return "client";
-    return std::to_string(n);
-  };
-  const auto kv = [&out](const char* key, const std::string& value) {
-    out += key;
-    out += " = ";
-    out += value;
-    out += "\n";
-  };
-  const auto time_kv = [&](const char* key, sim::SimTime v, sim::SimTime dflt) {
-    if (v != dflt) kv(key, serde::format_time_ms(v));
-  };
+const serde::IniSchema<Scenario>& scenario_schema() {
+  using adversary::AuthAdversaryConfig;
+  using adversary::BidFrameAdversary;
+  using net::AuthConfig;
+  using net::ReliabilityConfig;
+  using sim::CrashEvent;
+  using sim::FaultPlan;
+  using sim::LinkCut;
+  using sim::LinkFault;
+  using sim::Partition;
+  using Run = serde::IniTable<Scenario, Scenario>;
+  using Fault = serde::IniTable<FaultPlan, Scenario>;
+  using Link = serde::IniTable<LinkFault, Scenario>;
+  using Cut = serde::IniTable<LinkCut, Scenario>;
+  using Part = serde::IniTable<Partition, Scenario>;
+  using Crash = serde::IniTable<CrashEvent, Scenario>;
+  using Rel = serde::IniTable<ReliabilityConfig, Scenario>;
+  using Auth = serde::IniTable<AuthConfig, Scenario>;
+  using AuthAdv = serde::IniTable<AuthAdversaryConfig, Scenario>;
+  using Dev = serde::IniTable<DeviationSpec, Scenario>;
+  using Bidder = serde::IniTable<BidderSpec, Scenario>;
+  using Frames = serde::IniTable<BidFrameAdversary, Scenario>;
+  using Expect = serde::IniTable<ScenarioExpect, Scenario>;
+  constexpr Emit changed = Emit::kChanged;
+  constexpr Emit always = Emit::kAlways;
+  constexpr Emit required = Emit::kRequired;
+  constexpr std::uint64_t kLast = sim::kAnyInstance - 1;  // instance= bound
+  const auto whole = [](auto& sc) -> auto& { return sc; };
 
-  if (!name.empty() || !description.empty()) {
-    out += "[scenario]\n";
-    if (!name.empty()) kv("name", name);
-    if (!description.empty()) kv("description", description);
-    out += "\n";
-  }
-
-  out += "[run]\n";
-  if (auction != defaults.auction) kv("auction", auction);
-  kv("users", std::to_string(users));
-  kv("providers", std::to_string(providers));
-  kv("k", std::to_string(k));
-  if (epsilon != defaults.epsilon) kv("epsilon", serde::format_f64(epsilon));
-  kv("seed", std::to_string(seed));
-  if (latency != defaults.latency) kv("latency", latency);
-  if (max_events != defaults.max_events) {
-    kv("max_events", std::to_string(max_events));
-  }
-
-  if (instances != defaults.instances ||
-      pipeline_depth != defaults.pipeline_depth) {
-    out += "\n[service]\n";
-    kv("instances", std::to_string(instances));
-    if (pipeline_depth != defaults.pipeline_depth) {
-      kv("pipeline_depth", std::to_string(pipeline_depth));
-    }
-  }
-
-  if (!faults.empty() || faults.seed != defaults.faults.seed) {
-    out += "\n[fault]\n";
-    kv("seed", std::to_string(faults.seed));
-  }
-  for (const auto& r : faults.links) {
-    const sim::LinkFault d;
-    out += "\n[link]\n";
-    if (r.from != kNoNode) kv("from", node_str(r.from));
-    if (r.to != kNoNode) kv("to", node_str(r.to));
-    if (r.symmetric != d.symmetric) kv("symmetric", r.symmetric ? "true" : "false");
-    if (r.drop != 0.0) kv("drop", serde::format_f64(r.drop));
-    if (r.duplicate != 0.0) kv("duplicate", serde::format_f64(r.duplicate));
-    time_kv("delay_ms", r.extra_delay, 0);
-    time_kv("jitter_ms", r.jitter, 0);
-    time_kv("from_ms", r.active_from, sim::kSimStart);
-    time_kv("until_ms", r.active_until, sim::kSimForever);
-    if (r.instance != sim::kAnyInstance) {
-      kv("instance", std::to_string(r.instance));
-    }
-  }
-  for (const auto& c : faults.cuts) {
-    out += "\n[cut]\n";
-    kv("a", node_str(c.a));
-    kv("b", node_str(c.b));
-    time_kv("from_ms", c.from, sim::kSimStart);
-    time_kv("until_ms", c.until, sim::kSimForever);
-    if (c.instance != sim::kAnyInstance) {
-      kv("instance", std::to_string(c.instance));
-    }
-  }
-  for (const auto& p : faults.partitions) {
-    out += "\n[partition]\n";
-    std::string group;
-    for (NodeId n : p.group) {
-      if (!group.empty()) group += ", ";
-      group += node_str(n);
-    }
-    kv("group", group);
-    time_kv("from_ms", p.from, sim::kSimStart);
-    time_kv("until_ms", p.until, sim::kSimForever);
-    if (p.instance != sim::kAnyInstance) {
-      kv("instance", std::to_string(p.instance));
-    }
-  }
-  for (const auto& c : faults.crashes) {
-    out += "\n[crash]\n";
-    kv("node", node_str(c.node));
-    time_kv("at_ms", c.at, sim::kSimStart);
-    time_kv("recover_ms", c.recover_at, sim::kSimForever);
-    if (c.mode == sim::CrashMode::kAmnesia) kv("mode", "amnesia");
-  }
-
-  if (reliability.enable) {
-    const net::ReliabilityConfig d;
-    out += "\n[reliability]\n";
-    kv("enable", "true");
-    time_kv("retransmit_delay_ms", reliability.retransmit_delay, d.retransmit_delay);
-    if (reliability.max_retries != d.max_retries) {
-      kv("max_retries", std::to_string(reliability.max_retries));
-    }
-    time_kv("round_timeout_ms", reliability.round_timeout, d.round_timeout);
-    if (reliability.piggyback_acks != d.piggyback_acks) {
-      kv("piggyback_acks", reliability.piggyback_acks ? "true" : "false");
-    }
-  }
-  if (wal.enable) {
-    const store::WalConfig d;
-    const store::StorageFaultConfig fd;
-    out += "\n[wal]\n";
-    kv("enable", "true");
-    if (wal.snapshot_every != d.snapshot_every) {
-      kv("snapshot_every", std::to_string(wal.snapshot_every));
-    }
-    if (wal_fault.enable) {
-      kv("corrupt", "true");
-      if (wal_fault.seed != fd.seed) {
-        kv("corrupt_seed", std::to_string(wal_fault.seed));
-      }
-      if (wal_fault.sync_drop != 0.0) {
-        kv("sync_drop", serde::format_f64(wal_fault.sync_drop));
-      }
-      if (wal_fault.torn != 0.0) kv("torn", serde::format_f64(wal_fault.torn));
-      if (wal_fault.flip != 0.0) kv("flip", serde::format_f64(wal_fault.flip));
-    }
-  }
-  if (auth.enable) {
-    out += "\n[auth]\n";
-    kv("enable", "true");
-    if (auth.batch_verify) kv("batch", "true");
-  }
-  if (auth_adversary.mode != adversary::AuthTamperMode::kNone) {
-    out += "\n[auth_adversary]\n";
-    kv("node", node_str(auth_adversary.node));
-    kv("mode", auth_adversary.mode == adversary::AuthTamperMode::kForge
-                   ? "forge"
-                   : "replay");
-  }
-  for (const auto& dev : deviations) {
-    out += "\n[deviation]\n";
-    kv("node", node_str(dev.node));
-    kv("strategy", dev.strategy);
-    if (dev.fake_cost != kZeroMoney) kv("fake_cost", dev.fake_cost.str());
-    if (dev.instance != sim::kAnyInstance) {
-      kv("instance", std::to_string(dev.instance));
-    }
-  }
-  for (const auto& b : bidders) {
-    out += "\n[bidder]\n";
-    kv("bidder", std::to_string(b.bidder));
-    kv("behaviour", b.behaviour);
-  }
-  if (bid_frames.any()) {
-    out += "\n[bid_frames]\n";
-    if (bid_frames.replay) kv("replay", "true");
-    if (bid_frames.reorder) kv("reorder", "true");
-  }
-
-  std::string exp;
-  const auto exp_kv = [&exp](const char* key, const std::string& value) {
-    exp += key;
-    exp += " = ";
-    exp += value;
-    exp += "\n";
-  };
-  if (expect.outcome != ScenarioExpect::Outcome::kUnspecified) {
-    exp_kv("outcome",
-           expect.outcome == ScenarioExpect::Outcome::kOk ? "ok" : "bottom");
-  }
-  if (expect.stalled) exp_kv("stalled", *expect.stalled ? "true" : "false");
-  if (expect.matches_clean) {
-    exp_kv("matches_clean", *expect.matches_clean ? "true" : "false");
-  }
-  if (expect.abort_reason) exp_kv("abort_reason", *expect.abort_reason);
-  if (expect.min_faults) exp_kv("min_faults", std::to_string(*expect.min_faults));
-  if (expect.min_auth_rejects) {
-    exp_kv("min_auth_rejects", std::to_string(*expect.min_auth_rejects));
-  }
-  if (expect.equivocation_proof) {
-    exp_kv("equivocation_proof", *expect.equivocation_proof ? "true" : "false");
-  }
-  if (expect.min_instances_ok) {
-    exp_kv("min_instances_ok", std::to_string(*expect.min_instances_ok));
-  }
-  if (expect.instances_match_twins) {
-    exp_kv("instances_match_twins",
-           *expect.instances_match_twins ? "true" : "false");
-  }
-  if (!exp.empty()) {
-    out += "\n[expect]\n";
-    out += exp;
-  }
-  return out;
+  // Rows and sections are in emission and parse order (a file may list
+  // sections in any order). Tuning knobs on a disabled layer would silently do
+  // nothing, so each is gated on its layer's switch; round_timeout_ms = 0
+  // ("watchdogs off") and the default piggyback_acks = true are inert.
+  static const serde::IniSchema<Scenario> schema({
+      Run::section("scenario", whole,
+                   {Run::text("name", &Scenario::name),
+                    Run::text("description", &Scenario::description)}),
+      // Before every section that names nodes: "client" is node m.
+      Run::section(
+          "run", whole,
+          {Run::one_of("auction", &Scenario::auction, {"double", "standard"}),
+           Run::u64("users", &Scenario::users, always, 1),
+           Run::u64("providers", &Scenario::providers, always, 1),
+           Run::u64("k", &Scenario::k, always),
+           // (0, 1), open: the closed range between the neighbouring doubles.
+           Run::ranged("epsilon", &Scenario::epsilon, serde::parse_f64,
+                       serde::format_f64, std::nextafter(0.0, 1.0),
+                       std::nextafter(1.0, 0.0), changed),
+           Run::u64("seed", &Scenario::seed, always),
+           Run::one_of("latency", &Scenario::latency, {"zero", "lan", "community"}),
+           Run::u64("max_events", &Scenario::max_events, changed, 1)},
+          {.present = [](const Scenario&) { return true; }}),
+      Run::section("service", whole,
+                   {Run::u64("instances", &Scenario::instances, always, 1),
+                    Run::u64("pipeline_depth", &Scenario::pipeline_depth, changed, 1)}),
+      Fault::section("fault", &Scenario::faults,
+                     {Fault::u64("seed", &FaultPlan::seed, always)},
+                     {.present = [](const FaultPlan& f) { return !f.empty(); }}),
+      Link::section("link", [](auto& sc) -> auto& { return sc.faults.links; },
+                    {node_key("from", &LinkFault::from, changed, true),
+                     node_key("to", &LinkFault::to, changed, true),
+                     Link::boolean("symmetric", &LinkFault::symmetric),
+                     Link::probability("drop", &LinkFault::drop),
+                     Link::probability("duplicate", &LinkFault::duplicate),
+                     Link::time_ms("delay_ms", &LinkFault::extra_delay),
+                     Link::time_ms("jitter_ms", &LinkFault::jitter),
+                     Link::time_ms("from_ms", &LinkFault::active_from),
+                     Link::time_ms("until_ms", &LinkFault::active_until),
+                     Link::u64("instance", &LinkFault::instance, changed, 0, kLast)}),
+      Cut::section("cut", [](auto& sc) -> auto& { return sc.faults.cuts; },
+                   {node_key("a", &LinkCut::a, required),
+                    node_key("b", &LinkCut::b, required),
+                    Cut::time_ms("from_ms", &LinkCut::from),
+                    Cut::time_ms("until_ms", &LinkCut::until),
+                    Cut::u64("instance", &LinkCut::instance, changed, 0, kLast)}),
+      Part::section(
+          "partition", [](auto& sc) -> auto& { return sc.faults.partitions; },
+          {Part::custom("group", &Partition::group, to_group, group_name, required),
+           Part::time_ms("from_ms", &Partition::from),
+           Part::time_ms("until_ms", &Partition::until),
+           Part::u64("instance", &Partition::instance, changed, 0, kLast)}),
+      Crash::section(
+          "crash", [](auto& sc) -> auto& { return sc.faults.crashes; },
+          {node_key("node", &CrashEvent::node, required),
+           Crash::time_ms("at_ms", &CrashEvent::at),
+           Crash::time_ms("recover_ms", &CrashEvent::recover_at),
+           Crash::one_of("mode", &CrashEvent::mode, {"recover", "amnesia"})},
+          {.check = [](const CrashEvent& c) -> const char* {
+            return c.mode == sim::CrashMode::kAmnesia &&
+                           c.recover_at == sim::kSimForever
+                       ? "[crash] mode=amnesia needs recover_ms (a node that "
+                         "never restarts has nothing to recover)"
+                       : nullptr;
+          }}),
+      Rel::section(
+          "reliability", &Scenario::reliability,
+          {Rel::boolean("enable", &ReliabilityConfig::enable, always),
+           Rel::time_ms("retransmit_delay_ms", &ReliabilityConfig::retransmit_delay, 1)
+               .knob("enable"),
+           Rel::u64("max_retries", &ReliabilityConfig::max_retries).knob("enable"),
+           Rel::time_ms("round_timeout_ms", &ReliabilityConfig::round_timeout)
+               .knob("enable", "0"),
+           Rel::boolean("piggyback_acks", &ReliabilityConfig::piggyback_acks)
+               .knob("enable", "true")}),
+      Run::section(
+          "wal", whole,
+          {Run::boolean("enable", [](auto& sc) -> auto& { return sc.wal.enable; },
+                        always),
+           Run::u64("snapshot_every",
+                    [](auto& sc) -> auto& { return sc.wal.snapshot_every; })
+               .knob("enable"),
+           Run::boolean("corrupt", [](auto& sc) -> auto& { return sc.wal_fault.enable; })
+               .knob("enable", "false"),
+           Run::u64("corrupt_seed", [](auto& sc) -> auto& { return sc.wal_fault.seed; })
+               .knob("corrupt"),
+           Run::probability("sync_drop",
+                            [](auto& sc) -> auto& { return sc.wal_fault.sync_drop; })
+               .knob("corrupt"),
+           Run::probability("torn", [](auto& sc) -> auto& { return sc.wal_fault.torn; })
+               .knob("corrupt"),
+           Run::probability("flip", [](auto& sc) -> auto& { return sc.wal_fault.flip; })
+               .knob("corrupt")},
+          {.check = [](const Scenario& sc) -> const char* {
+            return sc.wal_fault.torn + sc.wal_fault.flip > 1.0
+                       ? "[wal] torn + flip must not exceed 1 (a crash draws "
+                         "one damage mode)"
+                       : nullptr;
+          }}),
+      Auth::section("auth", &Scenario::auth,
+                    {Auth::boolean("enable", &AuthConfig::enable, always),
+                     Auth::boolean("batch", &AuthConfig::batch_verify)
+                         .knob("enable", "false")}),
+      AuthAdv::section("auth_adversary", &Scenario::auth_adversary,
+                       {node_key("node", &AuthAdversaryConfig::node, required),
+                        AuthAdv::one_of("mode", &AuthAdversaryConfig::mode,
+                                        {"", "forge", "replay"}, required)}),
+      Dev::section(
+          "deviation", &Scenario::deviations,
+          {node_key("node", &DeviationSpec::node, required),
+           Dev::one_of("strategy", &DeviationSpec::strategy,
+                       deviation_strategy_names(), required),
+           Dev::custom(
+               "fake_cost", &DeviationSpec::fake_cost,
+               [](const std::string& s, const Scenario&) {
+                 return serde::parse_money(s);
+               },
+               [](const Money& v, const Scenario&) { return v.str(); }),
+           Dev::u64("instance", &DeviationSpec::instance, changed, 0, kLast)}),
+      Bidder::section("bidder", &Scenario::bidders,
+                      {Bidder::u64("bidder", &BidderSpec::bidder, required),
+                       Bidder::one_of("behaviour", &BidderSpec::behaviour,
+                                      adversary::bidder_behaviour_names(), required)}),
+      Frames::section(
+          "bid_frames", &Scenario::bid_frames,
+          {Frames::boolean("replay", &BidFrameAdversary::replay),
+           Frames::boolean("reorder", &BidFrameAdversary::reorder)},
+          {.check = [](const BidFrameAdversary& b) -> const char* {
+            return b.any() ? nullptr
+                           : "[bid_frames] needs replay=true or reorder=true";
+          }}),
+      Expect::section(
+          "expect", &Scenario::expect,
+          {Expect::one_of("outcome", &ScenarioExpect::outcome, {"", "ok", "bottom"}),
+           Expect::boolean("stalled", &ScenarioExpect::stalled),
+           Expect::boolean("matches_clean", &ScenarioExpect::matches_clean),
+           Expect::text("abort_reason", &ScenarioExpect::abort_reason),
+           Expect::u64("min_faults", &ScenarioExpect::min_faults),
+           Expect::u64("min_auth_rejects", &ScenarioExpect::min_auth_rejects),
+           Expect::boolean("equivocation_proof", &ScenarioExpect::equivocation_proof),
+           Expect::u64("min_instances_ok", &ScenarioExpect::min_instances_ok),
+           Expect::boolean("instances_match_twins",
+                           &ScenarioExpect::instances_match_twins)}),
+  });
+  return schema;
 }
 
-ScenarioParse parse_scenario(std::string_view text) {
-  const serde::IniResult ini = serde::parse_ini(text);
-  if (!ini.ok()) return {std::nullopt, ini.error};
+namespace {
 
-  // Two passes: [run] first (node fields like "client" and validation need
-  // the provider count), then everything else in file order.
-  ParseCtx ctx;
-  for (const auto& sec : ini.doc->sections) {
-    if (sec.name == "run" && !parse_run_section(ctx, sec)) {
-      return {std::nullopt, ctx.error};
+/// Rules that relate several sections (each section's own rules live in its
+/// table): "" or the first violation.
+std::string validate(const Scenario& sc) {
+  const std::string m = std::to_string(sc.providers);
+  if (sc.providers <= 2 * sc.k) {
+    return "[run] requires providers > 2k (m=" + m + ", k=" + std::to_string(sc.k) + ")";
+  }
+  for (const auto& dev : sc.deviations) {
+    if (dev.node >= sc.providers) {
+      return "[deviation] node " + std::to_string(dev.node) +
+             " is not a provider (m=" + m + ")";
     }
   }
-  for (const auto& sec : ini.doc->sections) {
-    bool ok = true;
-    if (sec.name == "run") continue;
-    else if (sec.name == "scenario") ok = parse_scenario_section(ctx, sec);
-    else if (sec.name == "fault") ok = parse_fault_section(ctx, sec);
-    else if (sec.name == "link") ok = parse_link_section(ctx, sec);
-    else if (sec.name == "cut") ok = parse_cut_section(ctx, sec);
-    else if (sec.name == "partition") ok = parse_partition_section(ctx, sec);
-    else if (sec.name == "crash") ok = parse_crash_section(ctx, sec);
-    else if (sec.name == "reliability") ok = parse_reliability_section(ctx, sec);
-    else if (sec.name == "wal") ok = parse_wal_section(ctx, sec);
-    else if (sec.name == "auth") ok = parse_auth_section(ctx, sec);
-    else if (sec.name == "auth_adversary") ok = parse_auth_adversary_section(ctx, sec);
-    else if (sec.name == "deviation") ok = parse_deviation_section(ctx, sec);
-    else if (sec.name == "bidder") ok = parse_bidder_section(ctx, sec);
-    else if (sec.name == "bid_frames") ok = parse_bid_frames_section(ctx, sec);
-    else if (sec.name == "service") ok = parse_service_section(ctx, sec);
-    else if (sec.name == "expect") ok = parse_expect_section(ctx, sec);
-    else {
-      ctx.fail(sec.line, sec.name.empty()
-                             ? "keys before any [section] header"
-                             : "unknown section [" + sec.name + "]");
-      ok = false;
+  if (sc.auth_adversary.mode != adversary::AuthTamperMode::kNone) {
+    if (!sc.auth.enable) {
+      return "[auth_adversary] requires [auth] enable=true (without the "
+             "signing layer there is nothing to forge or replay against)";
     }
-    if (!ok) return {std::nullopt, ctx.error};
-  }
-
-  if (ctx.sc.providers <= 2 * ctx.sc.k) {
-    return {std::nullopt, "[run] requires providers > 2k (m=" +
-                              std::to_string(ctx.sc.providers) +
-                              ", k=" + std::to_string(ctx.sc.k) + ")"};
-  }
-  for (const auto& dev : ctx.sc.deviations) {
-    if (dev.node >= ctx.sc.providers) {
-      return {std::nullopt, "[deviation] node " + std::to_string(dev.node) +
-                                " is not a provider (m=" +
-                                std::to_string(ctx.sc.providers) + ")"};
+    if (sc.auth_adversary.node >= sc.providers) {
+      return "[auth_adversary] node " + std::to_string(sc.auth_adversary.node) +
+             " is not a provider (m=" + m + ")";
     }
   }
-  if (ctx.sc.auth_adversary.mode != adversary::AuthTamperMode::kNone) {
-    if (!ctx.sc.auth.enable) {
-      return {std::nullopt,
-              "[auth_adversary] requires [auth] enable=true (without the "
-              "signing layer there is nothing to forge or replay against)"};
-    }
-    if (ctx.sc.auth_adversary.node >= ctx.sc.providers) {
-      return {std::nullopt, "[auth_adversary] node " +
-                                std::to_string(ctx.sc.auth_adversary.node) +
-                                " is not a provider (m=" +
-                                std::to_string(ctx.sc.providers) + ")"};
-    }
+  if (sc.expect.min_auth_rejects && !sc.auth.enable) {
+    return "[expect] min_auth_rejects requires [auth] enable=true";
   }
-  if (ctx.sc.expect.min_auth_rejects && !ctx.sc.auth.enable) {
-    return {std::nullopt,
-            "[expect] min_auth_rejects requires [auth] enable=true"};
-  }
-  if (ctx.sc.expect.equivocation_proof && *ctx.sc.expect.equivocation_proof &&
-      !ctx.sc.auth.enable) {
-    return {std::nullopt,
-            "[expect] equivocation_proof=true requires [auth] enable=true"};
+  if (sc.expect.equivocation_proof.value_or(false) && !sc.auth.enable) {
+    return "[expect] equivocation_proof=true requires [auth] enable=true";
   }
   // Every concrete node a fault section names must exist in the deployment
   // (providers 0..m-1 plus the client node m) — a typo'd id would otherwise
   // parse fine and silently never fire, turning the scenario into a no-op.
-  // (Appends, not one operator+ chain: GCC 12's -Wrestrict misfires on the
-  // chained form under -O2.)
-  const auto check_node = [&](NodeId n, const char* section)
-      -> std::optional<std::string> {
-    if (n == kNoNode || n <= ctx.sc.providers) return std::nullopt;
-    std::string err = "[";
-    err += section;
-    err += "] node ";
-    err += std::to_string(n);
-    err += " does not exist (providers 0..";
-    err += std::to_string(ctx.sc.providers - 1);
-    err += ", client = ";
-    err += std::to_string(ctx.sc.providers);
-    err += ")";
-    return err;
+  struct Ref {
+    const char* section;
+    std::vector<NodeId> nodes;
+    std::uint64_t instance;
   };
-  for (const auto& r : ctx.sc.faults.links) {
-    for (NodeId n : {r.from, r.to}) {
-      if (auto err = check_node(n, "link")) return {std::nullopt, *err};
-    }
+  std::vector<Ref> refs;
+  for (const auto& r : sc.faults.links) refs.push_back({"link", {r.from, r.to}, r.instance});
+  for (const auto& c : sc.faults.cuts) refs.push_back({"cut", {c.a, c.b}, c.instance});
+  for (const auto& p : sc.faults.partitions) {
+    refs.push_back({"partition", p.group, p.instance});
   }
-  for (const auto& c : ctx.sc.faults.cuts) {
-    for (NodeId n : {c.a, c.b}) {
-      if (auto err = check_node(n, "cut")) return {std::nullopt, *err};
-    }
+  for (const auto& c : sc.faults.crashes) {
+    refs.push_back({"crash", {c.node}, sim::kAnyInstance});
   }
-  for (const auto& p : ctx.sc.faults.partitions) {
-    for (NodeId n : p.group) {
-      if (auto err = check_node(n, "partition")) return {std::nullopt, *err};
+  for (const auto& dev : sc.deviations) refs.push_back({"deviation", {}, dev.instance});
+  for (const Ref& ref : refs) {
+    for (NodeId n : ref.nodes) {
+      if (n == kNoNode || n <= sc.providers) continue;
+      return std::string("[") + ref.section + "] node " + std::to_string(n) +
+             " does not exist (providers 0.." + std::to_string(sc.providers - 1) +
+             ", client = " + m + ")";
     }
-  }
-  for (const auto& c : ctx.sc.faults.crashes) {
-    if (auto err = check_node(c.node, "crash")) return {std::nullopt, *err};
   }
   // Amnesia recovery replays durable state and closes the gap over the
   // reliability layer's re-request path: without both, the "recovered" node
   // would silently come back empty — a config mistake, not a request.
-  for (const auto& c : ctx.sc.faults.crashes) {
-    if (c.mode != sim::CrashMode::kAmnesia) continue;
-    if (!ctx.sc.wal.enable) {
-      return {std::nullopt,
-              "[crash] mode=amnesia requires [wal] enable=true (there is no "
-              "durable state to recover from)"};
-    }
-    if (!ctx.sc.reliability.enable) {
-      return {std::nullopt,
-              "[crash] mode=amnesia requires [reliability] enable=true (the "
-              "rejoin sweep runs over the re-request path)"};
-    }
+  const bool any_amnesia = std::any_of(
+      sc.faults.crashes.begin(), sc.faults.crashes.end(),
+      [](const sim::CrashEvent& c) { return c.mode == sim::CrashMode::kAmnesia; });
+  if (any_amnesia && !sc.wal.enable) {
+    return "[crash] mode=amnesia requires [wal] enable=true (there is no "
+           "durable state to recover from)";
+  }
+  if (any_amnesia && !sc.reliability.enable) {
+    return "[crash] mode=amnesia requires [reliability] enable=true (the "
+           "rejoin sweep runs over the re-request path)";
   }
   // [service] consistency. Instance filters and instance-level expectations
   // only mean something when more than one instance runs; a depth above the
   // instance count could never fill its pipeline.
-  const bool service = ctx.sc.instances > 1;
-  if (ctx.sc.pipeline_depth > ctx.sc.instances) {
-    return {std::nullopt,
-            "[service] pipeline_depth " + std::to_string(ctx.sc.pipeline_depth) +
-                " exceeds instances " + std::to_string(ctx.sc.instances)};
+  const bool service = sc.instances > 1;
+  const std::string instances = std::to_string(sc.instances);
+  if (sc.pipeline_depth > sc.instances) {
+    return "[service] pipeline_depth " + std::to_string(sc.pipeline_depth) +
+           " exceeds instances " + instances;
   }
-  for (const auto& r : ctx.sc.faults.links) {
-    if (r.instance == sim::kAnyInstance) continue;
-    if (!service) {
-      return {std::nullopt,
-              "[link] instance= requires [service] instances > 1"};
-    }
-    if (r.instance >= ctx.sc.instances) {
-      return {std::nullopt, "[link] instance " + std::to_string(r.instance) +
-                                " does not exist (instances = " +
-                                std::to_string(ctx.sc.instances) + ")"};
-    }
-  }
-  for (const auto& c : ctx.sc.faults.cuts) {
-    if (c.instance == sim::kAnyInstance) continue;
-    if (!service) {
-      return {std::nullopt, "[cut] instance= requires [service] instances > 1"};
-    }
-    if (c.instance >= ctx.sc.instances) {
-      return {std::nullopt, "[cut] instance " + std::to_string(c.instance) +
-                                " does not exist (instances = " +
-                                std::to_string(ctx.sc.instances) + ")"};
-    }
-  }
-  for (const auto& p : ctx.sc.faults.partitions) {
-    if (p.instance == sim::kAnyInstance) continue;
-    if (!service) {
-      return {std::nullopt,
-              "[partition] instance= requires [service] instances > 1"};
-    }
-    if (p.instance >= ctx.sc.instances) {
-      return {std::nullopt, "[partition] instance " +
-                                std::to_string(p.instance) +
-                                " does not exist (instances = " +
-                                std::to_string(ctx.sc.instances) + ")"};
-    }
-  }
-  for (const auto& dev : ctx.sc.deviations) {
-    if (dev.instance == sim::kAnyInstance) continue;
-    if (!service) {
-      return {std::nullopt,
-              "[deviation] instance= requires [service] instances > 1"};
-    }
-    if (dev.instance >= ctx.sc.instances) {
-      return {std::nullopt, "[deviation] instance " +
-                                std::to_string(dev.instance) +
-                                " does not exist (instances = " +
-                                std::to_string(ctx.sc.instances) + ")"};
+  for (const Ref& ref : refs) {
+    const std::string section = ref.section;
+    if (ref.instance == sim::kAnyInstance) continue;
+    if (!service) return "[" + section + "] instance= requires [service] instances > 1";
+    if (ref.instance >= sc.instances) {
+      return "[" + section + "] instance " + std::to_string(ref.instance) +
+             " does not exist (instances = " + instances + ")";
     }
   }
   // [bidder] sanity: the id must be one of the scenario's users, and two
   // sections naming the same bidder would silently shadow each other.
-  {
-    std::set<BidderId> seen;
-    for (const auto& b : ctx.sc.bidders) {
-      if (b.bidder >= ctx.sc.users) {
-        return {std::nullopt, "[bidder] bidder " + std::to_string(b.bidder) +
-                                  " does not exist (users = " +
-                                  std::to_string(ctx.sc.users) + ")"};
-      }
-      if (!seen.insert(b.bidder).second) {
-        return {std::nullopt, "[bidder] bidder " + std::to_string(b.bidder) +
-                                  " appears in more than one [bidder] section"};
-      }
+  std::set<BidderId> seen;
+  for (const auto& b : sc.bidders) {
+    const std::string id = "[bidder] bidder " + std::to_string(b.bidder);
+    if (b.bidder >= sc.users) {
+      return id + " does not exist (users = " + std::to_string(sc.users) + ")";
+    }
+    if (!seen.insert(b.bidder).second) {
+      return id + " appears in more than one [bidder] section";
     }
   }
   // [wal] corrupt damages the live tail at an amnesia crash; without one it
-  // would never fire — a config mistake, not a request. (enable=true is
-  // already enforced section-locally.)
-  if (ctx.sc.wal_fault.enable &&
-      std::none_of(ctx.sc.faults.crashes.begin(), ctx.sc.faults.crashes.end(),
-                   [](const sim::CrashEvent& c) {
-                     return c.mode == sim::CrashMode::kAmnesia;
-                   })) {
-    return {std::nullopt,
-            "[wal] corrupt=true requires a [crash] with mode=amnesia (the "
-            "lying disk only damages the tail at an amnesia crash)"};
+  // would never fire — a config mistake, not a request.
+  if (sc.wal_fault.enable && !any_amnesia) {
+    return "[wal] corrupt=true requires a [crash] with mode=amnesia (the "
+           "lying disk only damages the tail at an amnesia crash)";
   }
-  if (!service && ctx.sc.expect.min_instances_ok) {
-    return {std::nullopt,
-            "[expect] min_instances_ok requires [service] instances > 1"};
+  if (!service && sc.expect.min_instances_ok) {
+    return "[expect] min_instances_ok requires [service] instances > 1";
   }
-  if (!service && ctx.sc.expect.instances_match_twins) {
-    return {std::nullopt,
-            "[expect] instances_match_twins requires [service] instances > 1"};
+  if (!service && sc.expect.instances_match_twins) {
+    return "[expect] instances_match_twins requires [service] instances > 1";
   }
-  if (service && ctx.sc.expect.min_instances_ok &&
-      *ctx.sc.expect.min_instances_ok > ctx.sc.instances) {
-    return {std::nullopt,
-            "[expect] min_instances_ok " +
-                std::to_string(*ctx.sc.expect.min_instances_ok) +
-                " exceeds [service] instances " +
-                std::to_string(ctx.sc.instances)};
+  if (sc.expect.min_instances_ok.value_or(0) > sc.instances) {
+    return "[expect] min_instances_ok " +
+           std::to_string(*sc.expect.min_instances_ok) +
+           " exceeds [service] instances " + instances;
   }
-  return {std::move(ctx.sc), std::string()};
+  return std::string();
+}
+
+}  // namespace
+
+std::string Scenario::to_scn() const { return scenario_schema().emit(*this); }
+
+ScenarioParse parse_scenario(std::string_view text) {
+  Scenario sc;
+  std::string error = scenario_schema().parse(text, sc);
+  if (error.empty()) error = validate(sc);
+  if (!error.empty()) return {std::nullopt, std::move(error)};
+  return {std::move(sc), std::string()};
 }
 
 ScenarioRun run_scenario(const Scenario& scenario, bool force_clean_twin) {

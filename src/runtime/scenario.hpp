@@ -10,6 +10,12 @@
 //   [deviation] byzantine provider strategies (adversary/provider_deviation)
 //   [expect]   self-checking assertions (outcome, stall, matches_clean, ...)
 //
+// Every key lives in one row of scenario_schema()'s per-section tables
+// (scenario.cpp, on the serde/ini_schema.hpp engine): the row drives parsing,
+// to_scn() emission and the section's own strictness rules. Adding a key is
+// one row plus its line in docs/SCENARIOS.md (a test checks the two agree).
+// Rules that relate several sections are hand-written beside the tables.
+//
 // run_scenario() executes the scenario on the deterministic virtual-time
 // runtime (CostMode::kZero: the run is a pure function of the file), runs the
 // fault-free twin when an expectation compares against it, and evaluates the
@@ -27,6 +33,7 @@
 
 #include "runtime/service_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "serde/ini_schema.hpp"
 
 namespace dauct::runtime {
 
@@ -135,9 +142,13 @@ struct ScenarioParse {
   bool ok() const { return scenario.has_value(); }
 };
 
-/// Strict parse: unknown sections/keys, malformed numbers, inconsistent run
-/// parameters (m ≤ 2k, no users) and unknown strategy names are errors.
+/// Strict parse: unknown sections/keys, malformed numbers, repeated keys or
+/// singleton sections, inconsistent run parameters (m ≤ 2k, no users) and
+/// unknown strategy names are errors.
 ScenarioParse parse_scenario(std::string_view text);
+
+/// The .scn key tables: every section and key, in emission order.
+const serde::IniSchema<Scenario>& scenario_schema();
 
 /// Outcome of executing a scenario, plus the expectation verdicts.
 ///

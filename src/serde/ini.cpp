@@ -14,18 +14,10 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string error_at(std::size_t line, const std::string& what) {
-  return "line " + std::to_string(line) + ": " + what;
-}
-
 }  // namespace
 
-std::optional<std::string> IniSection::get(std::string_view key) const {
-  std::optional<std::string> found;
-  for (const IniKeyValue& kv : entries) {
-    if (kv.key == key) found = kv.value;
-  }
-  return found;
+std::string line_error(std::size_t line, const std::string& what) {
+  return "line " + std::to_string(line) + ": " + what;
 }
 
 IniResult parse_ini(std::string_view text) {
@@ -43,11 +35,11 @@ IniResult parse_ini(std::string_view text) {
 
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
-        return {std::nullopt, error_at(line_no, "malformed section header")};
+        return {std::nullopt, line_error(line_no, "malformed section header")};
       }
       const std::string_view name = trim(line.substr(1, line.size() - 2));
       if (name.empty()) {
-        return {std::nullopt, error_at(line_no, "empty section name")};
+        return {std::nullopt, line_error(line_no, "empty section name")};
       }
       doc.sections.push_back(IniSection{std::string(name), line_no, {}});
       current = &doc.sections.back();
@@ -56,12 +48,12 @@ IniResult parse_ini(std::string_view text) {
 
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
-      return {std::nullopt, error_at(line_no, "expected 'key = value' or '[section]'")};
+      return {std::nullopt, line_error(line_no, "expected 'key = value' or '[section]'")};
     }
     const std::string_view key = trim(line.substr(0, eq));
     const std::string_view value = trim(line.substr(eq + 1));
     if (key.empty()) {
-      return {std::nullopt, error_at(line_no, "empty key")};
+      return {std::nullopt, line_error(line_no, "empty key")};
     }
     if (!current) {
       doc.sections.push_back(IniSection{std::string(), line_no, {}});

@@ -1,13 +1,14 @@
 // Minimal INI-style reader for declarative config text (scenario .scn files).
 //
 // Grammar (strict; anything else is an error with a line number):
-//   [section]          — starts a new section entry; repeated names allowed
-//                        and kept in file order ([crash] twice = two crashes)
-//   key = value        — belongs to the current section; keys may repeat
+//   [section]          — starts a new section entry; repeated names kept
+//                        in file order ([crash] twice = two crashes)
+//   key = value        — belongs to the current section, kept in file order
 //   # comment / ; comment — full-line comments; blank lines ignored
 //
-// Values are returned verbatim (trimmed); typed access and key validation
-// belong to the consumer (runtime/scenario.cpp), which knows the schema.
+// Values are returned verbatim (trimmed); typed access and key validation,
+// including which sections and keys may repeat, belong to the schema
+// (serde/ini_schema.hpp).
 #pragma once
 
 #include <cstddef>
@@ -27,9 +28,6 @@ struct IniSection {
   std::string name;
   std::size_t line = 0;
   std::vector<IniKeyValue> entries;
-
-  /// Last value of `key`, or std::nullopt.
-  std::optional<std::string> get(std::string_view key) const;
 };
 
 /// A parsed document: sections in file order. Keys before any [section]
@@ -47,5 +45,8 @@ struct IniResult {
 };
 
 IniResult parse_ini(std::string_view text);
+
+/// "line N: what" — the error form of every INI consumer.
+std::string line_error(std::size_t line, const std::string& what);
 
 }  // namespace dauct::serde

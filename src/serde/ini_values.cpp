@@ -39,12 +39,6 @@ std::optional<std::int64_t> parse_time_ms(const std::string& s) {
   return static_cast<std::int64_t>(std::llround(*v * 1e6));
 }
 
-std::optional<double> parse_probability(const std::string& s) {
-  const auto v = parse_f64(s);
-  if (!v || *v < 0.0 || *v > 1.0) return std::nullopt;
-  return v;
-}
-
 std::string format_f64(double v) {
   char buf[32];
   for (int precision = 1; precision <= 17; ++precision) {

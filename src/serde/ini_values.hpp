@@ -1,9 +1,9 @@
 // Typed INI value conversions shared by every .scn/.bounds consumer.
 //
-// serde/ini.hpp returns values verbatim; the scenario parser
-// (runtime/scenario.cpp), the fuzz-bounds parser (sim/fuzz.cpp) and the
-// scenario emitter (Scenario::to_scn) all need the same scalar grammar. This
-// header is the single definition of it, in both directions:
+// serde/ini.hpp returns values verbatim; the key tables of
+// serde/ini_schema.hpp (.scn scenarios, fuzz bounds files) parse and emit
+// scalars through this one grammar. This header is the single definition of
+// it, in both directions:
 //
 //  * parse_* — strict string → value (std::nullopt on anything malformed);
 //  * format_* — value → the canonical string the parser accepts, chosen so
@@ -36,9 +36,6 @@ std::optional<bool> parse_bool_word(const std::string& s);
 /// range clamp to kForeverNs ("held for the whole run") instead of hitting
 /// llround's out-of-range UB. Negative values are rejected.
 std::optional<std::int64_t> parse_time_ms(const std::string& s);
-
-/// A double in [0, 1].
-std::optional<double> parse_probability(const std::string& s);
 
 /// Shortest decimal string that parses back to exactly `v` (round-trip via
 /// strtod). "0.02" stays "0.02", not "0.020000000000000004".

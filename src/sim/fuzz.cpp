@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "serde/ini.hpp"
-#include "serde/ini_values.hpp"
+#include <sstream>
 
 namespace dauct::sim {
 
@@ -60,136 +58,79 @@ struct Sampler {
   }
 };
 
+/// Comma-separated words, blanks trimmed, empty words dropped.
 std::vector<std::string> split_words(const std::string& s) {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    std::string word = s.substr(start, comma - start);
+  std::istringstream in(s);
+  for (std::string word; std::getline(in, word, ',');) {
     const auto a = word.find_first_not_of(" \t");
-    if (a == std::string::npos) {
-      word.clear();
-    } else {
-      const auto b = word.find_last_not_of(" \t");
-      word = word.substr(a, b - a + 1);
-    }
-    if (!word.empty()) out.push_back(std::move(word));
-    start = comma + 1;
+    if (a == std::string::npos) continue;
+    out.push_back(word.substr(a, word.find_last_not_of(" \t") - a + 1));
   }
   return out;
 }
 
-std::string line_err(std::size_t line, const std::string& what) {
-  return "line " + std::to_string(line) + ": " + what;
-}
-
 }  // namespace
+
+const serde::IniSchema<FuzzBounds>& fuzz_bounds_schema() {
+  using T = serde::IniTable<FuzzBounds, FuzzBounds>;
+  const auto whole = [](auto& b) -> auto& { return b; };
+  // Names are validated downstream by the scenario parser (the deviation and
+  // bidder registries live above this layer); here only non-emptiness.
+  const auto words = [](const char* name, std::vector<std::string> FuzzBounds::*field) {
+    return T::custom(
+        name, field,
+        [](const std::string& s, const FuzzBounds&) { return std::optional(split_words(s)); },
+        [](const std::vector<std::string>& v, const FuzzBounds&) {
+          std::string out;
+          for (const std::string& w : v) out += (out.empty() ? "" : ", ") + w;
+          return out;
+        });
+  };
+  static const serde::IniSchema<FuzzBounds> schema({
+      T::section("shape", whole,
+                 {T::u64("min_users", &FuzzBounds::min_users),
+                  T::u64("max_users", &FuzzBounds::max_users),
+                  T::u64("min_providers", &FuzzBounds::min_providers),
+                  T::u64("max_providers", &FuzzBounds::max_providers),
+                  words("latencies", &FuzzBounds::latencies),
+                  T::u64("max_events", &FuzzBounds::max_events, serde::Emit::kChanged, 1),
+                  T::u64("max_instances", &FuzzBounds::max_instances),
+                  T::u64("max_pipeline_depth", &FuzzBounds::max_pipeline_depth)}),
+      T::section("faults", whole,
+                 {T::u64("max_link_rules", &FuzzBounds::max_link_rules),
+                  T::probability("max_drop", &FuzzBounds::max_drop),
+                  T::probability("max_duplicate", &FuzzBounds::max_duplicate),
+                  T::time_ms("max_delay", &FuzzBounds::max_delay),
+                  T::time_ms("max_jitter", &FuzzBounds::max_jitter),
+                  T::u64("max_cuts", &FuzzBounds::max_cuts),
+                  T::u64("max_partitions", &FuzzBounds::max_partitions),
+                  T::u64("max_crashes", &FuzzBounds::max_crashes),
+                  T::boolean("allow_crash_recover", &FuzzBounds::allow_crash_recover),
+                  T::boolean("allow_amnesia", &FuzzBounds::allow_amnesia),
+                  T::time_ms("horizon", &FuzzBounds::horizon)}),
+      T::section("knobs", whole,
+                 {T::probability("p_reliability", &FuzzBounds::p_reliability),
+                  T::probability("p_wal", &FuzzBounds::p_wal),
+                  T::probability("p_auth", &FuzzBounds::p_auth),
+                  T::probability("p_auth_batch", &FuzzBounds::p_auth_batch),
+                  T::probability("p_auth_adversary", &FuzzBounds::p_auth_adversary),
+                  T::probability("p_deviation", &FuzzBounds::p_deviation),
+                  T::probability("p_service", &FuzzBounds::p_service),
+                  T::probability("p_instance_scope", &FuzzBounds::p_instance_scope),
+                  T::probability("p_bidder_adversary", &FuzzBounds::p_bidder_adversary),
+                  T::probability("p_wal_corrupt", &FuzzBounds::p_wal_corrupt),
+                  words("bidder_behaviours", &FuzzBounds::bidder_behaviours),
+                  words("strategies", &FuzzBounds::strategies)}),
+  });
+  return schema;
+}
 
 FuzzBoundsParse parse_fuzz_bounds(std::string_view text) {
   FuzzBoundsParse out;
-  const serde::IniResult ini = serde::parse_ini(text);
-  if (!ini.ok()) {
-    out.error = ini.error;
-    return out;
-  }
   FuzzBounds b;
-  bool latencies_set = false, strategies_set = false, bidders_set = false;
-  for (const serde::IniSection& sec : ini.doc->sections) {
-    if (sec.name.empty() && sec.entries.empty()) continue;
-    const bool shape = sec.name == "shape";
-    const bool faults = sec.name == "faults";
-    const bool knobs = sec.name == "knobs";
-    if (!shape && !faults && !knobs) {
-      out.error = line_err(sec.line, "unknown section [" + sec.name + "]");
-      return out;
-    }
-    for (const serde::IniKeyValue& kv : sec.entries) {
-      // One flat dispatch with per-key section checks beats three near-copies
-      // of the same loop; the grammar is small enough to read linearly.
-      const auto u64 = [&](std::size_t& field) -> bool {
-        const auto v = serde::parse_u64(kv.value);
-        if (!v) return false;
-        field = static_cast<std::size_t>(*v);
-        return true;
-      };
-      const auto prob = [&](double& field) -> bool {
-        const auto v = serde::parse_probability(kv.value);
-        if (!v) return false;
-        field = *v;
-        return true;
-      };
-      const auto time = [&](SimTime& field) -> bool {
-        const auto v = serde::parse_time_ms(kv.value);
-        if (!v) return false;
-        field = *v;
-        return true;
-      };
-      bool good = true;
-      if (shape && kv.key == "min_users") good = u64(b.min_users);
-      else if (shape && kv.key == "max_users") good = u64(b.max_users);
-      else if (shape && kv.key == "min_providers") good = u64(b.min_providers);
-      else if (shape && kv.key == "max_providers") good = u64(b.max_providers);
-      else if (shape && kv.key == "latencies") {
-        b.latencies = split_words(kv.value);
-        latencies_set = true;
-      } else if (shape && kv.key == "max_events") {
-        const auto v = serde::parse_u64(kv.value);
-        good = v.has_value() && *v > 0;
-        if (good) b.max_events = *v;
-      } else if (faults && kv.key == "max_link_rules") good = u64(b.max_link_rules);
-      else if (faults && kv.key == "max_drop") good = prob(b.max_drop);
-      else if (faults && kv.key == "max_duplicate") good = prob(b.max_duplicate);
-      else if (faults && kv.key == "max_delay") good = time(b.max_delay);
-      else if (faults && kv.key == "max_jitter") good = time(b.max_jitter);
-      else if (faults && kv.key == "max_cuts") good = u64(b.max_cuts);
-      else if (faults && kv.key == "max_partitions") good = u64(b.max_partitions);
-      else if (faults && kv.key == "max_crashes") good = u64(b.max_crashes);
-      else if (faults && kv.key == "allow_crash_recover") {
-        const auto v = serde::parse_bool_word(kv.value);
-        good = v.has_value();
-        if (good) b.allow_crash_recover = *v;
-      } else if (faults && kv.key == "allow_amnesia") {
-        const auto v = serde::parse_bool_word(kv.value);
-        good = v.has_value();
-        if (good) b.allow_amnesia = *v;
-      } else if (faults && kv.key == "horizon") good = time(b.horizon);
-      else if (shape && kv.key == "max_instances") good = u64(b.max_instances);
-      else if (shape && kv.key == "max_pipeline_depth")
-        good = u64(b.max_pipeline_depth);
-      else if (knobs && kv.key == "p_reliability") good = prob(b.p_reliability);
-      else if (knobs && kv.key == "p_wal") good = prob(b.p_wal);
-      else if (knobs && kv.key == "p_auth") good = prob(b.p_auth);
-      else if (knobs && kv.key == "p_auth_batch") good = prob(b.p_auth_batch);
-      else if (knobs && kv.key == "p_auth_adversary") good = prob(b.p_auth_adversary);
-      else if (knobs && kv.key == "p_deviation") good = prob(b.p_deviation);
-      else if (knobs && kv.key == "p_service") good = prob(b.p_service);
-      else if (knobs && kv.key == "p_instance_scope") good = prob(b.p_instance_scope);
-      else if (knobs && kv.key == "p_bidder_adversary")
-        good = prob(b.p_bidder_adversary);
-      else if (knobs && kv.key == "p_wal_corrupt") good = prob(b.p_wal_corrupt);
-      else if (knobs && kv.key == "bidder_behaviours") {
-        // Like strategies: names are validated downstream by the scenario
-        // parser (adversary::bidder_behaviour_by_name); here non-emptiness.
-        b.bidder_behaviours = split_words(kv.value);
-        bidders_set = true;
-      } else if (knobs && kv.key == "strategies") {
-        // Names are validated downstream by the scenario parser (the
-        // deviation registry lives above this layer); here only non-emptiness.
-        b.strategies = split_words(kv.value);
-        strategies_set = true;
-      } else {
-        out.error = line_err(
-            kv.line, "unknown key '" + kv.key + "' in [" + sec.name + "]");
-        return out;
-      }
-      if (!good) {
-        out.error = line_err(
-            kv.line, "malformed value for '" + kv.key + "': " + kv.value);
-        return out;
-      }
-    }
-  }
+  out.error = fuzz_bounds_schema().parse(text, b);
+  if (!out.error.empty()) return out;
   // Cross-field consistency: a bounds file that can generate nothing (or
   // invalid run shapes) is an error here, not a crash mid-stream.
   if (b.min_users == 0 || b.min_users > b.max_users) {
@@ -204,23 +145,21 @@ FuzzBoundsParse parse_fuzz_bounds(std::string_view text) {
                 "requires m > 2k)";
     return out;
   }
-  if (latencies_set) {
-    if (b.latencies.empty()) {
-      out.error = "latencies must name at least one model";
+  if (b.latencies.empty()) {
+    out.error = "latencies must name at least one model";
+    return out;
+  }
+  for (const std::string& l : b.latencies) {
+    if (l != "zero" && l != "lan" && l != "community") {
+      out.error = "unknown latency model '" + l + "'";
       return out;
     }
-    for (const std::string& l : b.latencies) {
-      if (l != "zero" && l != "lan" && l != "community") {
-        out.error = "unknown latency model '" + l + "'";
-        return out;
-      }
-    }
   }
-  if (strategies_set && b.strategies.empty()) {
+  if (b.strategies.empty()) {
     out.error = "strategies must name at least one deviation strategy";
     return out;
   }
-  if (bidders_set && b.bidder_behaviours.empty()) {
+  if (b.bidder_behaviours.empty()) {
     out.error = "bidder_behaviours must name at least one behaviour";
     return out;
   }

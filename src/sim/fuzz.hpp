@@ -30,6 +30,7 @@
 
 #include "crypto/rng.hpp"
 #include "sim/fault.hpp"
+#include "serde/ini_schema.hpp"
 
 namespace dauct::sim {
 
@@ -124,6 +125,9 @@ struct FuzzBoundsParse {
   bool ok() const { return bounds.has_value(); }
 };
 FuzzBoundsParse parse_fuzz_bounds(std::string_view text);
+
+/// The bounds-file key tables: [shape], [faults] and [knobs].
+const serde::IniSchema<FuzzBounds>& fuzz_bounds_schema();
 
 /// One generated case: everything the harness needs to build a Scenario.
 /// Plain data by design (see file comment).

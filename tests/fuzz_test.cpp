@@ -11,11 +11,14 @@
 //  * minimizer — an injected known-bad oracle is reduced to exactly its
 //    triggering clauses, the verdict is preserved at every step, and the
 //    minimizer is idempotent;
-//  * bounds files — the strict INI parser accepts overrides and rejects
-//    unknown keys and inconsistent ranges.
+//  * bounds files — the strict INI parser accepts overrides, rejects
+//    unknown keys and inconsistent ranges, and docs/FUZZING.md lists
+//    exactly its keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -776,6 +779,33 @@ TEST(FuzzBoundsFile, RejectsUnknownKeysAndInconsistentRanges) {
   }
   // The empty text is the default bounds.
   EXPECT_TRUE(sim::parse_fuzz_bounds("").ok());
+}
+
+TEST(FuzzBoundsFile, KeyTablesMatchTheReference) {
+  // docs/FUZZING.md's bounds-file block must list exactly the key tables of
+  // sim::fuzz_bounds_schema(), each key under its own [section].
+  std::ifstream file(std::string(DAUCT_DOCS_DIR) + "/FUZZING.md");
+  ASSERT_TRUE(file.good());
+  std::map<std::string, std::set<std::string>> documented;
+  std::string section;
+  bool in_block = false;
+  for (std::string line; std::getline(file, line);) {
+    if (line == "```ini") {
+      in_block = true;
+    } else if (line == "```") {
+      in_block = false;
+    } else if (in_block && line.rfind("[", 0) == 0) {
+      section = line.substr(1, line.find(']') - 1);
+    } else if (in_block && line.find(" = ") != std::string::npos &&
+               line.front() != ' ') {
+      documented[section].insert(line.substr(0, line.find(' ')));
+    }
+  }
+  std::map<std::string, std::set<std::string>> tables;
+  for (const auto& sec : sim::fuzz_bounds_schema().sections) {
+    tables[sec.name].insert(sec.keys.begin(), sec.keys.end());
+  }
+  EXPECT_EQ(documented, tables);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 //
 // Three layers of guarantees:
 //  * parsing — the INI reader and the strict .scn schema (unknown keys and
-//    malformed values are errors, not silent defaults);
+//    malformed values are errors, not silent defaults), the emitter's
+//    round trip of every key, and docs/SCENARIOS.md against the key tables;
 //  * determinism — same seed + same plan ⇒ byte-identical outcome digest,
 //    makespan, traffic and fault counters; an installed zero-rate plan is
 //    bit-identical to no plan at all (pinned against the pre-refactor golden
@@ -14,6 +15,9 @@
 
 #include <filesystem>
 #include <iterator>
+#include <map>
+#include <set>
+#include <sstream>
 
 #include "core/adapters.hpp"
 #include "crypto/sha256.hpp"
@@ -44,11 +48,16 @@ TEST(Ini, SectionsKeysCommentsAndRepeats) {
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_EQ(r.doc->sections.size(), 3u);  // repeated [alpha] = two entries
   EXPECT_EQ(r.doc->sections[0].name, "alpha");
-  EXPECT_EQ(*r.doc->sections[0].get("key"), "value with spaces");
-  EXPECT_EQ(*r.doc->sections[0].get("n"), "42");
+  const auto& alpha = r.doc->sections[0].entries;
+  ASSERT_EQ(alpha.size(), 2u);
+  EXPECT_EQ(alpha[0].key, "key");
+  EXPECT_EQ(alpha[0].value, "value with spaces");
+  EXPECT_EQ(alpha[1].key, "n");
+  EXPECT_EQ(alpha[1].value, "42");
   EXPECT_EQ(r.doc->sections[2].name, "alpha");
-  EXPECT_EQ(*r.doc->sections[2].get("x"), "2");
-  EXPECT_FALSE(r.doc->sections[0].get("missing").has_value());
+  ASSERT_EQ(r.doc->sections[2].entries.size(), 1u);
+  EXPECT_EQ(r.doc->sections[2].entries[0].key, "x");
+  EXPECT_EQ(r.doc->sections[2].entries[0].value, "2");
 }
 
 TEST(Ini, ErrorsCarryLineNumbers) {
@@ -291,6 +300,29 @@ TEST(ScenarioParse, StrictnessRejectsTypos) {
        "instances_match_twins requires [service] instances > 1"},
       {m5 + "[service]\ninstances = 2\n[expect]\nmin_instances_ok = 3\n", 0,
        "min_instances_ok 3 exceeds [service] instances 2"},
+      // A key repeated in one section, or a second copy of a section that
+      // does not repeat, would silently shadow the first: rejected at the
+      // repeat.
+      {"[run]\nusers = 4\nusers = 5\n", 3,
+       "key 'users' repeated in [run] (first at line 2)"},
+      {"[link]\ndrop = 0.1\ndrop = 0.2\n", 3, "key 'drop' repeated in [link]"},
+      {"[crash]\nnode = 1\nnode = 2\n", 3, "key 'node' repeated in [crash]"},
+      {m5 + "[run]\nseed = 2\n", 4, "section [run] repeated (first at line 1)"},
+      {"[scenario]\nname = a\n[scenario]\nname = b\n", 3, "section [scenario] repeated"},
+      {"[fault]\nseed = 2\n[fault]\nseed = 3\n", 3, "section [fault] repeated"},
+      {"[reliability]\nenable = true\n[reliability]\nenable = true\n", 3,
+       "section [reliability] repeated"},
+      {"[wal]\nenable = true\n[wal]\nenable = false\n", 3, "section [wal] repeated"},
+      {"[auth]\nenable = true\n[auth]\nenable = true\n", 3, "section [auth] repeated"},
+      {"[auth_adversary]\nnode = 1\nmode = forge\n"
+       "[auth_adversary]\nnode = 2\nmode = forge\n",
+       4, "section [auth_adversary] repeated"},
+      {"[bid_frames]\nreplay = true\n[bid_frames]\nreorder = true\n", 3,
+       "section [bid_frames] repeated"},
+      {"[service]\ninstances = 2\n[service]\ninstances = 3\n", 3,
+       "section [service] repeated"},
+      {"[expect]\nstalled = true\n[expect]\nstalled = false\n", 3,
+       "section [expect] repeated"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.text);
@@ -428,6 +460,154 @@ TEST(ScenarioEmit, EveryShippedScenarioRoundTripsThroughToScn) {
     const auto p2 = runtime::parse_scenario(text2);
     ASSERT_TRUE(p2.ok()) << p2.error << "\n--- emitted ---\n" << text2;
     EXPECT_EQ(p2.scenario->to_scn(), text2) << "to_scn is not a fixpoint";
+  }
+}
+
+// Every key of every section set away from its default (and every
+// repeatable section present once), so to_scn must write all of them.
+constexpr const char* kEveryKeyText = R"(
+[scenario]
+name = every-key
+description = every key away from its default
+
+[run]
+auction = standard
+users = 9
+providers = 7
+k = 2
+epsilon = 0.25
+seed = 11
+latency = lan
+max_events = 777777
+
+[service]
+instances = 3
+pipeline_depth = 2
+
+[fault]
+seed = 5
+
+[link]
+from = 1
+to = client
+symmetric = false
+drop = 0.125
+duplicate = 0.0625
+delay_ms = 1.5
+jitter_ms = 0.25
+from_ms = 2
+until_ms = 40
+instance = 1
+
+[cut]
+a = 2
+b = 3
+from_ms = 1
+until_ms = 9
+instance = 2
+
+[partition]
+group = 0, 4
+from_ms = 3
+until_ms = 8
+instance = 0
+
+[crash]
+node = 5
+at_ms = 4
+recover_ms = 30
+mode = amnesia
+
+[reliability]
+enable = true
+retransmit_delay_ms = 3
+max_retries = 9
+round_timeout_ms = 0
+piggyback_acks = false
+
+[wal]
+enable = true
+snapshot_every = 3
+corrupt = true
+corrupt_seed = 17
+sync_drop = 0.5
+torn = 0.25
+flip = 0.5
+
+[auth]
+enable = true
+batch = true
+
+[auth_adversary]
+node = 6
+mode = replay
+
+[deviation]
+node = 1
+strategy = misreport-ask
+fake_cost = 12.5
+instance = 1
+
+[bidder]
+bidder = 3
+behaviour = equivocate
+
+[bid_frames]
+replay = true
+reorder = true
+
+[expect]
+outcome = bottom
+stalled = true
+matches_clean = false
+abort_reason = timeout
+min_faults = 2
+min_auth_rejects = 1
+equivocation_proof = true
+min_instances_ok = 1
+instances_match_twins = false
+)";
+
+/// Section name → the keys a .scn text sets in it.
+std::map<std::string, std::set<std::string>> keys_set_in(const std::string& text) {
+  const auto ini = serde::parse_ini(text);
+  EXPECT_TRUE(ini.ok()) << ini.error;
+  std::map<std::string, std::set<std::string>> out;
+  for (const auto& sec : ini.doc->sections) {
+    for (const auto& kv : sec.entries) out[sec.name].insert(kv.key);
+  }
+  return out;
+}
+
+TEST(ScenarioEmit, EveryKeySurvivesTheRoundTrip) {
+  // to_scn omits default-valued keys, so a key the emitter dropped would
+  // re-parse as its default on both passes and leave to_scn a fixpoint.
+  // The schema's full dump (every key, defaults included) of parse(x) and
+  // of parse(to_scn(parse(x))) must therefore agree, key by key.
+  const auto& schema = runtime::scenario_schema();
+  const auto every = runtime::parse_scenario(kEveryKeyText);
+  ASSERT_TRUE(every.ok()) << every.error;
+  // The test text really moves every table key off its default: to_scn,
+  // which writes only such keys (and required ones), names all of them.
+  const auto emitted = keys_set_in(every.scenario->to_scn());
+  for (const auto& sec : schema.sections) {
+    for (const auto& key : sec.keys) {
+      EXPECT_TRUE(emitted.count(sec.name) && emitted.at(sec.name).count(key))
+          << "[" << sec.name << "] " << key << " is at its default";
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> texts = {
+      {"every-key text", kEveryKeyText}};
+  for (const auto& path : scenario_files()) {
+    texts.emplace_back(path.filename().string(), *testutil::slurp_file(path));
+  }
+  for (const auto& [name, text] : texts) {
+    SCOPED_TRACE(name);
+    const auto p1 = runtime::parse_scenario(text);
+    ASSERT_TRUE(p1.ok()) << p1.error;
+    const auto p2 = runtime::parse_scenario(p1.scenario->to_scn());
+    ASSERT_TRUE(p2.ok()) << p2.error;
+    EXPECT_EQ(schema.emit(*p2.scenario, true), schema.emit(*p1.scenario, true));
   }
 }
 
@@ -956,6 +1136,47 @@ TEST(ScenarioLibrary, WalTornTailReproReallyDamagesTheLog) {
       << "the crash damaged nothing — the torn-tail path went unexercised";
   // Recovery noticed: the reopened log truncated the damaged tail.
   EXPECT_GT(run.run.wal_stats.truncated_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// docs/SCENARIOS.md lists exactly the key tables
+// ---------------------------------------------------------------------------
+
+TEST(ScenarioDocs, KeyTablesMatchTheReference) {
+  // Like cli_test's --help check: a key added to a table without a line in
+  // the reference (or documented but gone from the table) fails here. The
+  // documented keys of a section are the backticked names in the first
+  // column of the "| key |" tables under its ### `[section]` heading.
+  const auto md = testutil::slurp_file(std::filesystem::path(DAUCT_DOCS_DIR) /
+                                       "SCENARIOS.md");
+  ASSERT_TRUE(md.has_value());
+  std::map<std::string, std::set<std::string>> documented;
+  std::string section;
+  bool key_table = false;
+  std::istringstream in(*md);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("#", 0) == 0) {
+      section = line.rfind("### `[", 0) == 0 ? line.substr(6, line.find("]`") - 6) : "";
+      key_table = false;
+      if (!section.empty()) documented[section];
+    } else if (line.rfind("| key |", 0) == 0) {
+      key_table = true;
+    } else if (line.rfind("|", 0) != 0) {
+      key_table = false;
+    } else if (key_table && !section.empty()) {
+      const std::string cell = line.substr(1, line.find('|', 1) - 1);
+      for (std::size_t a = cell.find('`'); a != std::string::npos;) {
+        const std::size_t b = cell.find('`', a + 1);
+        documented[section].insert(cell.substr(a + 1, b - a - 1));
+        a = cell.find('`', b + 1);
+      }
+    }
+  }
+  std::map<std::string, std::set<std::string>> tables;
+  for (const auto& sec : runtime::scenario_schema().sections) {
+    tables[sec.name].insert(sec.keys.begin(), sec.keys.end());
+  }
+  EXPECT_EQ(documented, tables);
 }
 
 }  // namespace
