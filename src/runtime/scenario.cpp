@@ -367,7 +367,8 @@ std::string validate(const Scenario& sc) {
   if (sc.expect.equivocation_proof.value_or(false) && !sc.auth.enable) {
     return "[expect] equivocation_proof=true requires [auth] enable=true";
   }
-  // Every concrete node a fault section names must exist in the deployment
+  // The records fault and deviation sections add: the nodes each names and
+  // its instance filter. Every concrete node must exist in the deployment
   // (providers 0..m-1 plus the client node m) — a typo'd id would otherwise
   // parse fine and silently never fire, turning the scenario into a no-op.
   struct Ref {
