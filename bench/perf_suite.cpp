@@ -545,14 +545,15 @@ TINYBENCH(BM_e2e_faulty_lossy)->Args({48, 4})->Args({128, 8});
 // committed baseline — no link is constructed, no timer is ever scheduled.
 // Two active regimes:
 //  * _clean — reliability on over a fault-free network: pure ack/tracking
-//    overhead (one ack per data message, one no-op timer per tracked send);
+//    overhead (an ack per data message, riding a data frame or alone, and a
+//    few retransmit-timer events per peer);
 //  * _lossy — the same 2% loss plan as BM_e2e_faulty_lossy, which *stalled*
 //    without the layer; with it the run completes, so this measures the full
 //    recovery path (retransmit timers, dedup, re-acks) at full protocol
 //    volume, and is directly comparable against the faulty_lossy point.
 // Both run kZero, so their counters — `retransmits`, `wire_kb` (bytes on the
 // wire / 1024) and `events` (scheduler events) — are deterministic; CI gates
-// `retransmits`.
+// all three.
 void link_counters(State& state, const runtime::RunStats& run) {
   state.counters["retransmits"] = static_cast<double>(run.reliability_stats.retransmits);
   state.counters["wire_kb"] = static_cast<double>(run.traffic.bytes) / 1024.0;

@@ -58,6 +58,11 @@ class Endpoint {
   /// so nothing reads it there.
   virtual std::int64_t local_time() const { return 0; }
 
+  /// Virtual time of the event being handled, in ns: the time
+  /// schedule_after() counts its delay from. The reliability layer keeps
+  /// retransmit deadlines in this time; endpoints without timers return 0.
+  virtual std::int64_t event_time() const { return 0; }
+
   /// Round liveness timeout of the reliability layer, in virtual ns; 0 (the
   /// default) disables the round watchdogs (RoundCollector::arm is a no-op).
   virtual std::int64_t round_timeout() const { return 0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "serde/codec.hpp"
 
@@ -13,14 +14,38 @@ std::uint64_t cache_key(NodeId to, std::uint32_t topic) {
   return (static_cast<std::uint64_t>(to) << 32) | topic;
 }
 
-/// First byte of the link's wire header when piggybacked acks are on:
-///   0xAB ‖ varint count ‖ count × (str topic ‖ 32-byte digest) ‖ payload.
-/// Present on *every* provider-bound data frame (count may be 0), so the
-/// receiver never has to sniff — both ends share one ReliabilityConfig.
+/// First byte of every provider-bound data frame (docs/RELIABILITY.md):
+///   0xAB ‖ varint epoch ‖ varint tx ‖ ack block ‖ payload.
 constexpr std::uint8_t kLinkHeaderMagic = 0xAB;
 
-/// Defensive bound on carried ack entries (frames arrive from peers).
-constexpr std::uint64_t kMaxCarriedAcks = 4096;
+/// Append `owed` as an ack block (varint count ‖ [varint epoch ‖ count ×
+/// varint tx]) and clear it.
+void write_acks(serde::Writer& w, std::uint64_t epoch, std::vector<std::uint64_t>& owed) {
+  w.varint(owed.size());
+  if (owed.empty()) return;
+  w.varint(epoch);
+  for (const std::uint64_t tx : owed) w.varint(tx);
+  owed.clear();
+}
+
+struct Acks {
+  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> txs;
+};
+
+std::optional<Acks> read_acks(serde::Reader& r) {
+  Acks acks;
+  const std::uint64_t count = r.varint();
+  // Each number takes at least one byte: a larger count is malformed, and
+  // the bound keeps a hostile count from sizing an allocation.
+  if (!r.ok() || count > r.remaining()) return std::nullopt;
+  if (count == 0) return acks;
+  acks.epoch = r.varint();
+  acks.txs.resize(count);
+  for (std::uint64_t& tx : acks.txs) tx = r.varint();
+  if (!r.ok()) return std::nullopt;
+  return acks;
+}
 
 }  // namespace
 
@@ -34,17 +59,20 @@ std::size_t ReliableLink::MsgKeyHash::operator()(const MsgKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-ReliableLink::ReliableLink(blocks::Endpoint& base, ReliabilityConfig config)
+ReliableLink::ReliableLink(blocks::Endpoint& base, ReliabilityConfig config,
+                           std::uint64_t epoch)
     : base_(base),
       config_(config),
+      epoch_(epoch),
       m_(base.num_providers()),
       ack_topic_(kAckTopicName),
       rreq_topic_(kRetransmitRequestTopicName),
-      rtt_(m_) {}
+      peers_(m_) {}
 
 sim::SimTime ReliableLink::rto(NodeId peer) const {
-  if (peer >= rtt_.size() || !rtt_[peer].sampled) return config_.retransmit_delay;
-  return std::max(config_.retransmit_delay, rtt_[peer].srtt + 4 * rtt_[peer].rttvar);
+  if (peer >= peers_.size() || !peers_[peer].sampled) return config_.retransmit_delay;
+  const Peer& p = peers_[peer];
+  return std::max(config_.retransmit_delay, p.srtt + 4 * p.rttvar);
 }
 
 void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload) {
@@ -60,256 +88,209 @@ void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload)
     return;
   }
   // Every call reaching this point is an application-level logical message
-  // (retransmits and re-request answers re-enter at wire_send below): record
-  // its key and flag reuse, the one pattern receiver dedup would misread.
+  // (retransmits and answers re-enter at transmit below): record its key and
+  // flag reuse, the one pattern receiver dedup would misread.
   if (!bounded_insert(sent_keys_, sent_keys_order_,
                       MsgKey{to, topic.id(), payload_digest(payload)})) {
     ++stats_.sender_key_reuses;
   }
-  sent_cache_[cache_key(to, topic.id())] = CachedSend{topic, payload};
+  Peer& p = peers_[to];
+  const std::uint64_t frame = p.next_tx;  // a frame is named by its first transmission
+  sent_cache_[cache_key(to, topic.id())] = CachedSend{topic, payload, frame};
   if (timers_available_) {
-    const MsgKey key{to, topic.id(), payload_digest(payload)};
-    const auto [it, inserted] =
-        unacked_.emplace(key, Pending{to, topic, payload, 0, base_.local_time()});
-    if (inserted) {
-      if (schedule_retransmit(key, 0)) {
-        ++stats_.tracked;
-      } else {
-        // The wrapped endpoint has no timer facility (thread/TCP runtimes):
-        // retransmission is impossible, so don't accumulate pending entries
-        // that nothing will ever retire. Acks-out and receiver-side dedup
-        // keep working; delivery guarantees degrade to the transport's own.
-        timers_available_ = false;
-        unacked_.erase(it);
-      }
-    }
+    const sim::SimTime deadline = base_.event_time() + rto(to);
+    p.pending.emplace(frame, Pending{topic, payload, 0, deadline, {}});
+    arm(to, deadline);
+    if (timers_available_) ++stats_.tracked;
   }
-  wire_send(to, topic, payload);
+  transmit(to, topic, payload, frame);
 }
 
-void ReliableLink::wire_send(NodeId to, const net::Topic& topic,
-                             const SharedBytes& payload) {
-  if (!config_.piggyback_acks) {
-    base_.send(to, topic, payload);
-    return;
+void ReliableLink::transmit(NodeId to, const net::Topic& topic,
+                            const SharedBytes& payload, std::uint64_t frame) {
+  Peer& p = peers_[to];
+  const std::uint64_t tx = p.next_tx++;
+  if (const auto it = p.pending.find(frame); it != p.pending.end()) {
+    it->second.txs.push_back(tx);
+    p.sent.emplace(tx, Sent{frame, base_.local_time()});
   }
-  // Wrapping is config-driven only — never runtime state like the timer
-  // facility, which the receiving link cannot observe on the sender. On
-  // timerless endpoints acks go out standalone (queue_or_send_ack), so the
-  // header just carries an empty vector.
   // The link header is the frame's last wrapper before the wire: signatures
   // (and everything else above) cover the unwrapped payload, and the
   // receiving link strips the header before the validator looks at it.
-  std::vector<PendingAck> acks;
-  if (const auto it = pending_acks_.find(to); it != pending_acks_.end()) {
-    acks = std::move(it->second);
-    pending_acks_.erase(it);
-  }
-  serde::Writer w(1 + serde::varint_len(acks.size()) + payload.size() +
-                  acks.size() * 48);
+  serde::Writer w(payload.size() + 32 + 10 * p.owed.size());
   w.u8(kLinkHeaderMagic);
-  w.varint(acks.size());
-  for (const auto& a : acks) {
-    w.str(a.topic);
-    w.raw(BytesView(a.digest.data(), a.digest.size()));
-  }
-  stats_.acks_piggybacked += acks.size();
+  w.varint(epoch_);
+  w.varint(tx);
+  stats_.acks_piggybacked += p.owed.size();
+  write_acks(w, p.owed_epoch, p.owed);
   w.raw(payload.view());
   base_.send(to, topic, SharedBytes(w.take()));
 }
 
-bool ReliableLink::schedule_retransmit(const MsgKey& key, std::size_t attempt) {
-  // Exponential backoff in virtual time from the peer's current RTO:
-  // RTO · 2^attempt (capped well below overflow; max_retries bounds the
-  // chain anyway).
-  const sim::SimTime delay = rto(key.node) << std::min<std::size_t>(attempt, 16);
-  return base_.schedule_after(delay, [this, weak = std::weak_ptr<int>(alive_), key] {
-    if (weak.expired()) return;
-    const auto it = unacked_.find(key);
-    if (it == unacked_.end()) return;  // acked meanwhile
-    Pending& p = it->second;
-    if (p.attempt >= config_.max_retries) {
-      ++stats_.give_ups;
-      const NodeId to = p.to;
-      const net::Topic topic = p.topic;
-      const std::size_t attempts = p.attempt + 1;  // original + retransmits
-      unacked_.erase(it);
-      if (on_give_up_) on_give_up_(to, topic, attempts);
-      return;
-    }
-    ++p.attempt;
-    p.sent_once = false;
-    ++stats_.retransmits;
-    wire_send(p.to, p.topic, p.payload);
-    schedule_retransmit(key, p.attempt);
-  });
+void ReliableLink::flush_acks() {
+  for (NodeId to = 0; to < m_; ++to) {
+    Peer& p = peers_[to];
+    if (p.owed.empty()) continue;
+    serde::Writer w(12 + 10 * p.owed.size());
+    write_acks(w, p.owed_epoch, p.owed);
+    ++stats_.acks_sent;
+    base_.send(to, ack_topic_, SharedBytes(w.take()));
+  }
 }
 
-void ReliableLink::on_ack(const MsgKey& key) {
-  ++stats_.acks_received;
-  const auto it = unacked_.find(key);
-  if (it == unacked_.end()) return;  // redundant re-ack
-  if (it->second.sent_once) {
-    // RFC 6298 §2 in integer ns (α = 1/8, β = 1/4; RTTVAR from the old SRTT).
-    const sim::SimTime r =
-        std::max<sim::SimTime>(base_.local_time() - it->second.sent_at, 0);
-    RttEstimate& e = rtt_[key.node];
-    if (!e.sampled) {
-      e.sampled = true;
-      e.srtt = r;
-      e.rttvar = r / 2;
+void ReliableLink::on_acks(NodeId from, std::uint64_t epoch,
+                           const std::vector<std::uint64_t>& txs) {
+  stats_.acks_received += txs.size();
+  if (epoch != epoch_) return;  // a previous incarnation's transmissions
+  Peer& p = peers_[from];
+  for (const std::uint64_t tx : txs) {
+    const auto s = p.sent.find(tx);
+    if (s == p.sent.end()) continue;  // redundant re-ack, or never tracked
+    // RFC 6298 §2 in integer ns (α = 1/8, β = 1/4; RTTVAR from the old
+    // SRTT). The ack names its transmission, so the sample is unambiguous.
+    const sim::SimTime r = std::max<sim::SimTime>(base_.local_time() - s->second.at, 0);
+    if (!p.sampled) {
+      p.sampled = true;
+      p.srtt = r;
+      p.rttvar = r / 2;
     } else {
-      const sim::SimTime err = e.srtt > r ? e.srtt - r : r - e.srtt;
-      e.rttvar = (3 * e.rttvar + err) / 4;
-      e.srtt = (7 * e.srtt + r) / 8;
+      const sim::SimTime err = p.srtt > r ? p.srtt - r : r - p.srtt;
+      p.rttvar = (3 * p.rttvar + err) / 4;
+      p.srtt = (7 * p.srtt + r) / 8;
     }
+    ++stats_.rtt_samples;
+    retire(p, p.pending.find(s->second.frame));
   }
-  unacked_.erase(it);
 }
 
-void ReliableLink::mark_resent(NodeId to, const net::Topic& topic,
-                               const SharedBytes& payload) {
-  const auto it = unacked_.find(MsgKey{to, topic.id(), payload_digest(payload)});
-  if (it != unacked_.end()) it->second.sent_once = false;
+void ReliableLink::retire(Peer& p, std::map<std::uint64_t, Pending>::iterator it) {
+  for (const std::uint64_t tx : it->second.txs) p.sent.erase(tx);
+  p.pending.erase(it);
 }
 
-void ReliableLink::send_ack_frame(NodeId to, const std::string& topic,
-                                  const crypto::Digest& digest) {
-  // Standalone ack frame (docs/RELIABILITY.md): topic string ++ raw 32-byte
-  // payload digest. The fixed-size tail makes the split unambiguous without
-  // framing.
-  Bytes ack;
-  ack.reserve(topic.size() + digest.size());
-  ack.insert(ack.end(), topic.begin(), topic.end());
-  ack.insert(ack.end(), digest.begin(), digest.end());
-  ++stats_.acks_sent;
-  base_.send(to, ack_topic_, SharedBytes(std::move(ack)));
-}
-
-void ReliableLink::queue_or_send_ack(const net::Message& msg) {
-  const std::string& topic = msg.topic.str();
-  const crypto::Digest digest = payload_digest(msg.payload);
-  if (!config_.piggyback_acks || !timers_available_) {
-    send_ack_frame(msg.from, topic, digest);
-    return;
-  }
-  // Queue the ack and arm the end-of-instant flush: any data frame to this
-  // peer sent from the current handler carries it for free (wire_send), and
-  // the flush timer — due at the handler's end, exactly when an immediate
-  // ack would have departed — sends the leftovers standalone. Same ack
-  // timing either way; fewer messages.
-  pending_acks_[msg.from].push_back(PendingAck{topic, digest});
-  if (!ack_flush_scheduled_) {
-    ack_flush_scheduled_ = true;
-    if (!base_.schedule_after(0, [this, weak = std::weak_ptr<int>(alive_)] {
-          if (weak.expired()) return;
-          flush_pending_acks();
-        })) {
-      // No timer facility after all: degrade to immediate standalone acks,
-      // starting with what was just queued.
-      timers_available_ = false;
-      ack_flush_scheduled_ = false;
-      flush_pending_acks();
+void ReliableLink::arm(NodeId peer, sim::SimTime due) {
+  Peer& p = peers_[peer];
+  if (p.timer_due && *p.timer_due <= due) return;  // the live timer comes first
+  p.timer_due = due;
+  const std::uint64_t gen = ++p.timer_gen;
+  const auto fire = [this, weak = std::weak_ptr<int>(alive_), peer, gen] {
+    if (!weak.expired() && peers_[peer].timer_gen == gen) on_timer(peer);
+  };
+  if (!base_.schedule_after(due - base_.event_time(), fire)) {
+    // The wrapped endpoint has no timer facility (thread/TCP runtimes):
+    // retransmission is impossible, so keep no pending frames that nothing
+    // will ever retire. Headers, acks and dedup keep working; delivery
+    // guarantees degrade to the transport's own.
+    timers_available_ = false;
+    for (Peer& q : peers_) {
+      q.pending.clear();
+      q.sent.clear();
+      q.timer_due.reset();
     }
   }
 }
 
-void ReliableLink::flush_pending_acks() {
-  ack_flush_scheduled_ = false;
-  // Drain into a local list first (send_ack_frame goes through base_.send,
-  // and nothing below this layer may observe a half-drained queue), then
-  // send in peer order — not unordered_map order, which is a hash-table
-  // artifact the deterministic event stream must not depend on.
-  std::unordered_map<NodeId, std::vector<PendingAck>> pending;
-  pending.swap(pending_acks_);
-  std::vector<NodeId> peers;
-  peers.reserve(pending.size());
-  for (const auto& [to, acks] : pending) peers.push_back(to);
-  std::sort(peers.begin(), peers.end());
-  for (NodeId to : peers) {
-    for (const auto& a : pending[to]) send_ack_frame(to, a.topic, a.digest);
+void ReliableLink::on_timer(NodeId peer) {
+  Peer& p = peers_[peer];
+  p.timer_due.reset();
+  const sim::SimTime now = base_.event_time();
+  std::vector<std::uint64_t> due;
+  for (const auto& [frame, f] : p.pending) {
+    if (f.deadline <= now) due.push_back(frame);
   }
+  for (const std::uint64_t frame : due) {
+    const auto it = p.pending.find(frame);
+    if (it == p.pending.end()) continue;
+    Pending& f = it->second;
+    if (f.attempt >= config_.max_retries) {
+      ++stats_.give_ups;
+      const net::Topic topic = f.topic;
+      const std::size_t attempts = f.attempt + 1;  // original + retransmits
+      retire(p, it);
+      if (on_give_up_) on_give_up_(peer, topic, attempts);
+      continue;
+    }
+    // Exponential backoff from the peer's current RTO, counted from now
+    // (capped well below overflow; max_retries bounds the chain anyway).
+    ++f.attempt;
+    ++stats_.retransmits;
+    f.deadline = now + (rto(peer) << std::min<std::size_t>(f.attempt, 16));
+    transmit(peer, f.topic, f.payload, frame);
+  }
+  sim::SimTime next = std::numeric_limits<sim::SimTime>::max();
+  for (const auto& [frame, f] : p.pending) next = std::min(next, f.deadline);
+  if (!p.pending.empty()) arm(peer, next);
+}
+
+void ReliableLink::resend_cached(NodeId to, std::uint64_t key) {
+  // A fresh transmission of the cached payload. If the frame it started as
+  // is still pending, this transmission is credited to it: its ack retires
+  // the frame and gives a sample like any other.
+  const auto it = sent_cache_.find(key);
+  if (it == sent_cache_.end()) return;
+  const CachedSend& cached = it->second;
+  transmit(to, cached.topic, cached.payload, cached.frame);
 }
 
 bool ReliableLink::on_deliver(net::Message& msg) {
-  // Control frames name topics as strings chosen by the peer: resolve them
-  // with a find-only registry query (Topic::lookup) — a name no local block
-  // ever interned cannot match any pending entry or cached payload, so it
-  // is dropped instead of interned (the append-only registry must stay
-  // bounded by protocol structure, not by hostile traffic).
+  serde::Reader r(msg.payload.view());
   if (msg.topic == ack_topic_) {
-    const BytesView v = msg.payload.view();
-    if (v.size() < 32) return false;  // malformed ack: drop
-    const auto topic = net::Topic::lookup(std::string_view(
-        reinterpret_cast<const char*>(v.data()), v.size() - 32));
-    if (!topic) return false;  // ack for a topic nobody here ever sent
-    MsgKey key{msg.from, topic->id(), {}};
-    std::memcpy(key.digest.data(), v.data() + (v.size() - 32), 32);
-    on_ack(key);
+    const auto acks = read_acks(r);
+    if (acks && r.at_end() && msg.from < m_) on_acks(msg.from, acks->epoch, acks->txs);
     return false;
   }
   if (msg.topic == rreq_topic_) {
+    // Re-requests name topics as strings chosen by the peer: resolve them
+    // with a find-only registry query (Topic::lookup) — a name no local
+    // block ever interned cannot match a cached payload, so it is dropped
+    // instead of interned (the registry stays bounded by protocol structure).
     const BytesView v = msg.payload.view();
-    if (v.empty()) return false;  // malformed re-request: drop
+    if (v.empty() || msg.from >= m_) return false;  // malformed re-request: drop
     if (v.size() == 1 && v[0] == '*') {
       // Rejoin sweep (request_rejoin): the peer lost its memory and asks for
       // everything this link ever sent it. Answer the whole sent cache for
       // that peer, in topic-id order — never hash-table order, which the
       // deterministic event stream must not depend on. The recovered peer's
       // restored dedup set swallows what its WAL already had.
-      std::vector<const CachedSend*> entries;
+      std::vector<std::uint64_t> keys;
       for (const auto& [key, cached] : sent_cache_) {
-        if (static_cast<NodeId>(key >> 32) == msg.from) entries.push_back(&cached);
+        if (static_cast<NodeId>(key >> 32) == msg.from) keys.push_back(key);
       }
-      std::sort(entries.begin(), entries.end(),
-                [](const CachedSend* a, const CachedSend* b) {
-                  return a->topic.id() < b->topic.id();
-                });
-      for (const CachedSend* cached : entries) {
+      std::sort(keys.begin(), keys.end());
+      for (const std::uint64_t key : keys) {
         ++stats_.rejoin_answers;
-        mark_resent(msg.from, cached->topic, cached->payload);
-        wire_send(msg.from, cached->topic, cached->payload);
+        resend_cached(msg.from, key);
       }
       return false;
     }
     const auto topic = net::Topic::lookup(
         std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
     if (!topic) return false;  // unknown round topic: nothing cached anyway
-    // Resend untracked: the original's ack/retransmit entry (if still
-    // pending) keeps running, and the receiver dedups either way. Its ack
-    // may now answer this copy, so it gives no RTT sample.
-    if (const auto it = sent_cache_.find(cache_key(msg.from, topic->id()));
-        it != sent_cache_.end()) {
+    const std::uint64_t key = cache_key(msg.from, topic->id());
+    if (sent_cache_.contains(key)) {
       ++stats_.rerequests_answered;
-      mark_resent(msg.from, *topic, it->second.payload);
-      wire_send(msg.from, *topic, it->second.payload);
+      resend_cached(msg.from, key);
     }
     return false;
   }
-  if (msg.from >= m_) return true;  // client traffic: no acks, no dedup
-  if (config_.piggyback_acks) {
-    // Provider data frames arrive wrapped in the link header (wire_send):
-    // process the carried ack vector, then strip the header in place — an
-    // aliasing suffix view, no byte copy — so everything above this layer
-    // (validator, engine, dedup key) sees the logical payload.
-    serde::Reader r(msg.payload.view());
-    if (r.u8() != kLinkHeaderMagic) return false;  // malformed frame: drop
-    const std::uint64_t count = r.varint();
-    if (!r.ok() || count > kMaxCarriedAcks) return false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::string_view topic_name = r.str_view();
-      const BytesView digest = r.raw_view(32);
-      if (!r.ok()) return false;
-      const auto topic = net::Topic::lookup(topic_name);
-      if (!topic) continue;  // ack for a topic nobody here ever sent
-      MsgKey key{msg.from, topic->id(), {}};
-      std::memcpy(key.digest.data(), digest.data(), 32);
-      on_ack(key);
-    }
-    msg.set_payload(
-        msg.payload.suffix(msg.payload.size() - r.remaining()));
-  }
-  queue_or_send_ack(msg);  // (re-)ack every copy — a lost ack is recovered by the re-ack
+  if (msg.from >= m_) return true;  // client traffic: no header, acks or dedup
+  // Process the header's carried acks, owe an ack for this transmission,
+  // then strip the header in place — an aliasing suffix view, no byte copy —
+  // so everything above this layer (validator, engine, dedup key) sees the
+  // logical payload.
+  if (r.u8() != kLinkHeaderMagic) return false;  // malformed frame: drop
+  const std::uint64_t epoch = r.varint();
+  const std::uint64_t tx = r.varint();
+  const auto acks = read_acks(r);
+  if (!acks) return false;
+  on_acks(msg.from, acks->epoch, acks->txs);
+  msg.set_payload(msg.payload.suffix(msg.payload.size() - r.remaining()));
+  // (Re-)ack every copy — a lost ack is recovered by the re-ack. Acks owed
+  // to an older epoch of the peer name transmissions it no longer tracks.
+  Peer& p = peers_[msg.from];
+  if (p.owed_epoch != epoch) p.owed.clear();
+  p.owed_epoch = epoch;
+  p.owed.push_back(tx);
   if (!bounded_insert(seen_, seen_order_,
                       MsgKey{msg.from, msg.topic.id(), payload_digest(msg.payload)})) {
     ++stats_.duplicates_suppressed;

@@ -7,31 +7,35 @@
 //
 //   engine → [DeviantEndpoint] → ReliableLink → SimEndpoint → scheduler
 //
-//  * Sender side: every data message to a provider is keyed by
-//    (peer, topic, sha256(payload)) and kept until the matching ack arrives.
-//    A virtual-time timer retransmits it with exponential backoff
-//    (RTO(peer) · 2^attempt); after max_retries unacked retransmits the link
-//    gives up and reports the peer unreachable through the give-up callback
-//    (the runtime turns that into a clean ⊥ with
-//    AbortReason::kDeliveryFailed — termination instead of a silent stall).
+//  * Wire: every provider-bound data frame (fresh send, retransmit,
+//    re-request or rejoin answer) leaves with a link header — magic ‖ this
+//    link's epoch ‖ a fresh per-peer transmission number ‖ the acks owed to
+//    that peer. A transmission number is never reused, so an ack names one
+//    copy of one frame in a few bytes.
+//  * Sender side: every data message to a provider is kept as a pending
+//    frame until an ack names any of its transmissions. One virtual-time
+//    timer per peer, armed at the earliest pending deadline, retransmits
+//    with exponential backoff (sent at + RTO(peer) · 2^attempt); after
+//    max_retries unacked retransmits the link gives up and reports the peer
+//    through the give-up callback (the runtime turns that into a clean ⊥
+//    with AbortReason::kDeliveryFailed).
 //  * Retransmission timeout: estimated per peer from measured round trips
 //    (RFC 6298: SRTT/RTTVAR with α = 1/8, β = 1/4, RTO = SRTT + 4·RTTVAR,
-//    floored at retransmit_delay), sampled only from frames that went out
-//    exactly once (Karn's rule — a digest-keyed ack cannot say which copy
-//    it answers). Until a peer's first sample its RTO is retransmit_delay.
-//  * Receiver side: every data message from a provider is acked
-//    (net::kAckTopicName, payload = topic string ++ 32-byte payload digest)
-//    and deduplicated by the same digest key *before* the blocks see it, so
-//    a retransmitted or network-duplicated copy is never misread as
-//    equivocation by a RoundCollector. Duplicates are re-acked: a lost ack
-//    costs one retransmit, not a stall.
+//    floored at retransmit_delay). Every ack names the transmission it
+//    answers, so every retired frame gives an unambiguous sample — no
+//    Karn's rule. Until a peer's first sample its RTO is retransmit_delay.
+//  * Receiver side: every data copy from a provider owes an ack for its
+//    transmission number; owed acks ride the next data frame to that peer
+//    or, when the delivery handler returns (flush_acks), one standalone
+//    net::kAckTopicName frame per peer. Copies are deduplicated by (peer,
+//    topic, payload digest) *before* the blocks see them, so a retransmitted
+//    or network-duplicated copy is never misread as equivocation. Content,
+//    not a transmission number, identifies a logical message: a node that
+//    recovers from a torn log re-derives messages its peers already hold.
 //  * Re-requests: the link keeps the last payload it sent per (peer, topic)
 //    and answers net::kRetransmitRequestTopicName messages from it — the
 //    recovery path the blocks' round watchdogs (RoundCollector::arm) use
-//    when sender-driven retransmission cannot help: the sender already gave
-//    up, or it crashed before ever sending (its due timers are deferred to
-//    the recovery instant by the scheduler, not lost — but a contribution
-//    it never produced has no timer to defer).
+//    when sender-driven retransmission cannot help.
 //
 // Everything runs in virtual time through the wrapped endpoint's
 // schedule_after(); with reliability disabled no link is constructed and the
@@ -42,6 +46,8 @@
 
 #include <deque>
 #include <functional>
+#include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -63,19 +69,6 @@ struct ReliabilityConfig {
   std::size_t max_retries = 6;       ///< retransmits before giving up
   sim::SimTime round_timeout = sim::from_millis(12);  ///< 0 = no watchdogs
 
-  /// Carry pending ack vectors on outgoing data frames instead of sending
-  /// each ack as its own message. On receipt of a data frame the ack is
-  /// queued; any data frame to that peer before the end-of-instant flush
-  /// timer carries the queue in a length-prefixed header (the frame's last
-  /// wire wrapper, below signatures), and only the leftovers go out as
-  /// standalone rl/ack frames. Same virtual-time ack instants — the flush
-  /// timer fires at the handler's end, exactly when the immediate ack would
-  /// have departed — so the protocol outcome is unchanged; the message count
-  /// drops. Both ends of a link must agree on this flag (one runtime config
-  /// sets every link's). Falls back to immediate standalone acks on
-  /// endpoints without a timer facility.
-  bool piggyback_acks = true;
-
   /// Bound on the receiver dedup set and the sender key history (entries,
   /// FIFO-evicted). Without a bound those sets grow with every distinct
   /// message for the lifetime of the link — a leak on long runs. Eviction
@@ -92,6 +85,7 @@ struct ReliabilityStats {
   std::uint64_t acks_sent = 0;               ///< standalone rl/ack frames
   std::uint64_t acks_piggybacked = 0;        ///< ack entries carried on data frames
   std::uint64_t acks_received = 0;           ///< incl. redundant re-acks
+  std::uint64_t rtt_samples = 0;             ///< acks that retired a pending frame
   std::uint64_t retransmits = 0;
   std::uint64_t duplicates_suppressed = 0;   ///< copies hidden from the blocks
   std::uint64_t rerequests_sent = 0;         ///< round-watchdog re-requests
@@ -102,11 +96,10 @@ struct ReliabilityStats {
   std::uint64_t give_ups = 0;                ///< messages abandoned after max_retries
   std::uint64_t dedup_evictions = 0;         ///< keys FIFO-evicted at the bound
   /// Application-level sends that reused an already-sent (peer, topic,
-  /// digest) key. The dedup key is sound only while blocks never re-send an
-  /// identical payload as a *new* logical message — this counter is the
-  /// runtime check of that invariant (pinned to 0 across the golden runs in
-  /// reliable_test; were a block ever to violate it, the fix is a sender
-  /// sequence number in MsgKey, see docs/RELIABILITY.md).
+  /// digest) key. Receiver dedup is keyed by content, so it is sound only
+  /// while blocks never re-send an identical payload as a *new* logical
+  /// message — this counter is the runtime check of that invariant (pinned
+  /// to 0 across the golden runs in reliable_test).
   std::uint64_t sender_key_reuses = 0;
 
   ReliabilityStats& operator+=(const ReliabilityStats& o) {
@@ -114,6 +107,7 @@ struct ReliabilityStats {
     acks_sent += o.acks_sent;
     acks_piggybacked += o.acks_piggybacked;
     acks_received += o.acks_received;
+    rtt_samples += o.rtt_samples;
     retransmits += o.retransmits;
     duplicates_suppressed += o.duplicates_suppressed;
     rerequests_sent += o.rerequests_sent;
@@ -134,7 +128,11 @@ class ReliableLink final : public blocks::Endpoint {
   using GiveUpFn =
       std::function<void(NodeId to, const net::Topic& topic, std::size_t attempts)>;
 
-  ReliableLink(blocks::Endpoint& base, ReliabilityConfig config);
+  /// `epoch` names this incarnation of the node (runtime::NodeStack passes
+  /// its rebuild count): acks echo it, so an ack meant for a previous
+  /// incarnation's transmissions never retires a frame of this one.
+  ReliableLink(blocks::Endpoint& base, ReliabilityConfig config,
+               std::uint64_t epoch = 0);
 
   // Endpoint: sends are tracked, everything else forwards to the base.
   NodeId self() const override { return base_.self(); }
@@ -148,29 +146,30 @@ class ReliableLink final : public blocks::Endpoint {
 
   /// Inbound hook, called by the runtime before the engine sees a delivery.
   /// Returns true iff `msg` should reach the application: control traffic
-  /// (acks, re-requests) and deduplicated copies are consumed here. With
-  /// piggybacked acks on, the link's wire header is stripped from
-  /// `msg.payload` in place (an aliasing suffix view — no byte copy) before
-  /// the message continues up the chain.
+  /// (acks, re-requests), malformed frames and deduplicated copies are
+  /// consumed here. The link header is stripped from a provider data frame's
+  /// `msg.payload` in place (an aliasing suffix view — no byte copy).
   bool on_deliver(net::Message& msg);
+
+  /// Send the acks still owed as one standalone ack frame per peer, in peer
+  /// order. The runtime calls it when each delivery handler returns, so an
+  /// ack departs with the handler's other output.
+  void flush_acks();
 
   /// Recovery support (store/wal.hpp; sequence in docs/DURABILITY.md):
   /// record a message a *previous incarnation* of this node already consumed
   /// — the key goes straight into the receiver dedup set, with no ack and no
   /// forwarding — so that post-recovery wire duplicates (peer retransmits,
-  /// the node's own replayed broadcasts echoed back by nobody, rejoin-sweep
-  /// answers) are suppressed instead of reaching the fresh engine twice.
-  /// `msg` must be the engine-facing form the WAL logged (headers stripped).
-  /// Client traffic (from outside the provider domain) is not deduplicated
-  /// on the live path, so it is not restored either.
+  /// rejoin-sweep answers) are suppressed instead of reaching the fresh
+  /// engine twice. `msg` must be the engine-facing form the WAL logged
+  /// (headers stripped). Client traffic is not deduplicated on the live
+  /// path, so it is not restored either.
   void restore_delivered(const net::Message& msg);
 
   /// Broadcast the rejoin sweep: a re-request with the wildcard payload "*"
   /// to every other provider, asking each to re-send everything in its sent
-  /// cache addressed to this node. Peers that predate the wildcard treat it
-  /// as an unknown topic name and drop it — the sweep degrades, never harms.
-  /// Called once after a WAL replay; the replayed engine's own re-sends and
-  /// round watchdogs cover whatever the sweep cannot.
+  /// cache addressed to this node. Called once after a WAL replay; the
+  /// replayed engine's own re-sends and round watchdogs cover the rest.
   void request_rejoin();
 
   void set_on_give_up(GiveUpFn fn) { on_give_up_ = std::move(fn); }
@@ -187,11 +186,9 @@ class ReliableLink final : public blocks::Endpoint {
   std::size_t sent_key_entries() const { return sent_keys_.size(); }
 
  private:
-  /// Identity of one logical message: peer + round topic + payload digest.
-  /// (`node` is the receiver for pending sends, the sender for the dedup
-  /// set.) Distinct logical messages never collide — a round carries one
-  /// payload per (sender, topic) — while every retransmitted or duplicated
-  /// copy of the same message maps to the same key.
+  /// Content identity of one logical message: peer + round topic + payload
+  /// digest (the sender for the dedup set, the receiver for the key
+  /// history). Every retransmitted or duplicated copy maps to the same key.
   struct MsgKey {
     NodeId node;
     std::uint32_t topic;
@@ -201,54 +198,62 @@ class ReliableLink final : public blocks::Endpoint {
   struct MsgKeyHash {
     std::size_t operator()(const MsgKey& k) const;
   };
+  /// A logical frame awaiting its ack, keyed by its first transmission.
   struct Pending {
-    NodeId to;
     net::Topic topic;
     SharedBytes payload;
     std::size_t attempt = 0;
-    sim::SimTime sent_at = 0;  ///< node-local time of the original send
-    /// No second copy went out (retransmit or re-request answer), so the
-    /// ack can only answer the original: a valid RTT sample (Karn).
-    bool sent_once = true;
+    sim::SimTime deadline = 0;        ///< event time of the next retransmit
+    std::vector<std::uint64_t> txs;   ///< every transmission that carried it
   };
-  /// RFC 6298 state for one peer, integer ns (kZero runs stay pure
-  /// functions of the seed); rto() derives the timeout from it.
-  struct RttEstimate {
+  struct Sent {
+    std::uint64_t frame;    ///< the Pending it carried
+    sim::SimTime at;        ///< node-local send time: the RTT sample's base
+  };
+  /// One peer's send and receive state.
+  struct Peer {
+    std::uint64_t next_tx = 0;
+    std::map<std::uint64_t, Pending> pending;   ///< send order
+    std::unordered_map<std::uint64_t, Sent> sent;
+    std::optional<sim::SimTime> timer_due;      ///< the live timer's deadline
+    std::uint64_t timer_gen = 0;                ///< older timers are no-ops
+    /// RFC 6298 state, integer ns (kZero runs stay pure functions of the seed).
     bool sampled = false;
-    sim::SimTime srtt = 0;
-    sim::SimTime rttvar = 0;
+    sim::SimTime srtt = 0, rttvar = 0;
+    /// Transmissions of the peer this node owes acks for, and the epoch
+    /// they were sent in.
+    std::uint64_t owed_epoch = 0;
+    std::vector<std::uint64_t> owed;
   };
 
-  /// Arm the next retransmit timer for `key`, RTO(peer) · 2^attempt from
-  /// now; false iff the wrapped endpoint has no timer facility.
-  bool schedule_retransmit(const MsgKey& key, std::size_t attempt);
-  /// Retire the pending entry an ack names (a miss is a redundant re-ack),
-  /// feeding the estimator when the frame went out once.
-  void on_ack(const MsgKey& key);
-  /// Mark a pending frame as sent more than once (Karn: no sample).
-  void mark_resent(NodeId to, const net::Topic& topic, const SharedBytes& payload);
-  void queue_or_send_ack(const net::Message& msg);
-  void send_ack_frame(NodeId to, const std::string& topic,
-                      const crypto::Digest& digest);
-  /// Single wire-exit point for data frames (fresh sends, retransmits,
-  /// re-request answers): with piggybacking on, wraps `payload` in the
-  /// link header carrying `to`'s pending ack vector.
-  void wire_send(NodeId to, const net::Topic& topic, const SharedBytes& payload);
-  void flush_pending_acks();
-
-  blocks::Endpoint& base_;
-  ReliabilityConfig config_;
-  std::size_t m_;  ///< providers: the reliability domain (client traffic passes through)
-  net::Topic ack_topic_;
-  net::Topic rreq_topic_;
+  /// Single wire exit for data frames: wraps `payload` in the link header
+  /// under a fresh transmission number, credited to pending frame `frame`
+  /// if it is still pending.
+  void transmit(NodeId to, const net::Topic& topic, const SharedBytes& payload,
+                std::uint64_t frame);
+  /// Retire the frames transmissions `txs` carried (a miss is a redundant
+  /// re-ack), each feeding the estimator; acks of another epoch are ignored.
+  void on_acks(NodeId from, std::uint64_t epoch, const std::vector<std::uint64_t>& txs);
+  void retire(Peer& p, std::map<std::uint64_t, Pending>::iterator it);
+  /// Make `peer`'s timer due no later than `due` (event time).
+  void arm(NodeId peer, sim::SimTime due);
+  void on_timer(NodeId peer);
+  /// Answer a re-request or rejoin sweep with a cached payload.
+  void resend_cached(NodeId to, std::uint64_t cache_key);
 
   /// Insert `key` into `set` with FIFO eviction at config_.dedup_window
   /// (`order` tracks insertion order). Returns false if already present.
   bool bounded_insert(std::unordered_set<MsgKey, MsgKeyHash>& set,
                       std::deque<MsgKey>& order, const MsgKey& key);
 
-  std::unordered_map<MsgKey, Pending, MsgKeyHash> unacked_;
-  std::vector<RttEstimate> rtt_;  ///< per provider peer, indexed by NodeId
+  blocks::Endpoint& base_;
+  ReliabilityConfig config_;
+  std::uint64_t epoch_;
+  std::size_t m_;  ///< providers: the reliability domain (client traffic passes through)
+  net::Topic ack_topic_;
+  net::Topic rreq_topic_;
+  std::vector<Peer> peers_;  ///< indexed by NodeId
+
   /// Receiver dedup set + its FIFO eviction order: bounded at
   /// config_.dedup_window entries, not by run length.
   std::unordered_set<MsgKey, MsgKeyHash> seen_;
@@ -259,33 +264,21 @@ class ReliableLink final : public blocks::Endpoint {
   std::unordered_set<MsgKey, MsgKeyHash> sent_keys_;
   std::deque<MsgKey> sent_keys_order_;
   /// Last payload sent per (peer, topic id) — the re-request answer source
-  /// and, swept whole, the rejoin answer source. Stores the *unwrapped*
-  /// payload: every wire exit wraps afresh, so a re-request answer carries
-  /// the acks pending at answer time, and digests stay consistent across
-  /// original / retransmit / answer copies. The Topic rides along because a
-  /// rejoin sweep must reconstruct frames from the id-keyed cache alone.
+  /// and, swept whole, the rejoin answer source — with the pending frame it
+  /// started as, so an answer's ack can retire that frame.
   struct CachedSend {
     net::Topic topic;
     SharedBytes payload;
+    std::uint64_t frame;
   };
   std::unordered_map<std::uint64_t, CachedSend> sent_cache_;
-
-  /// Acks owed per peer, awaiting a data frame to ride on (or the
-  /// end-of-instant flush). Only used with config_.piggyback_acks and a
-  /// working timer facility.
-  struct PendingAck {
-    std::string topic;       ///< round-topic name, as the ack frame carries it
-    crypto::Digest digest;
-  };
-  std::unordered_map<NodeId, std::vector<PendingAck>> pending_acks_;
-  bool ack_flush_scheduled_ = false;
 
   GiveUpFn on_give_up_;
   ReliabilityStats stats_;
   /// Cleared the first time schedule_after() reports no timer facility
   /// (endpoints of the thread/TCP runtimes): the link stops tracking sends
   /// — retransmission is impossible, and pending entries nothing can retire
-  /// must not accumulate — while acks and dedup keep working.
+  /// must not accumulate — while headers, acks and dedup keep working.
   bool timers_available_ = true;
   /// Liveness token for timer callbacks: timers hold it weakly, so a due
   /// timer outliving the link degrades to a no-op instead of a dangling call.

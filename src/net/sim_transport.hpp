@@ -35,6 +35,8 @@ class SimEndpoint final : public blocks::Endpoint {
     return std::max(scheduler_.now(), scheduler_.clock(self_));
   }
 
+  std::int64_t event_time() const override { return scheduler_.now(); }
+
   crypto::Rng& rng() override { return rng_; }
 
  private:

@@ -214,7 +214,6 @@ Scenario scenario_from_case(const sim::FuzzCase& c) {
     sc.reliability.retransmit_delay = c.retransmit_delay;
     sc.reliability.max_retries = c.max_retries;
     sc.reliability.round_timeout = c.round_timeout;
-    sc.reliability.piggyback_acks = c.piggyback_acks;
   }
   sc.wal.enable = c.wal;
   if (c.wal) sc.wal.snapshot_every = c.wal_snapshot_every;

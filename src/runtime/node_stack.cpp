@@ -15,8 +15,9 @@ void NodeStack::build() {
   link_.reset();
   endpoint_ = make_base_();
   blocks::Endpoint* ep = endpoint_.get();
+  const std::uint64_t epoch = builds_++;
   if (layers_.reliability.enable) {
-    link_ = std::make_unique<net::ReliableLink>(*ep, layers_.reliability);
+    link_ = std::make_unique<net::ReliableLink>(*ep, layers_.reliability, epoch);
     if (layers_.on_give_up) link_->set_on_give_up(layers_.on_give_up);
     ep = link_.get();
   }

@@ -44,7 +44,7 @@ class NodeStack {
       : self_(self), make_base_(std::move(make_base)), layers_(std::move(layers)) {}
 
   /// (Re)build the chain over a fresh base endpoint. Whatever the runtime
-  /// stacked on top() must be gone.
+  /// stacked on top() must be gone. Each build's link gets the next epoch.
   void build();
   blocks::Endpoint& top() { return *top_; }
   net::MessageValidator* validator() { return validator_.get(); }
@@ -69,20 +69,13 @@ class NodeStack {
   /// One wire delivery: the link consumes control frames and duplicates and
   /// strips its header; the rest is journaled, then routed. A route that
   /// returns true dispatched it, and a snapshot of `state()` may follow.
+  /// Acks the handler's output did not carry leave when it returns.
   template <class Route, class State>
   void deliver(const net::Message& raw, Route&& route, State&& state) {
-    net::Message unwrapped;
-    const net::Message* carried = &raw;
-    if (link_) {
-      unwrapped = raw;  // payload is refcounted, not copied
-      if (!link_->on_deliver(unwrapped)) return;
-      carried = &unwrapped;
-    }
-    if (wal_) journal_message(*carried);  // durable before the engine sees it
-    if (route(*carried) && wal_ && snapshot_every_ != 0 &&
-        delivered_ % snapshot_every_ == 0) {
-      append_snapshot(state());
-    }
+    if (!link_) return journal_and_route(raw, route, state);
+    net::Message unwrapped = raw;  // payload is refcounted, not copied
+    if (link_->on_deliver(unwrapped)) journal_and_route(unwrapped, route, state);
+    link_->flush_acks();
   }
 
   /// The validator step, run once the runtime knows the message's engine (an
@@ -114,6 +107,14 @@ class NodeStack {
   store::WalStats wal_stats() const;
 
  private:
+  template <class Route, class State>
+  void journal_and_route(const net::Message& msg, Route& route, State& state) {
+    if (wal_) journal_message(msg);  // durable before the engine sees it
+    if (route(msg) && wal_ && snapshot_every_ != 0 &&
+        delivered_ % snapshot_every_ == 0) {
+      append_snapshot(state());
+    }
+  }
   std::string gate(store::WalScan scan);
   void journal_message(const net::Message& msg);
   void journal_decision(store::DecisionKind kind, bool ok,
@@ -132,6 +133,7 @@ class NodeStack {
   std::unique_ptr<net::SignerEndpoint> signer_;
   std::unique_ptr<net::MessageValidator> validator_;
   blocks::Endpoint* top_ = nullptr;
+  std::uint64_t builds_ = 0;  ///< the next link's epoch
 
   std::shared_ptr<store::Storage> storage_;
   store::WalMeta expected_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -192,7 +193,7 @@ const serde::IniSchema<Scenario>& scenario_schema() {
   // Rows and sections are in emission and parse order (a file may list
   // sections in any order). Tuning knobs on a disabled layer would silently do
   // nothing, so each is gated on its layer's switch; round_timeout_ms = 0
-  // ("watchdogs off") and the default piggyback_acks = true are inert.
+  // ("watchdogs off") is inert.
   static const serde::IniSchema<Scenario> schema({
       Run::section("scenario", whole,
                    {Run::text("name", &Scenario::name),
@@ -261,9 +262,7 @@ const serde::IniSchema<Scenario>& scenario_schema() {
                .knob("enable"),
            Rel::u64("max_retries", &ReliabilityConfig::max_retries).knob("enable"),
            Rel::time_ms("round_timeout_ms", &ReliabilityConfig::round_timeout)
-               .knob("enable", "0"),
-           Rel::boolean("piggyback_acks", &ReliabilityConfig::piggyback_acks)
-               .knob("enable", "true")}),
+               .knob("enable", "0")}),
       Run::section(
           "wal", whole,
           {Run::boolean("enable", [](auto& sc) -> auto& { return sc.wal.enable; },
@@ -309,7 +308,8 @@ const serde::IniSchema<Scenario>& scenario_schema() {
                [](const Money& v, const Scenario&) { return v.str(); }),
            Dev::u64("instance", &DeviationSpec::instance, changed, 0, kLast)}),
       Bidder::section("bidder", &Scenario::bidders,
-                      {Bidder::u64("bidder", &BidderSpec::bidder, required),
+                      {Bidder::u64("bidder", &BidderSpec::bidder, required, 0,
+                                   std::numeric_limits<BidderId>::max()),
                        Bidder::one_of("behaviour", &BidderSpec::behaviour,
                                       adversary::bidder_behaviour_names(), required)}),
       Frames::section(

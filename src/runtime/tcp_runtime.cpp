@@ -47,7 +47,7 @@ class TcpProvider {
                  return std::make_unique<net::TcpEndpoint>(
                      *tcp_, auctioneer_.spec().m, seed);
                },
-               {.reliability = {.enable = true, .piggyback_acks = false}}) {
+               {.reliability = {.enable = true}}) {
     error_ = open_wal(instance.bids.size());
     if (!error_.empty()) return;
     net::TcpPeers peers;

@@ -325,7 +325,6 @@ FuzzCase PlanFuzzer::generate(std::uint64_t index,
     c.max_retries = static_cast<std::size_t>(s.range(4, 8));
     c.round_timeout =
         s.coin(0.5) ? 0 : static_cast<SimTime>(s.range(4, 16)) * 1'000'000;
-    c.piggyback_acks = s.coin(0.5);
   }
 
   // --- durability layer ---

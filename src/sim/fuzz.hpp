@@ -148,7 +148,6 @@ struct FuzzCase {
   SimTime retransmit_delay = 0;
   std::size_t max_retries = 0;
   SimTime round_timeout = 0;
-  bool piggyback_acks = true;
 
   bool wal = false;
   std::size_t wal_snapshot_every = 0;  ///< sampled when wal; 0 = no snapshots

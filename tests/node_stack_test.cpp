@@ -27,11 +27,10 @@ class WireRecorder final : public blocks::Endpoint {
   crypto::Rng rng_{1};
 };
 
-/// A timerless link with standalone acks, as over TCP.
+/// A timerless link, as over TCP.
 NodeStack make_stack(std::vector<net::Message>& sent) {
   NodeStack::Layers layers;
   layers.reliability.enable = true;
-  layers.reliability.piggyback_acks = false;
   NodeStack stack(kSelf, [&sent] { return std::make_unique<WireRecorder>(&sent); },
                   layers);
   stack.build();
@@ -54,7 +53,10 @@ std::vector<store::WalRecord> records(store::MemStorage& disk) {
   return store::scan_wal(BytesView(data)).records;
 }
 
-const net::Message kFromPeer{1, kSelf, "ba/vote/0", Bytes{1, 2, 3}};
+const Bytes kPayload{1, 2, 3};
+/// kPayload from peer 1 as it arrives on the wire: the link header (magic,
+/// epoch 0, transmission 0, no acks) ‖ the payload.
+const net::Message kFromPeer{1, kSelf, "ba/vote/0", Bytes{0xAB, 0, 0, 0, 1, 2, 3}};
 
 /// deliver() with a route that counts and a fixed snapshot state.
 void deliver(NodeStack& stack, const net::Message& msg, int& routed,
@@ -143,7 +145,7 @@ TEST(NodeStack, ReplayRestoresDedupKeysBeforeRouting) {
       [&](const net::Message& msg) {
         EXPECT_EQ(msg.from, kFromPeer.from);
         EXPECT_EQ(msg.topic, kFromPeer.topic);
-        EXPECT_EQ(msg.payload, kFromPeer.payload);
+        EXPECT_EQ(msg.payload, kPayload);
         restored_at_route.push_back(stack.reliability_stats().restored_delivered);
       },
       [] { return store::Snapshot{}; });
@@ -211,6 +213,49 @@ TEST(NodeStack, StatsSurviveARebuild) {
   EXPECT_EQ(wal_after.records_appended, wal_before.records_appended);
   EXPECT_EQ(wal_after.commits, wal_before.commits);
   EXPECT_EQ(wal_after.messages_replayed, 1u);
+}
+
+TEST(NodeStack, AcksLeaveWithTheHandlerOutputOrAloneWhenItReturns) {
+  std::vector<net::Message> sent;
+  NodeStack stack = make_stack(sent);
+  const net::Topic ack_topic(net::kAckTopicName);
+  // The handler sends nothing: one standalone ack frame naming
+  // transmission 0 of epoch 0 (count 1 ‖ epoch 0 ‖ tx 0).
+  stack.deliver(kFromPeer, [](const net::Message&) { return true; },
+                [] { return store::Snapshot{}; });
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].topic, ack_topic);
+  EXPECT_EQ(sent[0].payload, (Bytes{1, 0, 0}));
+
+  // The handler replies to the sender: the ack rides the reply's header.
+  sent.clear();
+  net::Message second = kFromPeer;
+  second.payload = SharedBytes(Bytes{0xAB, 0, 1, 0, 4});
+  stack.deliver(
+      second,
+      [&](const net::Message& msg) {
+        stack.top().send(msg.from, "ba/vote/1", SharedBytes(Bytes{9}));
+        return true;
+      },
+      [] { return store::Snapshot{}; });
+  ASSERT_EQ(sent.size(), 1u);
+  // magic ‖ epoch 0 ‖ tx 0 ‖ (count 1 ‖ epoch 0 ‖ tx 1) ‖ payload
+  EXPECT_EQ(sent[0].payload, (Bytes{0xAB, 0, 0, 1, 0, 1, 9}));
+  EXPECT_EQ(stack.reliability_stats().acks_piggybacked, 1u);
+  EXPECT_EQ(stack.reliability_stats().acks_sent, 1u);
+}
+
+TEST(NodeStack, EachBuildStampsTheNextEpoch) {
+  std::vector<net::Message> sent;
+  NodeStack stack = make_stack(sent);
+  for (std::uint8_t epoch = 0; epoch < 3; ++epoch) {
+    if (epoch > 0) stack.build();
+    sent.clear();
+    stack.top().send(1, "ba/vote/0", SharedBytes(Bytes{7}));
+    ASSERT_EQ(sent.size(), 1u);
+    // magic ‖ epoch ‖ tx 0 (a fresh link numbers from 0) ‖ no acks ‖ payload
+    EXPECT_EQ(sent[0].payload, (Bytes{0xAB, epoch, 0, 0, 7}));
+  }
 }
 
 }  // namespace

@@ -219,6 +219,8 @@ TEST(ScenarioParse, StrictnessRejectsTypos) {
       {"[deviation]\nnode = 1\nstrategy = misreport-ask\nfake_cost = lots\n", 4,
        "bad value for 'fake_cost'"},
       {"[bidder]\nbidder = 1\nbehaviour = sneaky\n", 3, "sneaky"},
+      {"[bidder]\nbidder = 4294967297\nbehaviour = equivocate\n", 2,
+       "bad value for 'bidder'"},
       {"[auth_adversary]\nnode = any\nmode = forge\n", 2, "bad value for 'node'"},
       {"[auth_adversary]\nnode = 1\nmode = sneak\n", 3, "bad value for 'mode'"},
       {"[reliability]\nretransmit_delay_ms = 0\n", 2,
@@ -240,7 +242,6 @@ TEST(ScenarioParse, StrictnessRejectsTypos) {
       {"[reliability]\nmax_retries = 3\n", 1, "without enable=true"},
       {"[reliability]\nretransmit_delay_ms = 8\n", 1, "without enable=true"},
       {"[reliability]\nround_timeout_ms = 9\n", 1, "without enable=true"},
-      {"[reliability]\npiggyback_acks = false\n", 1, "without enable=true"},
       {"[wal]\nsnapshot_every = 4\n", 1, "without enable=true"},
       {"[wal]\ncorrupt = true\n", 1, "without enable=true"},
       {"[wal]\ntorn = 0.1\n", 1, "without enable=true"},
@@ -338,7 +339,7 @@ TEST(ScenarioParse, StrictnessRejectsTypos) {
   }
   // The inert spellings stay legal: they switch nothing on.
   for (const char* ok_text : {
-           "[reliability]\nround_timeout_ms = 0\npiggyback_acks = true\n",
+           "[reliability]\nround_timeout_ms = 0\n",
            "[wal]\ncorrupt = false\n", "[auth]\nbatch = false\n",
            "[expect]\nequivocation_proof = false\n"}) {
     SCOPED_TRACE(ok_text);
@@ -523,7 +524,6 @@ enable = true
 retransmit_delay_ms = 3
 max_retries = 9
 round_timeout_ms = 0
-piggyback_acks = false
 
 [wal]
 enable = true
@@ -866,7 +866,7 @@ struct ScenarioFingerprint {
 constexpr ScenarioFingerprint kScenarioFingerprints[] = {
     {"amnesia_beyond_k.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     53885937, 488, 38781, 1031, 220, 16195, 13, 0, 0},
+     54013713, 488, 30208, 670, 220, 16195, 13, 0, 0},
     {"auth_forged_frame.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
      24479969, 220, 33365, 220, 0, 0, 0, 35, 175},
@@ -893,31 +893,31 @@ constexpr ScenarioFingerprint kScenarioFingerprints[] = {
      24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
     {"dup_storm.scn",
      "c177b1d45156bce029fded7ef8f1904755669db505152eca59301afc4d822fe7",
-     24971060, 355, 30097, 812, 0, 0, 0, 0, 0},
+     24954473, 355, 22415, 536, 0, 0, 0, 0, 0},
     {"dup_storm_legacy.scn",
      "",
      11258527, 95, 7560, 110, 0, 0, 0, 0, 0},
     {"flaky_provider.scn",
      "368b37bd280db1853216186dc97d795433405f7bbfb83eb6839ef50ee403cdf1",
-     39243341, 372, 32429, 775, 0, 0, 15, 0, 0},
+     37856296, 363, 24651, 514, 0, 0, 17, 0, 0},
     {"k_crash.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
      24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
     {"kill_restart.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     32856544, 389, 32252, 825, 220, 16195, 7, 0, 0},
+     32679366, 389, 24697, 531, 220, 16195, 7, 0, 0},
     {"lossy_extreme.scn",
      "",
-     40619050, 645, 46399, 960, 0, 0, 177, 0, 0},
+     38418647, 544, 34848, 631, 0, 0, 159, 0, 0},
     {"lossy_lan.scn",
      "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f",
-     8555842, 1149, 121799, 2364, 0, 0, 26, 0, 0},
+     3842320, 1152, 99117, 1413, 0, 0, 26, 0, 0},
     {"multi_instance_clean.scn",
      "721ae4a1bdd4802872cb7b9c168dd6c77a49fa1ec9b5eda0e5b14107f8145b1c",
      49147660, 273, 26073, 273, 0, 0, 0, 0, 0},
     {"multi_instance_faulty.scn",
      "",
-     105283617, 470, 41334, 1011, 0, 0, 23, 0, 0},
+     105402570, 470, 31194, 658, 0, 0, 23, 0, 0},
     {"partition_heal.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
      24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
@@ -926,7 +926,7 @@ constexpr ScenarioFingerprint kScenarioFingerprints[] = {
      6515915, 35, 2840, 21, 0, 0, 0, 0, 0},
     {"service_amnesia.scn",
      "bc0a75069e83d4f56198fe00b229ca484c2ae5259857c41d2653561c32ab357f",
-     54979416, 1643, 144471, 3441, 865, 67460, 10, 0, 0},
+     52776846, 1629, 105410, 2044, 865, 67460, 3, 0, 0},
     {"slow_wan.scn",
      "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
      73645470, 185, 17895, 185, 0, 0, 0, 0, 0},
@@ -935,7 +935,7 @@ constexpr ScenarioFingerprint kScenarioFingerprints[] = {
      31352436, 235, 31400, 235, 0, 0, 0, 0, 0},
     {"wal_torn_tail.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     35380553, 401, 33356, 845, 223, 16343, 7, 0, 0},
+     35439665, 401, 25665, 549, 223, 16343, 7, 0, 0},
 };
 
 TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {

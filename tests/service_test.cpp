@@ -117,7 +117,8 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   // one-instance service run, so comparing the two would compare the code
   // with itself; both are pinned to literals recorded when the single-auction
   // runtime was a separate implementation (makespan, bytes and WAL bytes
-  // re-pinned when bid agreement moved to 32-byte digest votes).
+  // re-pinned when bid agreement moved to 32-byte digest votes; makespan,
+  // bytes and events when link acks moved to transmission numbers).
   const auto auctioneer = make_auctioneer(12, 3, 1);
   const auto workload = testutil::make_instance(12, 3, 99);
 
@@ -141,10 +142,10 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   ASSERT_TRUE(direct.global_outcome.ok());
   const runtime::RunStats* runs[] = {&service, &direct};
   for (const runtime::RunStats* r : runs) {
-    EXPECT_EQ(r->makespan, 24268370);
+    EXPECT_EQ(r->makespan, 24140569);
     EXPECT_EQ(r->traffic.messages, 117u);
-    EXPECT_EQ(r->traffic.bytes, 14274u);
-    EXPECT_EQ(r->events_dispatched, 264u);
+    EXPECT_EQ(r->traffic.bytes, 11787u);
+    EXPECT_EQ(r->events_dispatched, 172u);
     EXPECT_EQ(r->wal_stats.records_appended, 84u);
     EXPECT_EQ(r->wal_stats.bytes_appended, 10464u);
     EXPECT_EQ(r->auth_stats.signed_sends, 21u);
