@@ -222,16 +222,6 @@ void ReliableLink::on_timer(NodeId peer) {
   if (!p.pending.empty()) arm(peer, next);
 }
 
-void ReliableLink::resend_cached(NodeId to, std::uint64_t key) {
-  // A fresh transmission of the cached payload. If the frame it started as
-  // is still pending, this transmission is credited to it: its ack retires
-  // the frame and gives a sample like any other.
-  const auto it = sent_cache_.find(key);
-  if (it == sent_cache_.end()) return;
-  const CachedSend& cached = it->second;
-  transmit(to, cached.topic, cached.payload, cached.frame);
-}
-
 bool ReliableLink::on_deliver(net::Message& msg) {
   serde::Reader r(msg.payload.view());
   if (msg.topic == ack_topic_) {
@@ -244,6 +234,9 @@ bool ReliableLink::on_deliver(net::Message& msg) {
     // with a find-only registry query (Topic::lookup) — a name no local
     // block ever interned cannot match a cached payload, so it is dropped
     // instead of interned (the registry stays bounded by protocol structure).
+    // Each answer is a fresh transmission of the cached payload, credited to
+    // the frame it started as if that is still pending: its ack retires the
+    // frame and gives a sample like any other.
     const BytesView v = msg.payload.view();
     if (v.empty() || msg.from >= m_) return false;  // malformed re-request: drop
     if (v.size() == 1 && v[0] == '*') {
@@ -252,24 +245,24 @@ bool ReliableLink::on_deliver(net::Message& msg) {
       // that peer, in topic-id order — never hash-table order, which the
       // deterministic event stream must not depend on. The recovered peer's
       // restored dedup set swallows what its WAL already had.
-      std::vector<std::uint64_t> keys;
+      std::vector<std::pair<std::uint64_t, const CachedSend*>> entries;
       for (const auto& [key, cached] : sent_cache_) {
-        if (static_cast<NodeId>(key >> 32) == msg.from) keys.push_back(key);
+        if (static_cast<NodeId>(key >> 32) == msg.from) entries.emplace_back(key, &cached);
       }
-      std::sort(keys.begin(), keys.end());
-      for (const std::uint64_t key : keys) {
+      std::sort(entries.begin(), entries.end());
+      for (const auto& [key, cached] : entries) {
         ++stats_.rejoin_answers;
-        resend_cached(msg.from, key);
+        transmit(msg.from, cached->topic, cached->payload, cached->frame);
       }
       return false;
     }
     const auto topic = net::Topic::lookup(
         std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
     if (!topic) return false;  // unknown round topic: nothing cached anyway
-    const std::uint64_t key = cache_key(msg.from, topic->id());
-    if (sent_cache_.contains(key)) {
+    if (const auto it = sent_cache_.find(cache_key(msg.from, topic->id()));
+        it != sent_cache_.end()) {
       ++stats_.rerequests_answered;
-      resend_cached(msg.from, key);
+      transmit(msg.from, it->second.topic, it->second.payload, it->second.frame);
     }
     return false;
   }

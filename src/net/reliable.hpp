@@ -238,8 +238,6 @@ class ReliableLink final : public blocks::Endpoint {
   /// Make `peer`'s timer due no later than `due` (event time).
   void arm(NodeId peer, sim::SimTime due);
   void on_timer(NodeId peer);
-  /// Answer a re-request or rejoin sweep with a cached payload.
-  void resend_cached(NodeId to, std::uint64_t cache_key);
 
   /// Insert `key` into `set` with FIFO eviction at config_.dedup_window
   /// (`order` tracks insertion order). Returns false if already present.
