@@ -193,9 +193,10 @@ TEST(ReliableLink, ReRequestAnsweredFromSentCache) {
 }
 
 TEST(ReliableLink, UnknownControlTopicNamesAreDroppedWithoutInterning) {
-  // Ack/rreq frames carry peer-chosen topic strings; a name no local block
+  // Re-request frames carry peer-chosen topic strings; a name no local block
   // ever interned must be dropped via the find-only lookup, never interned —
-  // the append-only registry stays bounded by protocol structure.
+  // the append-only registry stays bounded by protocol structure. An ack
+  // frame naming a topic and a digest is not an ack block: dropped too.
   LinkNet net(fast_config());
   const std::size_t before = net::topic_registry_size();
 
