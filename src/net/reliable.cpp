@@ -199,6 +199,7 @@ void ReliableLink::on_timer(NodeId peer) {
     if (f.deadline <= now) due.push_back(frame);
   }
   for (const std::uint64_t frame : due) {
+    // Looked up afresh: a give-up callback below runs runtime code.
     const auto it = p.pending.find(frame);
     if (it == p.pending.end()) continue;
     Pending& f = it->second;
