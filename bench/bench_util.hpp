@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,9 +19,17 @@ inline double mean(const std::vector<double>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
 }
 
+/// A table cell is a mean over runs that all reached (x, p): a run that
+/// ends in ⊥ ends the bench with exit status 1.
+inline void require_ok(const runtime::SimRunResult& run, const char* series) {
+  if (run.global_outcome.ok()) return;
+  std::fprintf(stderr, "bench: %s run aborted (%s)\n", series,
+               abort_reason_name(run.global_outcome.bottom().reason));
+  std::exit(1);
+}
+
 /// One cell of a running-time table, averaged over `rounds` seeded runs.
-/// Returns the mean client-observed makespan in seconds; asserts every run
-/// reached (x, p).
+/// Returns the mean client-observed makespan in seconds.
 inline double distributed_makespan_s(const core::DistributedAuctioneer& auctioneer,
                                      const auction::WorkloadParams& workload,
                                      std::size_t rounds, std::uint64_t seed0,
@@ -34,11 +43,7 @@ inline double distributed_makespan_s(const core::DistributedAuctioneer& auctione
     cfg.seed = seed0 * 1000 + r;
     cfg.cost_mode = cost_mode;
     const auto run = runtime::SimRuntime(cfg).run_distributed(auctioneer, instance);
-    if (!run.global_outcome.ok()) {
-      std::fprintf(stderr, "bench: distributed run aborted (%s)\n",
-                   abort_reason_name(run.global_outcome.bottom().reason));
-      continue;
-    }
+    require_ok(run, "distributed");
     times.push_back(sim::to_seconds(run.makespan));
   }
   return mean(times);
@@ -57,7 +62,7 @@ inline double centralized_makespan_s(const core::CentralizedAuctioneer& auctione
     cfg.seed = seed0 * 1000 + r;
     cfg.cost_mode = cost_mode;
     const auto run = runtime::SimRuntime(cfg).run_centralized(auctioneer, instance);
-    if (!run.global_outcome.ok()) continue;
+    require_ok(run, "centralized");
     times.push_back(sim::to_seconds(run.makespan));
   }
   return mean(times);

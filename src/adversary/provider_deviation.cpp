@@ -56,7 +56,7 @@ class CorruptCoinReveal final : public DeviationStrategy {
 };
 
 /// A non-empty payload on a bid-agreement vote topic. Vote topics end in
-/// "/v" in all three agreement modes, the value mode's fallback included.
+/// "/v" in both agreement modes, the value mode's fallback included.
 bool is_vote(const std::string& topic, const SharedBytes& payload) {
   return !payload.empty() && blocks::topic_has_prefix(topic, "ba") &&
          topic.size() >= 2 && topic.compare(topic.size() - 2, 2, "/v") == 0;

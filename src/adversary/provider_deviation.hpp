@@ -1,7 +1,7 @@
 // Provider deviation strategies and the deviant endpoint.
 //
 // A deviation strategy intercepts everything a coalition member sends. The
-// k-resilience experiments (tests + bench/abl_resilience) run the protocol
+// k-resilience tests (tests/resilience_test.cpp) run the protocol
 // with a coalition following a strategy and measure whether any member's
 // utility exceeds the honest baseline — the empirical counterpart of
 // Definition 2.

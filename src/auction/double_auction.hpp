@@ -46,8 +46,8 @@ AuctionResult run_double_auction(const AuctionInstance& instance, DoubleAuctionI
 /// value clears a seller's cost trades, buyers pay their own bid and sellers
 /// receive their own ask (pay-as-bid). This is the efficiency upper bound the
 /// McAfee mechanism sacrifices for truthfulness — it is NOT truthful (your
-/// own bid sets your price), which the ablation tests demonstrate. Used by
-/// bench/abl_trade_reduction to measure the welfare cost of truthfulness.
+/// own bid sets your price). tests/double_auction_test.cpp measures the
+/// welfare cost of truthfulness against it and shows it manipulable.
 AuctionResult run_optimal_waterfill(const AuctionInstance& instance);
 
 }  // namespace dauct::auction

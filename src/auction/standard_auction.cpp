@@ -44,9 +44,6 @@ std::vector<Money> standard_payments(const AuctionInstance& instance,
   for (std::size_t j = 0; j < bidders.size(); ++j) {
     const BidderId i = bidders[j];
     if (i >= assignment.provider_of.size()) continue;
-    if (assignment.provider_of[i] < 0 && params.skip_loser_resolve) {
-      continue;  // losers pay nothing; re-solve skipped (optimization)
-    }
     resolve[j] = masks.size();
     masks.emplace_back(instance.bids.size(), true);
     masks.back()[i] = false;

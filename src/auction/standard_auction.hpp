@@ -20,8 +20,7 @@
 // strategy truthful; verified by property tests). With ScaledDpSolver it is
 // the paper's "(1−ε)-optimal, truthful in expectation" trade-off: payments
 // are clamped to [0, v_i·d_i] so individual rationality always holds, and
-// deviation gains are bounded by the approximation error (measured in the
-// resilience ablation).
+// deviation gains are bounded by the approximation error.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +38,6 @@ struct StandardAuctionParams {
   double epsilon = 0.1;     ///< approximation knob for ScaledDpSolver
   bool use_exact = false;   ///< use ExactSolver (small instances / tests)
   std::uint64_t seed = 0;   ///< shared randomness (supplied by the common coin)
-
-  /// Skip the welfare re-solve for losers. Output-identical under *any*
-  /// solver: a loser's own value is 0, and standard_payment() clamps every
-  /// payment to [0, own value], so a loser pays 0 whatever the re-solve
-  /// returns. Default off all the same: the paper's algorithm evaluates the
-  /// payment formula for every user, which makes per-user cost uniform —
-  /// exactly what lets the payment tasks parallelise with speedup ≈ p
-  /// (Fig. 5). Turned on, only the ~quarter of users who win are re-solved:
-  /// the Fig. 5 bench's CPU fell ~4×, but coordination then dominates and
-  /// Fig. 5 inverts (bench_fig5_standard_auction at n = 125: central
-  /// 0.057–0.065 s against p = 4 0.063–0.064 s on 4 vCPUs). It is an
-  /// ablation (bench/abl_welfare_solver), not a free win.
-  bool skip_loser_resolve = false;
 };
 
 /// Make the solver selected by `params`.

@@ -8,7 +8,7 @@
 //
 // Two solvers:
 //  * ExactSolver — branch & bound with a fractional single-knapsack bound.
-//    Exponential worst case; used as ground truth in tests and ablations.
+//    Exponential worst case; used as ground truth in tests.
 //  * ScaledDpSolver — (1−ε)-style approximation: providers are processed in
 //    sequence; for each, a 0/1 knapsack DP over a capacity grid of
 //    ⌈n/ε⌉ cells (demands rounded *up* to grid cells, so the result is always

@@ -11,7 +11,6 @@ constexpr std::size_t kBitsPerBid = serde::kBidEncodingBytes * 8;
 
 const char* agreement_mode_name(AgreementMode mode) {
   switch (mode) {
-    case AgreementMode::kPerBitMessages: return "per-bit-messages";
     case AgreementMode::kBitStream: return "bit-stream";
     case AgreementMode::kValueBatched: return "value-batched";
   }
@@ -35,15 +34,6 @@ BidAgreement::BidAgreement(Endpoint& endpoint, std::string topic_prefix,
       stream_consensus_ = std::make_unique<consensus::StreamConsensus>(
           endpoint_, topic_join(prefix_, "bs"), num_bidders_ * kBitsPerBid);
       break;
-    case AgreementMode::kPerBitMessages:
-      bit_instances_.reserve(num_bidders_ * kBitsPerBid);
-      for (std::size_t b = 0; b < num_bidders_ * kBitsPerBid; ++b) {
-        bit_instances_.push_back(std::make_unique<consensus::BitConsensus>(
-            endpoint_, topic_join(prefix_, "bit/" + std::to_string(b))));
-      }
-      perbit_counted_.assign(bit_instances_.size(), false);
-      perbit_remaining_ = bit_instances_.size();
-      break;
   }
 }
 
@@ -66,15 +56,6 @@ void BidAgreement::start(const std::vector<auction::Bid>& my_bids) {
       Bytes stream;
       for (const Bytes& e : encoded) append(stream, e);
       stream_consensus_->start(serde::to_bits(stream));
-      break;
-    }
-    case AgreementMode::kPerBitMessages: {
-      Bytes stream;
-      for (const Bytes& e : encoded) append(stream, e);
-      const std::vector<bool> bits = serde::to_bits(stream);
-      for (std::size_t b = 0; b < bit_instances_.size(); ++b) {
-        bit_instances_[b]->start(bits[b]);
-      }
       break;
     }
   }
@@ -112,20 +93,6 @@ void BidAgreement::finish_from_bits(const std::vector<bool>& agreed_bits) {
   result_ = Outcome<std::vector<auction::Bid>>(std::move(out));
 }
 
-void BidAgreement::check_perbit_done() {
-  std::vector<bool> bits(bit_instances_.size());
-  for (std::size_t b = 0; b < bit_instances_.size(); ++b) {
-    const auto& r = bit_instances_[b]->result();
-    if (!r) return;  // still running
-    if (r->is_bottom()) {
-      result_ = Outcome<std::vector<auction::Bid>>(r->bottom());
-      return;
-    }
-    bits[b] = r->value();
-  }
-  finish_from_bits(bits);
-}
-
 bool BidAgreement::handle(const net::Message& msg) {
   if (!topic_has_prefix(msg.topic.str(), prefix_)) return false;
   if (result_) return true;
@@ -154,34 +121,6 @@ bool BidAgreement::handle(const net::Message& msg) {
         }
       }
       return true;
-    }
-    case AgreementMode::kPerBitMessages: {
-      // Route by the bit index embedded in the topic:
-      // "<prefix>/bit/<idx>/{v,e}".
-      const std::string& topic = msg.topic.str();
-      const std::string bit_prefix = topic_join(prefix_, "bit");
-      if (!topic_has_prefix(topic, bit_prefix)) return false;
-      const std::size_t idx_begin = bit_prefix.size() + 1;
-      std::size_t idx = 0;
-      std::size_t pos = idx_begin;
-      while (pos < topic.size() && topic[pos] >= '0' && topic[pos] <= '9') {
-        idx = idx * 10 + static_cast<std::size_t>(topic[pos] - '0');
-        ++pos;
-      }
-      if (pos == idx_begin || idx >= bit_instances_.size()) return false;
-      if (bit_instances_[idx]->handle(msg)) {
-        if (bit_instances_[idx]->done() && !perbit_counted_[idx]) {
-          perbit_counted_[idx] = true;
-          const auto& r = *bit_instances_[idx]->result();
-          if (r.is_bottom()) {
-            result_ = Outcome<std::vector<auction::Bid>>(r.bottom());
-            return true;
-          }
-          if (--perbit_remaining_ == 0) check_perbit_done();
-        }
-        return true;
-      }
-      return false;
     }
   }
   return false;

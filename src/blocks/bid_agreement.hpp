@@ -9,11 +9,10 @@
 // the same bid b'_i to all providers gets b_i = b'_i); (2) k-resiliency for
 // solution preference under m > 2k (inherited from the consensus layer).
 //
-// Three agreement modes, all semantically equivalent:
-//  * kPerBitMessages — paper-literal: one rational-consensus *message flow*
-//    per bit of the serialized bid (2·m broadcasts per bit). Ablation only.
+// Two agreement modes, semantically equivalent:
 //  * kBitStream      — the paper's per-bit consensus decisions, votes/echoes
-//    batched into one message per round (the faithful bitwise construction).
+//    batched into one message per round (the faithful bitwise construction;
+//    docs/ARCHITECTURE.md records what one message flow per bit cost).
 //  * kValueBatched   — the default everywhere (AuctioneerSpec, EngineConfig,
 //    `dauct_cli --mode`): a vote on the digest of the whole bid vector, with
 //    a value-level per-slot majority over full vectors as the fallback when
@@ -30,15 +29,15 @@
 #include "auction/types.hpp"
 #include "blocks/block.hpp"
 #include "consensus/batched_consensus.hpp"
-#include "consensus/bit_consensus.hpp"
 #include "consensus/stream_consensus.hpp"
 
 namespace dauct::blocks {
 
+// The values are fixed: gtest prints a parameterized mode test's value
+// bytes in its listed name.
 enum class AgreementMode {
-  kPerBitMessages,  ///< one message flow per bit (paper-literal; ablation)
-  kBitStream,       ///< per-bit decisions, batched transport
-  kValueBatched,    ///< digest vote, full-vector majority fallback (default)
+  kBitStream = 1,     ///< per-bit decisions, batched transport
+  kValueBatched = 2,  ///< digest vote, full-vector majority fallback (default)
 };
 
 const char* agreement_mode_name(AgreementMode mode);
@@ -65,7 +64,6 @@ class BidAgreement {
   void finish_from_bytes(const std::vector<Bytes>& agreed_slots);
   void finish_from_bits(const std::vector<bool>& agreed_bits);
   auction::Bid sanitize(BidderId i, BytesView encoded) const;
-  void check_perbit_done();
 
   Endpoint& endpoint_;
   std::string prefix_;
@@ -76,9 +74,6 @@ class BidAgreement {
   // Exactly one of these is active, per mode.
   std::unique_ptr<consensus::BatchedConsensus> value_consensus_;
   std::unique_ptr<consensus::StreamConsensus> stream_consensus_;
-  std::vector<std::unique_ptr<consensus::BitConsensus>> bit_instances_;
-  std::vector<bool> perbit_counted_;
-  std::size_t perbit_remaining_ = 0;
 
   std::optional<Outcome<std::vector<auction::Bid>>> result_;
 };

@@ -30,7 +30,7 @@ struct LatencyModel {
   /// Zero-latency model (for logic-only tests).
   static LatencyModel zero();
 
-  /// LAN-ish model (for overhead ablations).
+  /// LAN-ish model.
   static LatencyModel lan();
 
   /// Community-network default (the calibration above).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "adversary/provider_deviation.hpp"
@@ -304,7 +306,88 @@ TEST(OutputAgreement, DivergentResultAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// Bid agreement (all three modes)
+// Block floors: the coordination cost every distributed run pays
+// ---------------------------------------------------------------------------
+
+/// Virtual ns one invocation of a block takes on the community network
+/// model (zero handler cost, so the figure is deterministic): the latest
+/// provider clock once the run drains.
+template <typename Block>
+sim::SimTime block_floor_ns(
+    std::size_t m, std::uint64_t seed,
+    const std::function<std::unique_ptr<Block>(Endpoint&)>& make,
+    const std::function<void(Block&, NodeId)>& start) {
+  LocalNet net(m, seed, sim::LatencyModel::community());
+  std::vector<std::unique_ptr<Block>> nodes(m);
+  for (NodeId j = 0; j < m; ++j) {
+    nodes[j] = make(net.endpoint(j));
+    net.set_handler(j, [&, j](const net::Message& msg) { nodes[j]->handle(msg); });
+  }
+  for (NodeId j = 0; j < m; ++j) start(*nodes[j], j);
+  net.run();
+  sim::SimTime last = 0;
+  for (NodeId j = 0; j < m; ++j) {
+    EXPECT_TRUE(nodes[j]->done()) << "m=" << m << " provider " << j;
+    last = std::max(last, net.scheduler().clock(j));
+  }
+  return last;
+}
+
+TEST(BlockFloors, CoinOutlastsValidationAndTransferAtEveryProviderCount) {
+  // These rounds ship digest-sized or small payloads, so a block's time is
+  // its round count times the link latency, nearly flat in m: the small-n
+  // plateau of Figs. 4-5. The common coin (commit, then reveal) takes two
+  // rounds; input validation and a k+1 = 2-source data transfer take one.
+  const Bytes payload(512, 0xab);  // a representative task result
+  struct Floor {
+    std::size_t m;
+    sim::SimTime validation, coin, transfer;
+  };
+  const Floor pinned[] = {
+      {3, 3092564, 6000002, 4100574},
+      {8, 3092564, 6139463, 4116693},
+      {16, 3136450, 6240320, 4096586},
+  };
+  std::vector<Floor> measured;
+  for (const Floor& f : pinned) {
+    Floor got{f.m, 0, 0, 0};
+    got.validation = block_floor_ns<InputValidation>(
+        f.m, 11, [](Endpoint& ep) { return std::make_unique<InputValidation>(ep, "iv"); },
+        [&](InputValidation& b, NodeId) { b.start(payload); });
+    got.coin = block_floor_ns<CommonCoin>(
+        f.m, 13, [](Endpoint& ep) { return std::make_unique<CommonCoin>(ep, "coin"); },
+        [](CommonCoin& b, NodeId) { b.start(DistributionSpec::seed64()); });
+    std::vector<NodeId> receivers(f.m);
+    for (NodeId j = 0; j < f.m; ++j) receivers[j] = j;
+    got.transfer = block_floor_ns<DataTransfer>(
+        f.m, 17,
+        [&](Endpoint& ep) {
+          return std::make_unique<DataTransfer>(ep, "dt", std::vector<NodeId>{0, 1},
+                                                receivers);
+        },
+        [&](DataTransfer& b, NodeId j) {
+          b.start(j < 2 ? std::optional<Bytes>(payload) : std::nullopt);
+        });
+    EXPECT_EQ(got.validation, f.validation) << "m=" << f.m;
+    EXPECT_EQ(got.coin, f.coin) << "m=" << f.m;
+    EXPECT_EQ(got.transfer, f.transfer) << "m=" << f.m;
+    EXPECT_GT(got.coin, got.validation) << "m=" << f.m;
+    EXPECT_GT(got.coin, got.transfer) << "m=" << f.m;
+    measured.push_back(got);
+  }
+  // Each block's time varies by at most 10% across m.
+  for (auto field : {&Floor::validation, &Floor::coin, &Floor::transfer}) {
+    sim::SimTime lo = measured[0].*field, hi = lo;
+    for (const Floor& f : measured) {
+      lo = std::min(lo, f.*field);
+      hi = std::max(hi, f.*field);
+    }
+    EXPECT_LE(static_cast<double>(hi), 1.10 * static_cast<double>(lo));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bid agreement (both modes)
 // ---------------------------------------------------------------------------
 
 class BidAgreementModes : public ::testing::TestWithParam<AgreementMode> {};
@@ -396,13 +479,9 @@ TEST_P(BidAgreementModes, ShortInputVectorPaddedWithNeutral) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, BidAgreementModes,
                          ::testing::Values(AgreementMode::kValueBatched,
-                                           AgreementMode::kBitStream,
-                                           AgreementMode::kPerBitMessages),
+                                           AgreementMode::kBitStream),
                          [](const auto& info) {
-                           return std::string(agreement_mode_name(info.param)) ==
-                                          "per-bit-messages"
-                                      ? "PerBit"
-                                  : info.param == AgreementMode::kBitStream
+                           return info.param == AgreementMode::kBitStream
                                       ? "BitStream"
                                       : "ValueBatched";
                          });

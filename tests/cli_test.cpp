@@ -76,6 +76,18 @@ TEST(Cli, MissingFlagValueFails) {
   EXPECT_NE(r.output.find("missing value"), std::string::npos);
 }
 
+TEST(Cli, UnknownAgreementModeFails) {
+  // perbit (one message flow per bit) was removed; docs/ARCHITECTURE.md
+  // records what it cost.
+  for (const char* mode : {"perbit", "bogus"}) {
+    const auto r = run_command(std::string("--users 6 --providers 3 --mode ") + mode);
+    EXPECT_EQ(r.exit_code, 1) << mode << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown --mode"), std::string::npos) << r.output;
+  }
+  const auto bits = run_command("--users 6 --providers 3 --mode bits");
+  EXPECT_EQ(bits.exit_code, 0) << bits.output;
+}
+
 TEST(Cli, SmallDistributedRunSucceeds) {
   const auto r = run_command(
       "--auction double --users 8 --providers 3 --k 1 --latency zero --seed 3");

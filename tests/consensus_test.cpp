@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "adversary/provider_deviation.hpp"
 #include "consensus/batched_consensus.hpp"
-#include "consensus/bit_consensus.hpp"
 #include "consensus/stream_consensus.hpp"
 #include "test_util.hpp"
 
@@ -13,13 +13,14 @@ namespace {
 
 using testutil::LocalNet;
 
-// Drive m BitConsensus instances to completion over a LocalNet.
-std::vector<Outcome<bool>> run_bit_consensus(std::size_t m,
-                                             const std::vector<bool>& inputs,
-                                             NodeId equivocator = kNoNode) {
+// Drive m StreamConsensus instances over `bits`-bit streams to completion
+// over a LocalNet; `equivocator`'s sends go through equivocate_votes().
+std::vector<Outcome<std::vector<bool>>> run_stream(
+    std::size_t m, std::size_t bits, const std::vector<std::vector<bool>>& in,
+    NodeId equivocator = kNoNode) {
   LocalNet net(m);
   std::vector<std::unique_ptr<adversary::DeviantEndpoint>> deviants(m);
-  std::vector<std::unique_ptr<BitConsensus>> nodes(m);
+  std::vector<std::unique_ptr<StreamConsensus>> nodes(m);
   for (NodeId j = 0; j < m; ++j) {
     blocks::Endpoint* ep = &net.endpoint(j);
     if (j == equivocator) {
@@ -27,21 +28,36 @@ std::vector<Outcome<bool>> run_bit_consensus(std::size_t m,
           *ep, adversary::equivocate_votes());
       ep = deviants[j].get();
     }
-    nodes[j] = std::make_unique<BitConsensus>(*ep, "ba/t");
+    nodes[j] = std::make_unique<StreamConsensus>(*ep, "ba/s", bits);
     net.set_handler(j, [&, j](const net::Message& msg) { nodes[j]->handle(msg); });
   }
-  for (NodeId j = 0; j < m; ++j) nodes[j]->start(inputs[j]);
+  for (NodeId j = 0; j < m; ++j) nodes[j]->start(in[j]);
   net.run();
-
-  std::vector<Outcome<bool>> outs;
+  std::vector<Outcome<std::vector<bool>>> outs;
   for (NodeId j = 0; j < m; ++j) {
     EXPECT_TRUE(nodes[j]->done()) << "node " << j << " did not decide";
     outs.push_back(nodes[j]->done() ? *nodes[j]->result()
-                                    : Outcome<bool>(Bottom{AbortReason::kTimeout, ""}));
+                                    : Outcome<std::vector<bool>>(
+                                          Bottom{AbortReason::kTimeout, ""}));
   }
   return outs;
 }
 
+// The paper's per-bit rational-consensus instance is a 1-bit stream: node
+// j's input is inputs[j], and each outcome is the decided bit.
+std::vector<Outcome<bool>> run_bit_consensus(std::size_t m,
+                                             const std::vector<bool>& inputs,
+                                             NodeId equivocator = kNoNode) {
+  std::vector<std::vector<bool>> in;
+  for (const bool b : inputs) in.push_back({b});
+  std::vector<Outcome<bool>> outs;
+  for (const auto& o : run_stream(m, 1, in, equivocator)) {
+    outs.push_back(o.ok() ? Outcome<bool>(o.value().at(0)) : Outcome<bool>(o.bottom()));
+  }
+  return outs;
+}
+
+// BitConsensus.*: the single-bit instance's guarantees, on 1-bit streams.
 TEST(BitConsensus, UnanimousInputDecided) {
   for (bool b : {false, true}) {
     const auto outs = run_bit_consensus(5, std::vector<bool>(5, b));
@@ -61,24 +77,35 @@ TEST(BitConsensus, MajorityWins) {
 }
 
 TEST(BitConsensus, AgreementUnderMixedInputs) {
-  for (std::uint64_t pattern = 0; pattern < 16; ++pattern) {
-    std::vector<bool> inputs(4);
-    for (int j = 0; j < 4; ++j) inputs[j] = (pattern >> j) & 1;
-    const auto outs = run_bit_consensus(4, inputs);
-    ASSERT_TRUE(outs[0].ok());
-    for (const auto& o : outs) {
-      ASSERT_TRUE(o.ok());
-      EXPECT_EQ(o.value(), outs[0].value()) << "pattern " << pattern;
-    }
+  // Every input pattern of m = 4 at once: position p of a 16-bit stream
+  // carries pattern p (node j's bit is bit j of p). Each position is decided
+  // on its own, and all nodes agree on every one.
+  constexpr std::size_t kPatterns = 16;
+  std::vector<std::vector<bool>> in(4, std::vector<bool>(kPatterns));
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    for (std::size_t j = 0; j < 4; ++j) in[j][p] = (p >> j) & 1;
+  }
+  const auto outs = run_stream(4, kPatterns, in);
+  ASSERT_TRUE(outs[0].ok());
+  for (const auto& o : outs) {
+    ASSERT_TRUE(o.ok());
+    EXPECT_EQ(o.value(), outs[0].value());
+  }
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    const int ones = std::popcount(static_cast<unsigned>(p));
+    const bool expected = ones == 2 ? (p & 1) != 0 : ones > 2;
+    EXPECT_EQ(outs[0].value()[p], expected) << "pattern " << p;
   }
 }
 
 TEST(BitConsensus, TieBrokenByLowestId) {
-  // m = 4, two true / two false → tie → provider 0's bit wins.
-  const auto outs = run_bit_consensus(4, {true, false, false, true});
-  for (const auto& o : outs) {
-    ASSERT_TRUE(o.ok());
-    EXPECT_TRUE(o.value());
+  // m = 4, two true / two false → tie → provider 0's bit wins, either way.
+  for (const bool first : {true, false}) {
+    const auto outs = run_bit_consensus(4, {first, !first, !first, first});
+    for (const auto& o : outs) {
+      ASSERT_TRUE(o.ok());
+      EXPECT_EQ(o.value(), first);
+    }
   }
 }
 
@@ -107,26 +134,6 @@ TEST(BitConsensus, DecisionIsSomeNodesInput) {
     EXPECT_TRUE(std::find(inputs.begin(), inputs.end(), outs[0].value()) !=
                 inputs.end());
   }
-}
-
-// ---------------------------------------------------------------------------
-
-std::vector<Outcome<std::vector<bool>>> run_stream(std::size_t m, std::size_t bits,
-                                                   const std::vector<std::vector<bool>>& in) {
-  LocalNet net(m);
-  std::vector<std::unique_ptr<StreamConsensus>> nodes(m);
-  for (NodeId j = 0; j < m; ++j) {
-    nodes[j] = std::make_unique<StreamConsensus>(net.endpoint(j), "ba/s", bits);
-    net.set_handler(j, [&, j](const net::Message& msg) { nodes[j]->handle(msg); });
-  }
-  for (NodeId j = 0; j < m; ++j) nodes[j]->start(in[j]);
-  net.run();
-  std::vector<Outcome<std::vector<bool>>> outs;
-  for (NodeId j = 0; j < m; ++j) {
-    EXPECT_TRUE(nodes[j]->done());
-    outs.push_back(*nodes[j]->result());
-  }
-  return outs;
 }
 
 TEST(StreamConsensus, UnanimousStreams) {

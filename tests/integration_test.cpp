@@ -155,8 +155,7 @@ TEST(DistributedStandard, Fig5ShapeMatchesTrustedAuctioneerUnderTheAgreedCoin) {
 TEST(DistributedDouble, AgreementModesAllWork) {
   const auto instance = testutil::make_instance(4, 3, 13);
   for (auto mode : {blocks::AgreementMode::kValueBatched,
-                    blocks::AgreementMode::kBitStream,
-                    blocks::AgreementMode::kPerBitMessages}) {
+                    blocks::AgreementMode::kBitStream}) {
     SimRuntime rt(SimRunConfig{});
     const auto run = rt.run_distributed(make_double(3, 1, 4, mode), instance);
     ASSERT_TRUE(run.global_outcome.ok()) << blocks::agreement_mode_name(mode);

@@ -979,16 +979,15 @@ TEST(ReliableEquivalence, EnabledOverFaultFreeLinkPinsEveryGoldenDigest) {
 
 TEST(ReliableEquivalence, NoSenderKeyReuseAcrossAgreementModes) {
   // The digest-keyed dedup is sound only while no block — in any round type:
-  // value, bit-stream, or per-bit agreement — re-sends an identical
-  // (peer, topic, payload) as a new logical message. Pin the invariant over
-  // every agreement mode. Dedup stays content-keyed on purpose: a node
+  // value or bit-stream agreement — re-sends an identical (peer, topic,
+  // payload) as a new logical message. Pin the invariant over every
+  // agreement mode. Dedup stays content-keyed on purpose: a node
   // recovering from a torn log re-sends what its peers already hold, under
   // new transmission numbers (docs/RELIABILITY.md).
   net::ReliabilityConfig cfg;
   cfg.enable = true;
   for (const blocks::AgreementMode mode :
-       {blocks::AgreementMode::kValueBatched, blocks::AgreementMode::kBitStream,
-        blocks::AgreementMode::kPerBitMessages}) {
+       {blocks::AgreementMode::kValueBatched, blocks::AgreementMode::kBitStream}) {
     SCOPED_TRACE(blocks::agreement_mode_name(mode));
     core::AuctioneerSpec spec;
     spec.m = 3;

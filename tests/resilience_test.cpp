@@ -29,6 +29,8 @@ struct StrategyCase {
   std::string label;
   std::function<std::shared_ptr<DeviationStrategy>(std::vector<NodeId>)> make;
   bool expect_abort;  ///< detection collapses the run to ⊥
+  /// Gain allowed from fixed-point rounding, in micro-units (see the matrix).
+  std::int64_t rounding_micros = 0;
 };
 
 std::vector<StrategyCase> strategy_library() {
@@ -84,6 +86,55 @@ TEST_P(Resilience, NoStrategyGainsForCoalitionOfK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Resilience, ::testing::Range<std::uint64_t>(1, 9));
+
+// The full deviation × coalition-size matrix at m = 8, n = 24, over ten
+// seeded instances per cell: no strategy gains anything for any coalition
+// of size ≤ k, and every strategy that breaks the protocol is detected in
+// every run. Misreported asks follow the protocol, so they are never
+// detected; McAfee pricing makes them unprofitable instead, up to rounding:
+// the double auction's proportional rationing and per-segment revenues are
+// rounded to micro-units, and where the residue lands depends on the fill
+// order, so an understated ask that moves a provider earlier can gain
+// 1–3 micro-units (misreport-ask-low, 6 of its 30 runs over the three
+// coalition sizes). They get the same 10-micro slack as
+// MisreportedAskDoesNotPay; every other arm must gain exactly nothing.
+class ResilienceMatrix : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ResilienceMatrix, NoStrategyGainsAndEveryViolationIsDetected) {
+  const std::size_t m = 8, n = 24, k = GetParam();
+  const auto auctioneer = double_auctioneer(m, k, n);
+  std::vector<NodeId> coalition;
+  for (NodeId j = 0; j < k; ++j) coalition.push_back(j * 2 + 1);
+
+  std::vector<StrategyCase> strategies = strategy_library();
+  strategies.push_back({"misreport-ask-low",
+                        [](std::vector<NodeId>) { return misreport_ask(Money::from_micros(1)); },
+                        false, 10});
+  strategies.push_back({"misreport-ask-high",
+                        [](std::vector<NodeId>) { return misreport_ask(Money::from_units(10)); },
+                        false, 10});
+  strategies.push_back(
+      {"honest-control", [](std::vector<NodeId>) { return honest_provider(); }, false});
+
+  for (std::uint64_t r = 0; r < 10; ++r) {
+    const auto instance = testutil::make_instance(n, m, 100 * k + r);
+    runtime::SimRunConfig cfg;
+    cfg.seed = 1000 + r;
+    for (const auto& sc : strategies) {
+      const auto report =
+          measure_deviation(auctioneer, instance, cfg, coalition, sc.make(coalition));
+      ASSERT_TRUE(report.honest_ok) << sc.label << " run " << r;
+      EXPECT_LE(report.deviant_utility.micros(),
+                report.honest_utility.micros() + sc.rounding_micros)
+          << sc.label << " run " << r << ": honest=" << report.honest_utility.str()
+          << " deviant=" << report.deviant_utility.str();
+      EXPECT_EQ(report.deviant_ok, !sc.expect_abort) << sc.label << " run " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CoalitionSizes, ResilienceMatrix,
+                         ::testing::Values<std::size_t>(1, 2, 3));
 
 TEST(Resilience, ForgedTaskResultGainsNothingInStandardAuction) {
   // The standard auction ships payment chunks between provider groups; a

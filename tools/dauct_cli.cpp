@@ -39,7 +39,7 @@ struct Options {
   std::string auction = "double";   // double | standard
   std::string runtime = "sim";      // sim | thread | tcp
   std::string latency = "community";  // zero | lan | community
-  std::string mode = "value";       // value | bits | perbit
+  std::string mode = "value";       // value | bits
   std::size_t users = 20;
   std::size_t providers = 5;
   std::size_t k = 1;
@@ -83,10 +83,10 @@ protocol:
   --k K                       coalition resilience bound (default 1)
   --epsilon E                 (1-eps) welfare approximation, 0 < E < 1
                               (standard auction)
-  --mode value|bits|perbit    bid agreement (default value: a vote on the
+  --mode value|bits           bid agreement (default value: a vote on the
                               bid vector's digest, the full vector only when
-                              the digests differ; bits: per-bit decisions;
-                              perbit: one message flow per bit, ablation)
+                              the digests differ; bits: the paper's per-bit
+                              decisions, one batched vote and echo)
   --centralized               run the trusted-auctioneer baseline instead
 
 execution:
@@ -570,8 +570,6 @@ int main(int argc, char** argv) {
   spec.num_bidders = instance.bids.size();
   if (opt.mode == "bits") {
     spec.agreement_mode = blocks::AgreementMode::kBitStream;
-  } else if (opt.mode == "perbit") {
-    spec.agreement_mode = blocks::AgreementMode::kPerBitMessages;
   } else if (opt.mode != "value") {
     return fail("unknown --mode '" + opt.mode + "'");
   }
