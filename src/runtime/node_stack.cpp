@@ -177,11 +177,12 @@ void NodeStack::journal_bids_agreed(const std::vector<auction::Bid>& bids) {
                    crypto::sha256(BytesView(enc)));
 }
 
-void NodeStack::journal_outcome(bool ok, BytesView report) {
+void NodeStack::journal_outcome(bool ok, const crypto::Digest& report_digest) {
   if (!wal_ || replaying_) return;
-  // The digest covers the exact report the client receives — the pin the
-  // kill-restart equivalence checks compare.
-  journal_decision(store::DecisionKind::kOutcome, ok, crypto::sha256(report));
+  // The digest covers the full report, whether this provider sent the
+  // client that report or only this digest of it: the pin the kill-restart
+  // equivalence checks compare, the same on every provider.
+  journal_decision(store::DecisionKind::kOutcome, ok, report_digest);
 }
 
 net::ReliabilityStats NodeStack::reliability_stats() const {

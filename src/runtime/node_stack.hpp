@@ -20,6 +20,7 @@
 
 #include "adversary/auth_adversary.hpp"
 #include "auction/types.hpp"
+#include "crypto/sha256.hpp"
 #include "net/auth.hpp"
 #include "net/reliable.hpp"
 #include "store/wal.hpp"
@@ -98,8 +99,9 @@ class NodeStack {
   // Decision records: no-ops without a log, and while replaying.
   void journal_started(const SharedBytes& bids_payload);
   void journal_bids_agreed(const std::vector<auction::Bid>& bids);
-  /// `report` is the exact result report the client receives.
-  void journal_outcome(bool ok, BytesView report);
+  /// `report_digest` is the sha256 of the full result report (every
+  /// provider computes it, whichever frame it sends the client).
+  void journal_outcome(bool ok, const crypto::Digest& report_digest);
 
   /// Message records in the log, replayed ones included.
   std::uint64_t delivered() const { return delivered_; }

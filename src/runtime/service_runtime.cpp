@@ -164,8 +164,7 @@ ServiceRunResult ServiceRuntime::run(
     std::shared_ptr<net::ScopedTopicRegistry> topics;  ///< null = identity
     net::Topic scoped_result;
     std::vector<InstanceNode> nodes;
-    std::vector<bool> result_seen;
-    std::size_t results_at_client = 0;
+    detail::ResultReports reports{0, 0};  ///< the client's check
   };
   std::vector<std::unique_ptr<Instance>> insts(N);
   // Tenant of each namespace prefix. Overwritten as generations cycle; a
@@ -252,10 +251,13 @@ ServiceRunResult ServiceRuntime::run(
     if (engine.done() && !nd.reported) {
       nd.reported = true;
       const auto& out = *engine.outcome();
-      Bytes payload = detail::encode_report(out);
-      stacks[j].journal_outcome(out.ok(), BytesView(payload));
-      scheduler.send(
-          net::Message{j, client, inst.scoped_result, std::move(payload)});
+      Bytes report = detail::encode_report(out);
+      const crypto::Digest digest = crypto::sha256(BytesView(report));
+      stacks[j].journal_outcome(out.ok(), digest);
+      scheduler.send(net::Message{
+          j, client, inst.scoped_result,
+          detail::result_frame(std::move(report), digest,
+                               j == detail::designated_reporter(t, m))});
     }
   };
 
@@ -452,7 +454,7 @@ ServiceRunResult ServiceRuntime::run(
     } else {
       inst.scoped_result = result_topic;
     }
-    inst.result_seen.assign(m, false);
+    inst.reports = detail::ResultReports(m, detail::designated_reporter(t, m));
     inst.res.bid_agreement_done_at.assign(m, 0);
     inst.res.provider_done_at.assign(m, 0);
     inst.nodes.resize(m);
@@ -569,23 +571,26 @@ ServiceRunResult ServiceRuntime::run(
   }
 
   // The client settles instances and drives the pipeline: the m-th result
-  // report of instance t frees its slot, and instance t + depth launches in
-  // the same handler (its bids depart as the handler's outbox flushes).
+  // frame of instance t (one full report, m − 1 digests of it) frees its
+  // slot, and instance t + depth launches in the same handler (its bids
+  // depart as the handler's outbox flushes).
   sim::SimTime last_settle_at = 0;
   scheduler.set_deliver(client, [&](const net::Message& msg) {
     const auto d = demux(msg.topic);
-    if (!d || d->second != result_topic || msg.from >= m) return;
+    if (!d || d->second != result_topic) return;
     const core::InstanceId t = d->first;
     if (!insts[t]) return;
     Instance& inst = *insts[t];
-    // One result per provider (duplicate-safe).
-    if (inst.res.settled || inst.result_seen[msg.from]) return;
-    inst.result_seen[msg.from] = true;
-    if (++inst.results_at_client < m) return;
-    // Settlement — ⊥ reports settle too: a poisoned instance retires and
-    // the pipeline stays live for the rest.
+    if (inst.res.settled || !inst.reports.accept(msg.from, msg.payload.view()) ||
+        !inst.reports.complete()) {
+      return;
+    }
+    // Settlement — ⊥ and divergent reports settle too: a poisoned instance
+    // retires and the pipeline stays live for the rest.
     inst.res.settled = true;
     inst.res.settled_at = scheduler.now();
+    inst.res.client_verdict = inst.reports.verdict();
+    inst.res.client_digest = crypto::digest_hex(inst.reports.report_digest());
     last_settle_at = scheduler.now();
     if (!identity) {
       for (NodeId j = 0; j < m; ++j) to_release[j].push_back(t);

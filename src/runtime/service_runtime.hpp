@@ -71,7 +71,12 @@ struct InstanceRunResult {
   std::vector<auction::AuctionOutcome> provider_outcomes;
   auction::AuctionOutcome outcome{Bottom{}};  ///< combine_outcomes of the above
   bool launched = false;   ///< false: its pipeline slot never freed up
-  bool settled = false;    ///< all m result reports reached the client
+  bool settled = false;    ///< all m result frames reached the client
+  /// The client's check of those frames (runtime/submission_codec.hpp).
+  /// Not folded into `outcome`: providers that end in ⊥ often name
+  /// different reasons, so a ⊥ run may well read kDivergent here.
+  ReportVerdict client_verdict = ReportVerdict::kIncomplete;
+  std::string client_digest;  ///< sha256 hex of the full report; "" if never settled
   sim::SimTime launched_at = 0;
   sim::SimTime settled_at = 0;
   /// Phase breakdown: virtual time at which each provider finished this

@@ -35,6 +35,8 @@ SimRunResult SimRuntime::run_distributed(const core::DistributedAuctioneer& auct
   result.bid_agreement_done_at = std::move(inst.bid_agreement_done_at);
   result.provider_done_at = std::move(inst.provider_done_at);
   result.shared_seed = inst.shared_seed;
+  result.client_verdict = inst.client_verdict;
+  result.client_digest = std::move(inst.client_digest);
   static_cast<RunStats&>(result) = std::move(run);
   return result;
 }

@@ -32,6 +32,7 @@
 #include "core/distributed_auctioneer.hpp"
 #include "net/auth.hpp"
 #include "net/reliable.hpp"
+#include "runtime/submission_codec.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
 #include "store/wal.hpp"
@@ -134,6 +135,10 @@ struct SimRunResult : RunStats {
   /// (run_distributed; 0 when the run ended in ⊥). Replaying
   /// AuctionAdapter::run_centralized with it must give the same result.
   std::uint64_t shared_seed = 0;
+  /// Distributed runs: the client's check of the result frames
+  /// (InstanceRunResult::client_verdict / client_digest).
+  ReportVerdict client_verdict = ReportVerdict::kIncomplete;
+  std::string client_digest;
 
   /// Phase breakdown (distributed runs): virtual time at which each provider
   /// finished bid agreement / produced its final output. Zero if never.

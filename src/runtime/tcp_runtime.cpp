@@ -7,7 +7,6 @@
 #include "crypto/sha256.hpp"
 #include "runtime/node_stack.hpp"
 #include "runtime/submission_codec.hpp"
-#include "serde/codec.hpp"
 
 namespace dauct::runtime {
 
@@ -135,10 +134,14 @@ void TcpProvider::note_progress() {
   if (engine_->done() && !reported_) {
     reported_ = true;
     const auto& out = *engine_->outcome();
-    Bytes payload = detail::encode_report(out);
-    stack_.journal_outcome(out.ok(), BytesView(payload));
-    tcp_->send(net::Message{node_, static_cast<NodeId>(auctioneer_.spec().m),
-                            result_topic_, SharedBytes(std::move(payload))});
+    Bytes report = detail::encode_report(out);
+    const crypto::Digest digest = crypto::sha256(BytesView(report));
+    stack_.journal_outcome(out.ok(), digest);
+    tcp_->send(net::Message{
+        node_, static_cast<NodeId>(auctioneer_.spec().m), result_topic_,
+        SharedBytes(detail::result_frame(
+            std::move(report), digest,
+            node_ == detail::designated_reporter(0, auctioneer_.spec().m)))});
   }
 }
 
@@ -225,6 +228,7 @@ TcpRunResult TcpRuntime::run_distributed(const core::DistributedAuctioneer& auct
 
   result.timed_out = client.timed_out;
   result.wall_time = client.wall_time;
+  result.result_digest = client.result_digest;
   for (const auto& run : runs) result.provider_outcomes.push_back(run.outcome);
   result.global_outcome =
       core::combine_outcomes(std::span(result.provider_outcomes));
@@ -275,39 +279,29 @@ TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
     return result;
   }
 
-  // Await one report per provider; all must agree byte-for-byte.
-  std::vector<bool> seen(m, false);
-  std::size_t reports = 0;
-  std::string digest;
-  bool all_ok = true;
-  while (reports < m) {
+  // Await one frame per provider: provider 0's full report and the other
+  // providers' digests of it.
+  detail::ResultReports reports(m, detail::designated_reporter(0, m));
+  while (!reports.complete()) {
     auto msg = tcp.inbox().pop_for(ms_until(deadline));
     if (!msg) {
       result.timed_out = true;
       result.error = "awaited " + std::to_string(m) + " reports, got " +
-                     std::to_string(reports);
+                     std::to_string(reports.received());
       break;
     }
-    if (msg->topic != result_topic) continue;
-    if (msg->from >= m || seen[msg->from]) continue;  // duplicate-safe
-    seen[msg->from] = true;
-    ++reports;
-    serde::Reader r(msg->payload.view());
-    if (!r.boolean()) all_ok = false;
-    const std::string d =
-        crypto::digest_hex(crypto::sha256(msg->payload.view()));
-    if (digest.empty()) {
-      digest = d;
-    } else if (d != digest) {
-      all_ok = false;
-      result.error = "divergent result reports";
-    }
+    if (msg->topic == result_topic) reports.accept(msg->from, msg->payload.view());
   }
   result.wall_time = std::chrono::steady_clock::now() - (deadline - config.timeout);
-  if (reports == m) {
-    result.ok = all_ok;
-    result.result_digest = digest;
-    if (!all_ok && result.error.empty()) result.error = "a provider reported ⊥";
+  if (reports.complete()) {
+    const ReportVerdict verdict = reports.verdict();
+    result.ok = verdict == ReportVerdict::kAgreed;
+    result.result_digest = crypto::digest_hex(reports.report_digest());
+    if (verdict == ReportVerdict::kDivergent) {
+      result.error = "divergent result reports";
+    } else if (verdict == ReportVerdict::kBottom) {
+      result.error = "a provider reported ⊥";
+    }
   }
 
   // The run is over either way: release every provider, each over a fresh

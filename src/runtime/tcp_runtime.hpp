@@ -44,6 +44,7 @@ struct TcpRunResult {
   std::chrono::nanoseconds wall_time{0};
   bool timed_out = false;
   std::uint16_t base_port = 0;  ///< ports actually used
+  std::string result_digest;    ///< the client's TcpClientResult::result_digest
 };
 
 class TcpRuntime {
@@ -78,16 +79,17 @@ TcpProviderResult run_tcp_provider(const core::DistributedAuctioneer& auctioneer
                                    NodeId node, const TcpNodeConfig& config);
 
 struct TcpClientResult {
-  bool ok = false;          ///< all m providers reported the same ok result
+  bool ok = false;  ///< every digest matched provider 0's ok full report
   bool timed_out = false;
-  std::string result_digest;  ///< sha256 hex of the agreed result report
+  std::string result_digest;  ///< sha256 hex of provider 0's full result report
   std::string error;          ///< divergent / ⊥ reports
   std::chrono::nanoseconds wall_time{0};  ///< first submission to last report
 };
 
 /// Run the client in this process: submit the bid batch to every provider,
-/// await all m result reports, check they agree, then send every provider
-/// the shutdown over a fresh connection.
+/// await all m result frames (provider 0's full report, the others' digests
+/// of it), check they agree, then send every provider the shutdown over a
+/// fresh connection.
 TcpClientResult run_tcp_client(const auction::AuctionInstance& instance,
                                std::size_t providers,
                                const TcpNodeConfig& config);

@@ -151,6 +151,97 @@ TEST(SubmissionCodec, RoundTripKeepsAbsentBids) {
   EXPECT_FALSE(detail::decode_submissions(BytesView(trailing)));
 }
 
+/// One instance's result frames as honest providers send them: the full
+/// report from `reporter`, its sha256 from everyone else.
+std::vector<Bytes> result_frames(const Bytes& report, NodeId reporter,
+                                 std::size_t m) {
+  const crypto::Digest d = crypto::sha256(BytesView(report));
+  std::vector<Bytes> frames;
+  for (NodeId j = 0; j < m; ++j) {
+    frames.push_back(detail::result_frame(report, d, j == reporter));
+  }
+  return frames;
+}
+
+Bytes ok_report() {
+  return detail::encode_report(auction::AuctionOutcome(
+      auction::run_double_auction(testutil::make_instance(8, 4, 3))));
+}
+
+/// Feed every frame in provider order; the verdict after the last one.
+ReportVerdict check(const std::vector<Bytes>& frames, NodeId reporter) {
+  detail::ResultReports reports(frames.size(), reporter);
+  for (NodeId j = 0; j < frames.size(); ++j) {
+    EXPECT_EQ(reports.verdict(), ReportVerdict::kIncomplete);
+    EXPECT_TRUE(reports.accept(j, BytesView(frames[j])));
+  }
+  EXPECT_TRUE(reports.complete());
+  return reports.verdict();
+}
+
+TEST(ResultReports, AllAgreeIsAgreedWithTheFullReportsDigest) {
+  const Bytes report = ok_report();
+  const auto frames = result_frames(report, 2, 4);
+  EXPECT_EQ(frames[2], report);
+  EXPECT_EQ(frames[0].size(), 32u);
+  detail::ResultReports reports(4, 2);
+  for (NodeId j = 0; j < 4; ++j) reports.accept(j, BytesView(frames[j]));
+  EXPECT_EQ(reports.verdict(), ReportVerdict::kAgreed);
+  EXPECT_EQ(reports.report_digest(), crypto::sha256(BytesView(report)));
+  EXPECT_EQ(detail::designated_reporter(6, 4), 2u);
+}
+
+TEST(ResultReports, OneDifferingDigestIsDivergent) {
+  const Bytes report = ok_report();
+  auto frames = result_frames(report, 0, 4);
+  frames[3][5] ^= 1;
+  EXPECT_EQ(check(frames, 0), ReportVerdict::kDivergent);
+  // A digest frame of the wrong length cannot agree either.
+  frames = result_frames(report, 0, 4);
+  frames[1].push_back(0);
+  EXPECT_EQ(check(frames, 0), ReportVerdict::kDivergent);
+}
+
+TEST(ResultReports, TamperedFullReportIsDivergent) {
+  const Bytes report = ok_report();
+  auto frames = result_frames(report, 1, 4);
+  frames[1].back() ^= 1;  // still starts with the ok flag
+  EXPECT_EQ(check(frames, 1), ReportVerdict::kDivergent);
+}
+
+TEST(ResultReports, DesignatedBottomReportIsBottom) {
+  const Bytes report = detail::encode_report(
+      auction::AuctionOutcome(Bottom{AbortReason::kTimeout, "stalled"}));
+  EXPECT_EQ(check(result_frames(report, 3, 4), 3), ReportVerdict::kBottom);
+}
+
+TEST(ResultReports, DuplicateFrameIsDropped) {
+  const Bytes report = ok_report();
+  const auto frames = result_frames(report, 0, 3);
+  detail::ResultReports reports(3, 0);
+  EXPECT_TRUE(reports.accept(0, BytesView(frames[0])));
+  EXPECT_TRUE(reports.accept(1, BytesView(frames[1])));
+  // A second frame from provider 1, even a bad one, neither counts nor
+  // replaces the first.
+  const Bytes junk(32, 0);
+  EXPECT_FALSE(reports.accept(1, BytesView(junk)));
+  EXPECT_EQ(reports.received(), 2u);
+  EXPECT_FALSE(reports.complete());
+  EXPECT_TRUE(reports.accept(2, BytesView(frames[2])));
+  EXPECT_EQ(reports.verdict(), ReportVerdict::kAgreed);
+}
+
+TEST(ResultReports, NonProviderFrameIsDropped) {
+  const Bytes report = ok_report();
+  const auto frames = result_frames(report, 0, 3);
+  detail::ResultReports reports(3, 0);
+  EXPECT_FALSE(reports.accept(3, BytesView(frames[1])));  // the client's id
+  EXPECT_FALSE(reports.accept(kNoNode, BytesView(frames[1])));
+  EXPECT_EQ(reports.received(), 0u);
+  for (NodeId j = 0; j < 3; ++j) reports.accept(j, BytesView(frames[j]));
+  EXPECT_EQ(reports.verdict(), ReportVerdict::kAgreed);
+}
+
 TEST(ThreadRuntime, OutOfLimitsBidBecomesNeutral) {
   // The thread runtime speaks the sim's client codec: a bid outside
   // spec().limits reaches the engines as the neutral bid, not as submitted.
@@ -180,6 +271,11 @@ TEST(TcpRuntime, FullProtocolOverRealSockets) {
   ASSERT_TRUE(run.global_outcome.ok())
       << abort_reason_name(run.global_outcome.bottom().reason);
   EXPECT_EQ(run.global_outcome.value(), auction::run_double_auction(instance));
+  // The client checked provider 0's full report against the others' digests
+  // and names the report every provider computed.
+  const Bytes report = detail::encode_report(run.global_outcome);
+  EXPECT_EQ(run.result_digest,
+            crypto::digest_hex(crypto::sha256(BytesView(report))));
 }
 
 TEST(TcpNode, DirectSendReceive) {

@@ -22,6 +22,7 @@
 #include "core/adapters.hpp"
 #include "crypto/sha256.hpp"
 #include "runtime/scenario.hpp"
+#include "runtime/submission_codec.hpp"
 #include "serde/auction_codec.hpp"
 #include "serde/ini.hpp"
 #include "test_util.hpp"
@@ -852,7 +853,9 @@ TEST(ScenarioLibrary, EveryShippedScenarioParsesRunsAndSelfChecks) {
 /// move a result byte, a virtual instant, a frame, an event, a WAL record, a
 /// retransmit, a signature, or a verification. The result digests are the
 /// originals; the other fields were re-pinned when bid agreement moved to
-/// 32-byte digest votes.
+/// 32-byte digest votes, and makespan, bytes and events again when all but
+/// one provider began reporting the result as its digest (service_amnesia's
+/// crash window moved then, so its every field moved).
 struct ScenarioFingerprint {
   const char* file;
   const char* result_sha256;  ///< "" when the run ends in ⊥
@@ -866,76 +869,79 @@ struct ScenarioFingerprint {
 constexpr ScenarioFingerprint kScenarioFingerprints[] = {
     {"amnesia_beyond_k.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     54013713, 488, 30208, 670, 220, 16195, 13, 0, 0},
+     54013713, 488, 28856, 670, 220, 16195, 13, 0, 0},
     {"auth_forged_frame.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24479969, 220, 33365, 220, 0, 0, 0, 35, 175},
+     24457507, 220, 32013, 220, 0, 0, 0, 35, 175},
     {"auth_replayed_round.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24788376, 215, 32720, 215, 0, 0, 0, 35, 175},
+     24484156, 215, 31368, 215, 0, 0, 0, 35, 175},
     {"auth_stolen_key.scn",
      "",
-     12444904, 110, 16000, 110, 0, 0, 0, 24, 100},
+     12479412, 110, 16120, 110, 0, 0, 0, 24, 100},
     {"beyond_k.scn",
      "",
      12282232, 90, 9005, 90, 0, 0, 0, 0, 0},
     {"bidder_adversary_replay.scn",
      "5753a88188e069bb29854472fa7c5841baa7c31a497fdf712763511dc9ff75d8",
-     23004398, 72, 6111, 72, 0, 0, 0, 0, 0},
+     22832446, 72, 5823, 72, 0, 0, 0, 0, 0},
     {"bidder_equivocation.scn",
      "5fbfe89039cb5a2feff762a6b103c01048f3dea16d330e74e92bae9d7edfebed",
-     31591171, 235, 31240, 235, 0, 0, 0, 0, 0},
+     31243990, 235, 29888, 235, 0, 0, 0, 0, 0},
     {"byzantine_echo.scn",
      "",
-     12099628, 110, 9500, 110, 0, 0, 0, 0, 0},
+     12132213, 110, 9620, 110, 0, 0, 0, 0, 0},
     {"clean.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
+     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
     {"dup_storm.scn",
      "c177b1d45156bce029fded7ef8f1904755669db505152eca59301afc4d822fe7",
-     24954473, 355, 22415, 536, 0, 0, 0, 0, 0},
+     24563602, 355, 21063, 536, 0, 0, 0, 0, 0},
     {"dup_storm_legacy.scn",
      "",
-     11258527, 95, 7560, 110, 0, 0, 0, 0, 0},
+     11258527, 95, 7680, 110, 0, 0, 0, 0, 0},
     {"flaky_provider.scn",
      "368b37bd280db1853216186dc97d795433405f7bbfb83eb6839ef50ee403cdf1",
-     37856296, 363, 24651, 514, 0, 0, 17, 0, 0},
+     37513885, 363, 22851, 514, 0, 0, 17, 0, 0},
     {"k_crash.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
+     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
     {"kill_restart.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     32679366, 389, 24697, 531, 220, 16195, 7, 0, 0},
+     32298274, 389, 23345, 531, 220, 16195, 7, 0, 0},
     {"lossy_extreme.scn",
      "",
-     38418647, 544, 34848, 631, 0, 0, 159, 0, 0},
+     38418647, 544, 34968, 631, 0, 0, 159, 0, 0},
     {"lossy_lan.scn",
      "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f",
-     3842320, 1152, 99117, 1413, 0, 0, 26, 0, 0},
+     3842320, 1152, 87197, 1413, 0, 0, 26, 0, 0},
     {"multi_instance_clean.scn",
      "721ae4a1bdd4802872cb7b9c168dd6c77a49fa1ec9b5eda0e5b14107f8145b1c",
-     49147660, 273, 26073, 273, 0, 0, 0, 0, 0},
+     49147660, 273, 23793, 273, 0, 0, 0, 0, 0},
     {"multi_instance_faulty.scn",
      "",
-     105402570, 470, 31194, 658, 0, 0, 23, 0, 0},
+     104728116, 470, 29520, 654, 0, 0, 23, 0, 0},
     {"partition_heal.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24865626, 185, 16995, 185, 0, 0, 0, 0, 0},
+     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
     {"partition_stall.scn",
      "",
      6515915, 35, 2840, 21, 0, 0, 0, 0, 0},
     {"service_amnesia.scn",
      "bc0a75069e83d4f56198fe00b229ca484c2ae5259857c41d2653561c32ab357f",
-     52776846, 1629, 105410, 2044, 865, 67460, 3, 0, 0},
+     52017967, 1633, 100628, 2047, 865, 67460, 5, 0, 0},
+    {"service_amnesia_bid_lost.scn",
+     "",
+     232407790, 1379, 75521, 1883, 540, 40812, 0, 0, 0},
     {"slow_wan.scn",
      "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
-     73645470, 185, 17895, 185, 0, 0, 0, 0, 0},
+     73278449, 185, 16159, 185, 0, 0, 0, 0, 0},
     {"split_digest_vote.scn",
      "9fef6918d1e0e0ac0e57c0c030e8f187b88ab7531243f59fbd4ab0d1cc0997f8",
-     31352436, 235, 31400, 235, 0, 0, 0, 0, 0},
+     30937242, 235, 29920, 235, 0, 0, 0, 0, 0},
     {"wal_torn_tail.scn",
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     35439665, 401, 25665, 549, 223, 16343, 7, 0, 0},
+     35068992, 401, 24313, 549, 223, 16343, 7, 0, 0},
 };
 
 TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {
@@ -987,6 +993,40 @@ TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {
   }
   EXPECT_EQ(pinned, std::size(kScenarioFingerprints))
       << "a pinned scenario file is missing from the library";
+}
+
+// The client's check of the result frames (the designated provider's full
+// report, every other provider's digest of it) reads ok exactly when the
+// providers' outcomes combine to ok: on every golden run and on every
+// instance of every shipped scenario, ⊥ and stalled runs included.
+TEST(ScenarioLibrary, ClientVerdictOkMatchesTheCombinedOutcomeOk) {
+  const auto agreed = [](runtime::ReportVerdict v) {
+    return v == runtime::ReportVerdict::kAgreed;
+  };
+  for (const testutil::GoldenRun& g : testutil::kGoldenRuns) {
+    SCOPED_TRACE("golden n=" + std::to_string(g.n) + " seed=" + std::to_string(g.seed));
+    const auto run = run_golden(g, std::nullopt);
+    ASSERT_TRUE(run.global_outcome.ok());
+    EXPECT_TRUE(agreed(run.client_verdict));
+    const Bytes report = runtime::detail::encode_report(run.global_outcome);
+    EXPECT_EQ(run.client_digest, crypto::digest_hex(crypto::sha256(BytesView(report))));
+  }
+  for (const auto& path : scenario_files()) {
+    SCOPED_TRACE(path.filename().string());
+    const auto text = testutil::slurp_file(path);
+    ASSERT_TRUE(text.has_value());
+    const auto parsed = runtime::parse_scenario(*text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const auto out = runtime::run_scenario(*parsed.scenario);
+    if (!out.service) {
+      EXPECT_EQ(agreed(out.run.client_verdict), out.run.global_outcome.ok());
+      continue;
+    }
+    for (const runtime::InstanceRunResult& inst : out.service->instances) {
+      SCOPED_TRACE("instance " + std::to_string(inst.id));
+      EXPECT_EQ(agreed(inst.client_verdict), inst.outcome.ok());
+    }
+  }
 }
 
 TEST(ScenarioLibrary, CleanScenarioReproducesTheGoldenFingerprint) {

@@ -118,7 +118,8 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   // with itself; both are pinned to literals recorded when the single-auction
   // runtime was a separate implementation (makespan, bytes and WAL bytes
   // re-pinned when bid agreement moved to 32-byte digest votes; makespan,
-  // bytes and events when link acks moved to transmission numbers).
+  // bytes and events when link acks moved to transmission numbers; makespan
+  // and bytes when all but one provider began reporting a 32-byte digest).
   const auto auctioneer = make_auctioneer(12, 3, 1);
   const auto workload = testutil::make_instance(12, 3, 99);
 
@@ -142,9 +143,9 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   ASSERT_TRUE(direct.global_outcome.ok());
   const runtime::RunStats* runs[] = {&service, &direct};
   for (const runtime::RunStats* r : runs) {
-    EXPECT_EQ(r->makespan, 24140569);
+    EXPECT_EQ(r->makespan, 23844386);
     EXPECT_EQ(r->traffic.messages, 117u);
-    EXPECT_EQ(r->traffic.bytes, 11787u);
+    EXPECT_EQ(r->traffic.bytes, 11209u);
     EXPECT_EQ(r->events_dispatched, 172u);
     EXPECT_EQ(r->wal_stats.records_appended, 84u);
     EXPECT_EQ(r->wal_stats.bytes_appended, 10464u);
@@ -363,8 +364,9 @@ TEST(ServiceIsolation, ShippedIsolationScenarioHoldsItsExpectations) {
 
 TEST(ServiceDurability, AmnesiaCrashReplaysEveryCoTenantInstanceFromOneWal) {
   // scenarios/service_amnesia.scn: provider 2 loses its memory after
-  // instance 0 settled and while instances 1-3 are still live on it. The
-  // rebuild replays all four from the node's one log.
+  // instances 0 and 1 settled and while instances 2 and 3, launched, still
+  // await their bids on it. The rebuild replays them from the node's one
+  // log.
   const auto text = testutil::slurp_file(
       std::filesystem::path(DAUCT_SCENARIO_DIR) / "service_amnesia.scn");
   ASSERT_TRUE(text.has_value());

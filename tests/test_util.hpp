@@ -91,23 +91,24 @@ struct GoldenRun {
 // spine must reproduce them) and by scenario_test.cpp (a run with a zero-rate
 // fault plan installed must too — the fault hooks may not perturb anything).
 // The digests and message counts are the originals; makespan and bytes were
-// re-pinned when bid agreement moved to 32-byte digest votes.
+// re-pinned when bid agreement moved to 32-byte digest votes, and again when
+// all but one provider began reporting the result as its 32-byte digest.
 inline constexpr GoldenRun kGoldenRuns[] = {
     {12, 3, 1, 99, true,
      "c63eaeb3c70dd96aac6ac3f9b808bcb870435de1fd74bc236cb5bd69877e2dc2",
-     23469184, 69, 5727},
+     23351923, 69, 5471},
     {12, 5, 2, 7, false,
      "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24865626, 185, 16995},
+     24488621, 185, 15643},
     {24, 4, 1, 11, false,
      "9657860815b5dab899fc31b8173b100706284ac018d0e92927d3dc4ba55c2ca5",
-     24953415, 120, 12780},
+     24308138, 120, 11118},
     {48, 7, 3, 5, true,
      "fd60e91fbad69e57c8b0bae2f164d57b4a7fbfc9fce1902ae7be9a7182b60798",
-     26381906, 357, 41853},
+     25977660, 357, 38097},
     {16, 3, 1, 123, false,
      "02a7a7c57c0a090f897ec945a86a6db95ddf4b4019cbc5018f4257bf2eeb524a",
-     23749857, 69, 6657},
+     23337103, 69, 5949},
 };
 
 /// The auctioneer a golden run pins (epsilon 0.25 for standard-auction
