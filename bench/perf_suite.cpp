@@ -233,11 +233,7 @@ Bytes ref_encode_bid_vector(const std::vector<auction::Bid>& bids) {
 Bytes ref_encode_ask_vector(const std::vector<auction::Ask>& asks) {
   serde::Writer w;
   w.varint(asks.size());
-  for (const auto& a : asks) {
-    w.u32(a.provider);
-    w.money(a.unit_cost);
-    w.money(a.capacity);
-  }
+  for (const auto& a : asks) serde::write_ask(w, a);
   return w.take();
 }
 
@@ -336,7 +332,8 @@ class FanoutEndpoint final : public blocks::Endpoint {
 };
 
 Bytes make_vote_payload() {
-  // A realistic value-batched vote: the encoded 100-bid instance (~3 KB).
+  // A realistic full-vector vote payload: the encoded 100-bid instance
+  // (~0.8 KB).
   return serde::encode_instance(make_instance(100, 8, 21));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serde/auction_codec.hpp"
 #include "serde/codec.hpp"
 
 namespace dauct::adversary {
@@ -136,16 +137,12 @@ class MisreportAsk final : public DeviationStrategy {
   std::optional<SharedBytes> on_send(NodeId self, NodeId, const std::string& topic,
                                const SharedBytes& payload) override {
     if (topic != "ask/x") return payload;
-    // Payload layout: u32 provider + i64 unit_cost + i64 capacity.
     serde::Reader r{payload.view()};
-    const std::uint32_t provider = r.u32();
-    r.money();  // true cost, discarded
-    const dauct::Money capacity = r.money();
-    if (!r.at_end() || provider != self) return payload;
+    auto ask = serde::read_ask(r);
+    if (!ask || !r.at_end() || ask->provider != self) return payload;
+    ask->unit_cost = fake_cost_;
     serde::Writer w;
-    w.u32(provider);
-    w.money(fake_cost_);
-    w.money(capacity);
+    serde::write_ask(w, *ask);
     return w.take();
   }
 

@@ -38,9 +38,7 @@ ProviderEngine::ProviderEngine(blocks::Endpoint& endpoint, const EngineConfig& c
 void ProviderEngine::start(const std::vector<auction::Bid>& my_bids) {
   // Ask exchange and bid agreement run concurrently from the start.
   serde::Writer w;
-  w.u32(my_ask_.provider);
-  w.money(my_ask_.unit_cost);
-  w.money(my_ask_.capacity);
+  serde::write_ask(w, my_ask_);
   endpoint_.broadcast(ask_topic_, w.take());
   asks_.arm(endpoint_, ask_topic_);
   bid_agreement_.start(my_bids);
@@ -101,11 +99,9 @@ void ProviderEngine::on_message(const net::Message& msg) {
 
   if (msg.topic == ask_topic_) {
     serde::Reader r(BytesView(msg.payload));
-    auction::Ask ask;
-    ask.provider = r.u32();
-    ask.unit_cost = r.money();
-    ask.capacity = r.money();
-    if (!r.at_end() || ask.provider != msg.from || ask.capacity.is_negative()) {
+    const auto ask = serde::read_ask(r);
+    if (!ask || !r.at_end() || ask->provider != msg.from ||
+        ask->capacity.is_negative()) {
       local_abort(Bottom{AbortReason::kProtocolViolation,
                          "malformed ask from provider " + std::to_string(msg.from)});
       return;
@@ -118,11 +114,7 @@ void ProviderEngine::on_message(const net::Message& msg) {
       ask_vector_.clear();
       for (NodeId j = 0; j < config_.m; ++j) {
         serde::Reader rr(BytesView(asks_.payloads()[j]));
-        auction::Ask a;
-        a.provider = rr.u32();
-        a.unit_cost = rr.money();
-        a.capacity = rr.money();
-        ask_vector_.push_back(a);
+        ask_vector_.push_back(*serde::read_ask(rr));
       }
       maybe_start_allocator();
     }

@@ -5,6 +5,10 @@
 // outcome decision digests the report), so the runtimes must speak exactly
 // the same dialect — hence one header.
 //
+// Sizes: bids and results use the varint codec (serde/codec.hpp), so at the
+// Fig. 4 shape (n = 512, m = 8) a provider's client/bids frame is ~4.7 KB
+// (~9 bytes per bid) and the full report ~4.2 KB.
+//
 // Digest replies: every provider encodes its full report, but only the
 // instance's designated reporter (provider t mod m) sends it on
 // client/result; the other m − 1 send its 32-byte SHA-256. The client

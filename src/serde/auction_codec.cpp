@@ -14,33 +14,33 @@ namespace {
 // make an honest provider allocate unbounded memory.
 constexpr std::uint64_t kMaxElements = 1u << 22;
 
-// Fixed per-element wire sizes (u32 = 4, money = 8). Encoders use these to
-// reserve exact buffer sizes and to write nested length-prefixed sections in
-// place instead of encoding into a temporary and copying it over.
-constexpr std::size_t kBidWireBytes = 4 + 8 + 8;
-constexpr std::size_t kAskWireBytes = 4 + 8 + 8;
-constexpr std::size_t kAllocEntryWireBytes = 4 + 4 + 8;
+void write_allocation(Writer& w, const Allocation& x) {
+  w.varint(x.entries().size());
+  for (const AllocationEntry& e : x.entries()) {
+    w.id(e.bidder);
+    w.id(e.provider);
+    w.money(e.amount);
+  }
+}
 
-std::size_t bid_vector_wire_len(std::size_t n) {
-  return varint_len(n) + n * kBidWireBytes;
+void write_payments(Writer& w, const Payments& p) {
+  w.varint(p.user_payments.size());
+  for (Money m : p.user_payments) w.money(m);
+  w.varint(p.provider_revenues.size());
+  for (Money m : p.provider_revenues) w.money(m);
 }
-std::size_t ask_vector_wire_len(std::size_t n) {
-  return varint_len(n) + n * kAskWireBytes;
-}
-std::size_t allocation_wire_len(std::size_t entries) {
-  return varint_len(entries) + entries * kAllocEntryWireBytes;
-}
-std::size_t payments_wire_len(const Payments& p) {
-  return varint_len(p.user_payments.size()) + 8 * p.user_payments.size() +
-         varint_len(p.provider_revenues.size()) + 8 * p.provider_revenues.size();
+
+void write_ask_vector(Writer& w, const std::vector<Ask>& asks) {
+  w.varint(asks.size());
+  for (const auto& a : asks) write_ask(w, a);
 }
 }  // namespace
 
 Bytes encode_bid_fixed(const Bid& bid) {
   Writer w(kBidEncodingBytes);
   w.u32(bid.bidder);
-  w.money(bid.unit_value);
-  w.money(bid.demand);
+  w.i64(bid.unit_value.micros());
+  w.i64(bid.demand.micros());
   return w.take();
 }
 
@@ -49,25 +49,40 @@ std::optional<Bid> decode_bid_fixed(BytesView data) {
   Reader r(data);
   Bid b;
   b.bidder = r.u32();
-  b.unit_value = r.money();
-  b.demand = r.money();
+  b.unit_value = Money::from_micros(r.i64());
+  b.demand = Money::from_micros(r.i64());
   if (!r.at_end()) return std::nullopt;
   return b;
 }
 
 void write_bid(Writer& w, const Bid& bid) {
-  w.u32(bid.bidder);
+  w.id(bid.bidder);
   w.money(bid.unit_value);
   w.money(bid.demand);
 }
 
 std::optional<Bid> read_bid(Reader& r) {
   Bid b;
-  b.bidder = r.u32();
+  b.bidder = r.id();
   b.unit_value = r.money();
   b.demand = r.money();
   if (!r.ok()) return std::nullopt;
   return b;
+}
+
+void write_ask(Writer& w, const Ask& ask) {
+  w.id(ask.provider);
+  w.money(ask.unit_cost);
+  w.money(ask.capacity);
+}
+
+std::optional<Ask> read_ask(Reader& r) {
+  Ask a;
+  a.provider = r.id();
+  a.unit_cost = r.money();
+  a.capacity = r.money();
+  if (!r.ok()) return std::nullopt;
+  return a;
 }
 
 namespace {
@@ -89,13 +104,8 @@ std::optional<std::vector<Bid>> decode_bid_vector(BytesView data) {
 }  // namespace
 
 Bytes encode_ask_vector(const std::vector<Ask>& asks) {
-  Writer w(ask_vector_wire_len(asks.size()));
-  w.varint(asks.size());
-  for (const auto& a : asks) {
-    w.u32(a.provider);
-    w.money(a.unit_cost);
-    w.money(a.capacity);
-  }
+  Writer w;
+  write_ask_vector(w, asks);
   return w.take();
 }
 
@@ -106,24 +116,17 @@ std::optional<std::vector<Ask>> decode_ask_vector(BytesView data) {
   std::vector<Ask> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    Ask a;
-    a.provider = r.u32();
-    a.unit_cost = r.money();
-    a.capacity = r.money();
-    out.push_back(a);
+    auto a = read_ask(r);
+    if (!a) return std::nullopt;
+    out.push_back(*a);
   }
   if (!r.at_end()) return std::nullopt;
   return out;
 }
 
 Bytes encode_allocation(const Allocation& x) {
-  Writer w(allocation_wire_len(x.entries().size()));
-  w.varint(x.entries().size());
-  for (const auto& e : x.entries()) {
-    w.u32(e.bidder);
-    w.u32(e.provider);
-    w.money(e.amount);
-  }
+  Writer w;
+  write_allocation(w, x);
   return w.take();
 }
 
@@ -133,8 +136,8 @@ std::optional<Allocation> decode_allocation(BytesView data) {
   if (!r.ok() || n > kMaxElements) return std::nullopt;
   Allocation x;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const BidderId bidder = r.u32();
-    const NodeId provider = r.u32();
+    const BidderId bidder = r.id();
+    const NodeId provider = r.id();
     const Money amount = r.money();
     if (!r.ok() || amount <= kZeroMoney) return std::nullopt;
     x.add(bidder, provider, amount);
@@ -144,11 +147,8 @@ std::optional<Allocation> decode_allocation(BytesView data) {
 }
 
 Bytes encode_payments(const Payments& p) {
-  Writer w(payments_wire_len(p));
-  w.varint(p.user_payments.size());
-  for (Money m : p.user_payments) w.money(m);
-  w.varint(p.provider_revenues.size());
-  for (Money m : p.provider_revenues) w.money(m);
+  Writer w;
+  write_payments(w, p);
   return w.take();
 }
 
@@ -168,23 +168,9 @@ std::optional<Payments> decode_payments(BytesView data) {
 }
 
 Bytes encode_result(const AuctionResult& res) {
-  // Nested sections written in place: sizes are exact, so the length prefixes
-  // can be emitted up front — no encode-into-temporary-and-copy.
-  const std::size_t alloc_len = allocation_wire_len(res.allocation.entries().size());
-  const std::size_t pay_len = payments_wire_len(res.payments);
-  Writer w(varint_len(alloc_len) + alloc_len + varint_len(pay_len) + pay_len);
-  w.varint(alloc_len);
-  w.varint(res.allocation.entries().size());
-  for (const auto& e : res.allocation.entries()) {
-    w.u32(e.bidder);
-    w.u32(e.provider);
-    w.money(e.amount);
-  }
-  w.varint(pay_len);
-  w.varint(res.payments.user_payments.size());
-  for (Money m : res.payments.user_payments) w.money(m);
-  w.varint(res.payments.provider_revenues.size());
-  for (Money m : res.payments.provider_revenues) w.money(m);
+  Writer w;
+  w.section([&](Writer& s) { write_allocation(s, res.allocation); });
+  w.section([&](Writer& s) { write_payments(s, res.payments); });
   return w.take();
 }
 
@@ -205,7 +191,7 @@ std::optional<AuctionResult> decode_result(BytesView data) {
 Bytes encode_assignment(const auction::Assignment& a) {
   Writer w;
   w.varint(a.provider_of.size());
-  for (std::int32_t p : a.provider_of) w.u32(static_cast<std::uint32_t>(p));
+  for (std::int32_t p : a.provider_of) w.svarint(p);  // −1 (unassigned) is 1 byte
   w.money(a.welfare);
   return w.take();
 }
@@ -217,7 +203,9 @@ std::optional<auction::Assignment> decode_assignment(BytesView data) {
   auction::Assignment a;
   a.provider_of.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    a.provider_of.push_back(static_cast<std::int32_t>(r.u32()));
+    const std::int64_t p = r.svarint();
+    if (p < INT32_MIN || p > INT32_MAX) return std::nullopt;
+    a.provider_of.push_back(static_cast<std::int32_t>(p));
   }
   a.welfare = r.money();
   if (!r.at_end()) return std::nullopt;
@@ -225,22 +213,12 @@ std::optional<auction::Assignment> decode_assignment(BytesView data) {
 }
 
 Bytes encode_instance(const auction::AuctionInstance& instance) {
-  // In-place nested sections (see encode_result). encode_instance runs once
-  // per provider per auction on the allocator input path, right before the
-  // payload is hashed for input validation.
-  const std::size_t bid_len = bid_vector_wire_len(instance.bids.size());
-  const std::size_t ask_len = ask_vector_wire_len(instance.asks.size());
-  Writer w(varint_len(bid_len) + bid_len + varint_len(ask_len) + ask_len);
-  w.varint(bid_len);
-  w.varint(instance.bids.size());
-  for (const auto& b : instance.bids) write_bid(w, b);
-  w.varint(ask_len);
-  w.varint(instance.asks.size());
-  for (const auto& a : instance.asks) {
-    w.u32(a.provider);
-    w.money(a.unit_cost);
-    w.money(a.capacity);
-  }
+  Writer w;
+  w.section([&](Writer& s) {
+    s.varint(instance.bids.size());
+    for (const auto& b : instance.bids) write_bid(s, b);
+  });
+  w.section([&](Writer& s) { write_ask_vector(s, instance.asks); });
   return w.take();
 }
 
@@ -259,7 +237,7 @@ std::optional<auction::AuctionInstance> decode_instance(BytesView data) {
 }
 
 Bytes encode_money_vector(const std::vector<dauct::Money>& v) {
-  Writer w(varint_len(v.size()) + 8 * v.size());
+  Writer w;
   w.varint(v.size());
   for (Money m : v) w.money(m);
   return w.take();

@@ -1,11 +1,15 @@
 // Wire encodings for auction model types.
 //
 // Two kinds of encoding:
-//  * fixed-width bid encoding (20 bytes = 160 bits) — the "stream of bits
-//    uniquely determined from b_i^j" that the bitwise bid agreement feeds one
-//    bit at a time into rational-consensus instances;
-//  * general variable-length encodings for vectors, allocations, payments and
-//    results, used by data transfer / output agreement payloads.
+//  * fixed-width bid encoding (20 bytes = 160 bits: u32 bidder, i64 value,
+//    i64 demand) — the "stream of bits uniquely determined from b_i^j" that
+//    the bit-stream bid agreement feeds one bit at a time into
+//    rational-consensus instances, and the slot the value-batched agreement
+//    votes on;
+//  * variable-length encodings for bids, asks, vectors, allocations,
+//    payments and results, used by client submissions, data transfer and
+//    output agreement payloads. Every id and Money in them is a varint (see
+//    serde/codec.hpp): a bid of the Fig. 4 workload takes ~9 bytes, not 20.
 //
 // All decoders are defensive (untrusted input) and return std::nullopt on
 // malformed bytes.
@@ -31,6 +35,10 @@ std::optional<auction::Bid> decode_bid_fixed(BytesView data);
 /// Variable-length encodings.
 void write_bid(Writer& w, const auction::Bid& bid);
 std::optional<auction::Bid> read_bid(Reader& r);
+
+/// One ask (a provider's ask/x payload and an ask-vector element).
+void write_ask(Writer& w, const auction::Ask& ask);
+std::optional<auction::Ask> read_ask(Reader& r);
 
 Bytes encode_ask_vector(const std::vector<auction::Ask>& asks);
 std::optional<std::vector<auction::Ask>> decode_ask_vector(BytesView data);

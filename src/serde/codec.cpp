@@ -2,6 +2,17 @@
 
 namespace dauct::serde {
 
+namespace {
+/// Zigzag map of a signed value onto the unsigned varint domain: 0, −1, 1,
+/// −2, … → 0, 1, 2, 3, …, so small magnitudes of either sign stay short.
+std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+std::int64_t unzigzag(std::uint64_t u) {
+  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
+}
+}  // namespace
+
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
 
 void Writer::u16(std::uint16_t v) {
@@ -19,17 +30,24 @@ void Writer::u64(std::uint64_t v) {
 
 void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
-void Writer::varint(std::uint64_t v) {
+void Writer::varint(std::uint64_t v) { insert_varint(buf_.size(), v); }
+
+void Writer::insert_varint(std::size_t pos, std::uint64_t v) {
+  std::uint8_t tmp[10];
+  std::size_t n = 0;
   while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    tmp[n++] = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  tmp[n++] = static_cast<std::uint8_t>(v);
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(pos), tmp, tmp + n);
 }
+
+void Writer::svarint(std::int64_t v) { varint(zigzag(v)); }
 
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
-void Writer::money(dauct::Money v) { i64(v.micros()); }
+void Writer::money(dauct::Money v) { svarint(v.micros()); }
 
 void Writer::bytes(BytesView v) {
   varint(v.size());
@@ -98,13 +116,24 @@ std::uint64_t Reader::varint() {
   }
 }
 
+std::int64_t Reader::svarint() { return unzigzag(varint()); }
+
+std::uint32_t Reader::id() {
+  const std::uint64_t v = varint();
+  if (v > UINT32_MAX) {
+    ok_ = false;
+    return 0;
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 bool Reader::boolean() {
   const std::uint8_t v = u8();
   if (v > 1) ok_ = false;
   return v == 1;
 }
 
-dauct::Money Reader::money() { return dauct::Money::from_micros(i64()); }
+dauct::Money Reader::money() { return dauct::Money::from_micros(svarint()); }
 
 Bytes Reader::bytes() {
   const BytesView v = bytes_view();

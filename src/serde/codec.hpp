@@ -3,7 +3,10 @@
 // All protocol payloads are encoded with this codec. The encoding is
 // deterministic and platform-independent (little-endian fixed ints, LEB128
 // varints), which matters because providers cross-validate each other's
-// payloads by hash equality.
+// payloads by hash equality. Money goes on the wire as the zigzag LEB128
+// varint of its micro-units and ids as plain varints (the Protocol Buffers
+// sint64/uint32 forms): a price of ~10^6 micro-units takes 3 bytes, an id
+// below 128 one.
 //
 // Reader is *defensive*: every accessor reports failure on truncated or
 // malformed input instead of crashing — payloads arrive from untrusted peers.
@@ -45,11 +48,23 @@ class Writer {
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
   void varint(std::uint64_t v);  ///< LEB128
+  void svarint(std::int64_t v);  ///< zigzag LEB128
+  void id(std::uint32_t v) { varint(v); }  ///< a NodeId or BidderId
   void boolean(bool v);
-  void money(dauct::Money v);
+  void money(dauct::Money v);    ///< svarint of the micro-units
   void bytes(BytesView v);    ///< varint length prefix + raw bytes
   void raw(BytesView v);      ///< raw bytes, no length prefix
   void str(std::string_view v);
+
+  /// A varint length-prefixed section whose body `fill(*this)` writes in
+  /// place: the prefix is slotted in front of the body once its size is
+  /// known, so nested sections need no size pass and no temporary buffer.
+  template <class Fill>
+  void section(Fill&& fill) {
+    const std::size_t start = buf_.size();
+    fill(*this);
+    insert_varint(start, buf_.size() - start);
+  }
 
   /// Grow capacity to at least `n` bytes (never shrinks).
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -62,6 +77,8 @@ class Writer {
   Bytes take() { return std::move(buf_); }
 
  private:
+  void insert_varint(std::size_t pos, std::uint64_t v);
+
   Bytes buf_;
 };
 
@@ -84,6 +101,8 @@ class Reader {
   std::uint64_t u64();
   std::int64_t i64();
   std::uint64_t varint();
+  std::int64_t svarint();
+  std::uint32_t id();  ///< a varint; one above UINT32_MAX fails the read
   bool boolean();
   dauct::Money money();
   Bytes bytes();

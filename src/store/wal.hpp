@@ -227,11 +227,17 @@ enum class RecordType : std::uint8_t {
   kSnapshot = 4,  ///< periodic consistency checkpoint
 };
 
+/// Record-format version a log's meta record carries. 2: journaled client
+/// bid frames and outcome-decision digests are over the varint Money/id
+/// codec (serde/codec.hpp); a version-1 log holds the fixed-width form and
+/// is refused at the identity gate.
+inline constexpr std::uint32_t kWalVersion = 2;
+
 /// Run identity, written as the first record. A WAL whose meta does not
 /// match the recovering run is *foreign state*: replaying it would silently
 /// diverge, so recovery refuses it instead (meta_matches()).
 struct WalMeta {
-  std::uint32_t version = 1;       ///< record-format version (kWalVersion)
+  std::uint32_t version = kWalVersion;  ///< record-format version
   std::uint64_t run_seed = 0;      ///< workload + protocol seed
   NodeId node = kNoNode;           ///< whose log this is
   std::uint64_t providers = 0;

@@ -232,6 +232,27 @@ TEST(FanoutEquivalence, FixedSeedRunsMatchPreRefactorFingerprints) {
   }
 }
 
+// The golden digests pin the outcome's encoding; this pins its value: every
+// golden run's (x, p⃗) is the trusted auctioneer's on the same instance and
+// common coin, for the double auction and VCG alike. So a re-pinned digest
+// can only mean a new encoding of the same outcome.
+TEST(FanoutEquivalence, GoldenOutcomesEqualTheTrustedAuctioneer) {
+  for (const testutil::GoldenRun& g : testutil::kGoldenRuns) {
+    const core::DistributedAuctioneer auctioneer =
+        testutil::make_golden_auctioneer(g);
+    const auto inst = testutil::make_instance(g.n, g.m, g.seed, g.standard);
+    runtime::SimRunConfig cfg;
+    cfg.seed = g.seed;
+    const auto run = runtime::SimRuntime(cfg).run_distributed(auctioneer, inst);
+
+    SCOPED_TRACE("n=" + std::to_string(g.n) + " m=" + std::to_string(g.m) +
+                 " k=" + std::to_string(g.k) + " seed=" + std::to_string(g.seed));
+    ASSERT_TRUE(run.global_outcome.ok());
+    EXPECT_TRUE(run.global_outcome.value() ==
+                auctioneer.adapter().run_centralized(inst, run.shared_seed));
+  }
+}
+
 // The shared assertion must actually discriminate: a fingerprint perturbed
 // in ANY field (digest, makespan, either traffic counter) is rejected, and
 // a ⊥ outcome never aliases a pinned digest. Guards the helper itself —

@@ -95,7 +95,7 @@ TEST(ProviderEngine, WrongProviderIdInAskAborts) {
   set.start_all();
   // Provider 2 claims to be provider 0 in its ask payload.
   serde::Writer w;
-  w.u32(0);  // forged id
+  w.id(0);  // forged id
   w.money(Money::from_double(0.5));
   w.money(Money::from_units(1));
   set.net.endpoint(2).send(0, "ask/x", w.take());

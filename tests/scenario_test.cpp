@@ -851,11 +851,14 @@ TEST(ScenarioLibrary, EveryShippedScenarioParsesRunsAndSelfChecks) {
 /// and service runtimes were still two separate implementations. Every
 /// field is pinned exactly: the merge onto one simulated runtime must not
 /// move a result byte, a virtual instant, a frame, an event, a WAL record, a
-/// retransmit, a signature, or a verification. The result digests are the
-/// originals; the other fields were re-pinned when bid agreement moved to
-/// 32-byte digest votes, and makespan, bytes and events again when all but
-/// one provider began reporting the result as its digest (service_amnesia's
-/// crash window moved then, so its every field moved).
+/// retransmit, a signature, or a verification. The other fields were
+/// re-pinned when bid agreement moved to 32-byte digest votes, and makespan,
+/// bytes and events again when all but one provider began reporting the
+/// result as its digest (service_amnesia's crash window moved then, so its
+/// every field moved). Every field but the fault-free runs' message counts
+/// moved when Money and ids became varints on the wire: result digests
+/// re-encode the same outcomes, frames land earlier, and the crash windows
+/// of both service_amnesia files moved with them.
 struct ScenarioFingerprint {
   const char* file;
   const char* result_sha256;  ///< "" when the run ends in ⊥
@@ -868,80 +871,80 @@ struct ScenarioFingerprint {
 
 constexpr ScenarioFingerprint kScenarioFingerprints[] = {
     {"amnesia_beyond_k.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     54013713, 488, 28856, 670, 220, 16195, 13, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     53833725, 492, 28156, 672, 220, 15135, 7, 0, 0},
     {"auth_forged_frame.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24457507, 220, 32013, 220, 0, 0, 0, 35, 175},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     23954226, 220, 30653, 220, 0, 0, 0, 35, 175},
     {"auth_replayed_round.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24484156, 215, 31368, 215, 0, 0, 0, 35, 175},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     24228597, 215, 30008, 215, 0, 0, 0, 35, 175},
     {"auth_stolen_key.scn",
      "",
-     12479412, 110, 16120, 110, 0, 0, 0, 24, 100},
+     12059601, 110, 14815, 110, 0, 0, 0, 24, 100},
     {"beyond_k.scn",
      "",
-     12282232, 90, 9005, 90, 0, 0, 0, 0, 0},
+     12026673, 90, 7950, 90, 0, 0, 0, 0, 0},
     {"bidder_adversary_replay.scn",
-     "5753a88188e069bb29854472fa7c5841baa7c31a497fdf712763511dc9ff75d8",
-     22832446, 72, 5823, 72, 0, 0, 0, 0, 0},
+     "feb0b98e76b8bba41b6d929a5b07d60e6019407545fbcf144c4bf963fddab8ed",
+     22683938, 72, 4970, 72, 0, 0, 0, 0, 0},
     {"bidder_equivocation.scn",
-     "5fbfe89039cb5a2feff762a6b103c01048f3dea16d330e74e92bae9d7edfebed",
-     31243990, 235, 29888, 235, 0, 0, 0, 0, 0},
+     "d8b3ea0d9f73715fb3aaa36ea4c042e06a3a33bc5765ef49c018d7628bf31a80",
+     30883785, 235, 28313, 235, 0, 0, 0, 0, 0},
     {"byzantine_echo.scn",
      "",
-     12132213, 110, 9620, 110, 0, 0, 0, 0, 0},
+     11819036, 110, 8315, 110, 0, 0, 0, 0, 0},
     {"clean.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     24232473, 185, 14343, 185, 0, 0, 0, 0, 0},
     {"dup_storm.scn",
-     "c177b1d45156bce029fded7ef8f1904755669db505152eca59301afc4d822fe7",
-     24563602, 355, 21063, 536, 0, 0, 0, 0, 0},
+     "f413bc7af954eaba344ff990ca81f5abc9e83c7b1454049c38d9f589424dab26",
+     24223522, 355, 19488, 533, 0, 0, 0, 0, 0},
     {"dup_storm_legacy.scn",
      "",
-     11258527, 95, 7680, 110, 0, 0, 0, 0, 0},
+     10934998, 95, 6360, 110, 0, 0, 0, 0, 0},
     {"flaky_provider.scn",
-     "368b37bd280db1853216186dc97d795433405f7bbfb83eb6839ef50ee403cdf1",
-     37513885, 363, 22851, 514, 0, 0, 17, 0, 0},
+     "659491633cc3cb687ab87dc9f1bdb7a4dbdc5986a8a341a522a89574963ef7bf",
+     36418598, 363, 20940, 513, 0, 0, 17, 0, 0},
     {"k_crash.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     24232473, 185, 14343, 185, 0, 0, 0, 0, 0},
     {"kill_restart.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     32298274, 389, 23345, 531, 220, 16195, 7, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     31951481, 403, 23199, 564, 220, 15135, 5, 0, 0},
     {"lossy_extreme.scn",
      "",
-     38418647, 544, 34968, 631, 0, 0, 159, 0, 0},
+     37803613, 520, 31783, 584, 0, 0, 128, 0, 0},
     {"lossy_lan.scn",
-     "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f",
-     3842320, 1152, 87197, 1413, 0, 0, 26, 0, 0},
+     "dae619bf78e1682b985ffdebf2f7600153d71a7b43a2d3d055da38bf1cec0cdb",
+     2876070, 1148, 78246, 1403, 0, 0, 25, 0, 0},
     {"multi_instance_clean.scn",
-     "721ae4a1bdd4802872cb7b9c168dd6c77a49fa1ec9b5eda0e5b14107f8145b1c",
-     49147660, 273, 23793, 273, 0, 0, 0, 0, 0},
+     "66274f454b8162ded43a56143f089f92e45ea4b4e03e3ca5a6cc86362e0959c5",
+     47878060, 273, 20699, 273, 0, 0, 0, 0, 0},
     {"multi_instance_faulty.scn",
      "",
-     104728116, 470, 29520, 654, 0, 0, 23, 0, 0},
+     119607513, 470, 26845, 654, 0, 0, 20, 0, 0},
     {"partition_heal.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24488621, 185, 15643, 185, 0, 0, 0, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     24232473, 185, 14343, 185, 0, 0, 0, 0, 0},
     {"partition_stall.scn",
      "",
-     6515915, 35, 2840, 21, 0, 0, 0, 0, 0},
+     6259767, 35, 1905, 21, 0, 0, 0, 0, 0},
     {"service_amnesia.scn",
-     "bc0a75069e83d4f56198fe00b229ca484c2ae5259857c41d2653561c32ab357f",
-     52017967, 1633, 100628, 2047, 865, 67460, 5, 0, 0},
+     "7c36363a60c2c0f54b51265ce8439e9086228aca354feccc390437b054f6615e",
+     50683347, 1627, 94419, 2035, 865, 63160, 2, 0, 0},
     {"service_amnesia_bid_lost.scn",
      "",
-     232407790, 1379, 75521, 1883, 540, 40812, 0, 0, 0},
+     231441783, 1379, 70573, 1883, 540, 36941, 0, 0, 0},
     {"slow_wan.scn",
-     "873e3ae0fbb2930a4d23e2a14af830c31abee325b48ad3fac89ff4ede2cc8f95",
-     73278449, 185, 16159, 185, 0, 0, 0, 0, 0},
+     "da14c2d7a33d0241d1da9eaf2346ef90a4985c6f4efebecf1d9a9d6f11fdc350",
+     72950665, 185, 14541, 185, 0, 0, 0, 0, 0},
     {"split_digest_vote.scn",
-     "9fef6918d1e0e0ac0e57c0c030e8f187b88ab7531243f59fbd4ab0d1cc0997f8",
-     30937242, 235, 29920, 235, 0, 0, 0, 0, 0},
+     "611f0399c646e83d7c1d7118d8b8136d2a92cf7e4c64418df737dda61332e150",
+     30622096, 235, 28342, 235, 0, 0, 0, 0, 0},
     {"wal_torn_tail.scn",
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     35068992, 401, 24313, 549, 223, 16343, 7, 0, 0},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     32068393, 402, 23176, 562, 221, 15189, 5, 0, 0},
 };
 
 TEST(ScenarioLibrary, EveryShippedScenarioReproducesItsPinnedFingerprint) {
@@ -1086,7 +1089,7 @@ TEST(ScenarioLibrary, LossyLanCompletesUnderReliabilityWithAPinnedDigest) {
   const auto run = runtime::run_scenario(*parsed.scenario);
   EXPECT_TRUE(run.ok());
   EXPECT_EQ(run.result_digest,
-            "a5923131da9c9439f5a51150baf49aa4d099bb5e85a57f1ec85b8d44c3f8856f");
+            "dae619bf78e1682b985ffdebf2f7600153d71a7b43a2d3d055da38bf1cec0cdb");
   EXPECT_EQ(run.result_digest, run.clean_digest);
   EXPECT_GT(run.run.fault_stats.link_dropped, 0u);
   EXPECT_GT(run.run.reliability_stats.retransmits, 0u);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "crypto/rng.hpp"
+#include "runtime/submission_codec.hpp"
 #include "serde/auction_codec.hpp"
 #include "serde/bitstream.hpp"
 #include "serde/codec.hpp"
@@ -49,6 +53,59 @@ TEST(Codec, VarintRejectsOverflow) {
   Reader r{BytesView(bad)};
   (void)r.varint();
   EXPECT_FALSE(r.ok());
+}
+
+TEST(Codec, MoneyRoundTripsAtTheExtremes) {
+  // Zigzag varint of the micro-units: one byte around zero, ten at the ends.
+  const struct {
+    std::int64_t micros;
+    std::size_t wire_bytes;
+  } cases[] = {{INT64_MIN, 10}, {INT64_MAX, 10}, {-1, 1}, {0, 1}, {1, 1}};
+  for (const auto& c : cases) {
+    Writer w;
+    w.money(Money::from_micros(c.micros));
+    EXPECT_EQ(w.size(), c.wire_bytes) << c.micros;
+    Reader r(BytesView(w.buffer()));
+    EXPECT_EQ(r.money().micros(), c.micros);
+    EXPECT_TRUE(r.at_end()) << c.micros;
+  }
+}
+
+TEST(Codec, IdRoundTripsAtTheBoundaries) {
+  const struct {
+    std::uint32_t id;
+    std::size_t wire_bytes;
+  } cases[] = {{0, 1}, {127, 1}, {128, 2}, {UINT32_MAX, 5}};
+  for (const auto& c : cases) {
+    Writer w;
+    w.id(c.id);
+    EXPECT_EQ(w.size(), c.wire_bytes) << c.id;
+    Reader r(BytesView(w.buffer()));
+    EXPECT_EQ(r.id(), c.id);
+    EXPECT_TRUE(r.at_end()) << c.id;
+  }
+  // One past UINT32_MAX is a well-formed varint but not an id.
+  Writer w;
+  w.varint(std::uint64_t{UINT32_MAX} + 1);
+  Reader r(BytesView(w.buffer()));
+  EXPECT_EQ(r.id(), 0u);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(Codec, MoneyVarintLongerThanTenBytesIsRejected) {
+  // Ten bytes hold any 64-bit value; an eleventh continuation is malformed
+  // even when the value it spells (zero here) would fit.
+  Bytes bad(10, 0x80);
+  bad.push_back(0x00);
+  Reader r{BytesView(bad)};
+  (void)r.money();
+  EXPECT_FALSE(r.ok());
+  // The same value in ten bytes is accepted.
+  Bytes ten(9, 0x80);
+  ten.push_back(0x00);
+  Reader ok{BytesView(ten)};
+  EXPECT_EQ(ok.money(), kZeroMoney);
+  EXPECT_TRUE(ok.at_end());
 }
 
 TEST(Codec, TruncatedReadsFailSoft) {
@@ -104,6 +161,23 @@ TEST(AuctionCodec, BidFixedRoundTrip) {
   EXPECT_EQ(*dec, b);
 }
 
+TEST(AuctionCodec, BidFixedStaysTwentyBytesWhereTheVarintFormIsShort) {
+  // The bit-stream agreement addresses 160 bits per bidder and the value
+  // vote hashes these slots: a small bid must not shrink its fixed form.
+  const auction::Bid small{1, Money::from_micros(1), Money::from_micros(0)};
+  const Bytes enc = encode_bid_fixed(small);
+  EXPECT_EQ(kBidEncodingBytes, 20u);
+  EXPECT_EQ(enc.size(), kBidEncodingBytes);
+  // u32 bidder ‖ i64 value ‖ i64 demand, little-endian.
+  Bytes want(kBidEncodingBytes, 0);
+  want[0] = 1;
+  want[4] = 1;
+  EXPECT_EQ(enc, want);
+  Writer w;
+  write_bid(w, small);
+  EXPECT_EQ(w.size(), 3u);
+}
+
 TEST(AuctionCodec, BidFixedRejectsWrongLength) {
   Bytes enc(kBidEncodingBytes + 1, 0);
   EXPECT_FALSE(decode_bid_fixed(BytesView(enc)));
@@ -134,8 +208,8 @@ TEST(AuctionCodec, AllocationRejectsNonCanonical) {
   // Hand-craft an out-of-order encoding: entries (2,0) then (1,0).
   Writer w;
   w.varint(2);
-  w.u32(2); w.u32(0); w.money(Money::from_units(1));
-  w.u32(1); w.u32(0); w.money(Money::from_units(1));
+  w.id(2); w.id(0); w.money(Money::from_units(1));
+  w.id(1); w.id(0); w.money(Money::from_units(1));
   // decode_allocation re-canonicalizes via add(); the duplicate-merge makes
   // this decodable, but the re-encoded form must be canonical.
   const auto dec = decode_allocation(BytesView(w.buffer()));
@@ -146,7 +220,7 @@ TEST(AuctionCodec, AllocationRejectsNonCanonical) {
 TEST(AuctionCodec, AllocationRejectsNonPositiveAmount) {
   Writer w;
   w.varint(1);
-  w.u32(0); w.u32(0); w.money(kZeroMoney);
+  w.id(0); w.id(0); w.money(kZeroMoney);
   EXPECT_FALSE(decode_allocation(BytesView(w.buffer())));
 }
 
@@ -194,6 +268,72 @@ TEST(AuctionCodec, MoneyVectorRoundTrip) {
   const auto dec = decode_money_vector(BytesView(encode_money_vector(v)));
   ASSERT_TRUE(dec);
   EXPECT_EQ(*dec, v);
+}
+
+// Every variable-length decoder rejects a cut-short frame at every cut point
+// and a frame with a byte appended: truncation and trailing garbage never
+// decode to a (different) value.
+void expect_rejects_truncation_and_trailing(
+    const Bytes& enc, const std::function<bool(BytesView)>& decodes) {
+  ASSERT_TRUE(decodes(BytesView(enc)));
+  for (std::size_t cut = 0; cut < enc.size(); ++cut) {
+    EXPECT_FALSE(decodes(BytesView(enc.data(), cut))) << "cut at " << cut;
+  }
+  Bytes longer = enc;
+  longer.push_back(0);
+  EXPECT_FALSE(decodes(BytesView(longer)));
+}
+
+TEST(AuctionCodec, SubmissionsRejectTruncationAndTrailingBytes) {
+  const std::vector<std::optional<auction::Bid>> subs = {
+      auction::Bid{0, Money::from_double(1.5), Money::from_units(2)},
+      std::nullopt,
+      auction::Bid{300, Money::from_micros(-7), Money::from_micros(INT64_MAX)}};
+  const Bytes enc = runtime::detail::encode_submissions(subs);
+  const auto dec = runtime::detail::decode_submissions(BytesView(enc));
+  ASSERT_TRUE(dec);
+  EXPECT_EQ(*dec, subs);
+  expect_rejects_truncation_and_trailing(enc, [](BytesView d) {
+    return runtime::detail::decode_submissions(d).has_value();
+  });
+}
+
+TEST(AuctionCodec, ResultRejectsTruncationAndTrailingBytes) {
+  auction::AuctionResult res;
+  res.allocation.add(0, 1, Money::from_units(2));
+  res.allocation.add(200, 0, Money::from_micros(1));
+  res.payments.user_payments = {Money::from_units(1), Money::from_micros(-3)};
+  res.payments.provider_revenues = {kZeroMoney, Money::from_micros(INT64_MIN)};
+  expect_rejects_truncation_and_trailing(encode_result(res), [](BytesView d) {
+    return decode_result(d).has_value();
+  });
+}
+
+TEST(AuctionCodec, AssignmentRejectsTruncationAndTrailingBytes) {
+  auction::Assignment a;
+  a.provider_of = {-1, 0, 200, INT32_MAX, INT32_MIN};
+  a.welfare = Money::from_double(-2.5);
+  const Bytes enc = encode_assignment(a);
+  const auto dec = decode_assignment(BytesView(enc));
+  ASSERT_TRUE(dec);
+  EXPECT_EQ(*dec, a);
+  expect_rejects_truncation_and_trailing(enc, [](BytesView d) {
+    return decode_assignment(d).has_value();
+  });
+  // A provider index outside int32 is a well-formed svarint, not an index.
+  Writer w;
+  w.varint(1);
+  w.svarint(std::int64_t{INT32_MAX} + 1);
+  w.money(kZeroMoney);
+  EXPECT_FALSE(decode_assignment(BytesView(w.buffer())));
+}
+
+TEST(AuctionCodec, MoneyVectorRejectsTruncationAndTrailingBytes) {
+  const std::vector<Money> v = {Money::from_micros(INT64_MAX), kZeroMoney,
+                                Money::from_micros(-1), Money::from_units(1)};
+  expect_rejects_truncation_and_trailing(encode_money_vector(v), [](BytesView d) {
+    return decode_money_vector(d).has_value();
+  });
 }
 
 // ---------------------------------------------------------------------------

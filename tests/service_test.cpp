@@ -119,7 +119,10 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   // runtime was a separate implementation (makespan, bytes and WAL bytes
   // re-pinned when bid agreement moved to 32-byte digest votes; makespan,
   // bytes and events when link acks moved to transmission numbers; makespan
-  // and bytes when all but one provider began reporting a 32-byte digest).
+  // and bytes when all but one provider began reporting a 32-byte digest;
+  // makespan, bytes, events, WAL bytes and the digest when Money and ids
+  // became varints, with the outcome's value held to the trusted
+  // auctioneer's below).
   const auto auctioneer = make_auctioneer(12, 3, 1);
   const auto workload = testutil::make_instance(12, 3, 99);
 
@@ -143,21 +146,23 @@ TEST(ServiceEquivalence, SingleInstanceIdentityHoldsWithEveryLayerEnabled) {
   ASSERT_TRUE(direct.global_outcome.ok());
   const runtime::RunStats* runs[] = {&service, &direct};
   for (const runtime::RunStats* r : runs) {
-    EXPECT_EQ(r->makespan, 23844386);
+    EXPECT_EQ(r->makespan, 23629903);
     EXPECT_EQ(r->traffic.messages, 117u);
-    EXPECT_EQ(r->traffic.bytes, 11209u);
-    EXPECT_EQ(r->events_dispatched, 172u);
+    EXPECT_EQ(r->traffic.bytes, 10443u);
+    EXPECT_EQ(r->events_dispatched, 171u);
     EXPECT_EQ(r->wal_stats.records_appended, 84u);
-    EXPECT_EQ(r->wal_stats.bytes_appended, 10464u);
+    EXPECT_EQ(r->wal_stats.bytes_appended, 9906u);
     EXPECT_EQ(r->auth_stats.signed_sends, 21u);
     EXPECT_EQ(r->auth_stats.verified_batched, 63u);
     EXPECT_EQ(r->auth_stats.batches, 21u);
     EXPECT_EQ(r->reliability_stats.tracked, 63u);
   }
   const char* kDigest =
-      "f1d6f93bac3f9d5370147b8154b3301df58ffef33ca23762075848d133590da1";
+      "c0eacba8a4b02b51266e1ab87ff402e1931e3ecf297f91476fb62551977721a0";
   EXPECT_EQ(digest_of(service.instances[0].outcome), kDigest);
   EXPECT_EQ(digest_of(direct.global_outcome), kDigest);
+  EXPECT_TRUE(direct.global_outcome.value() ==
+              auctioneer->adapter().run_centralized(workload, direct.shared_seed));
 }
 
 // ---------------------------------------------------------------------------

@@ -90,25 +90,29 @@ struct GoldenRun {
 // message events) at fixed seeds. Pinned by fanout_test.cpp (the zero-copy
 // spine must reproduce them) and by scenario_test.cpp (a run with a zero-rate
 // fault plan installed must too — the fault hooks may not perturb anything).
-// The digests and message counts are the originals; makespan and bytes were
-// re-pinned when bid agreement moved to 32-byte digest votes, and again when
-// all but one provider began reporting the result as its 32-byte digest.
+// The message counts are the originals; makespan and bytes were re-pinned
+// when bid agreement moved to 32-byte digest votes, and again when all but
+// one provider began reporting the result as its 32-byte digest. Digests,
+// makespan and bytes were re-pinned when Money and ids became varints on the
+// wire; FanoutEquivalence.GoldenOutcomesEqualTheTrustedAuctioneer holds each
+// outcome's value to the trusted auctioneer's, so that re-pin moved only the
+// encoding.
 inline constexpr GoldenRun kGoldenRuns[] = {
     {12, 3, 1, 99, true,
-     "c63eaeb3c70dd96aac6ac3f9b808bcb870435de1fd74bc236cb5bd69877e2dc2",
-     23351923, 69, 5471},
+     "97824a27abfeee4564f026acb95eed175751cb3e1b885a366844ff8a49964f90",
+     23124609, 69, 4783},
     {12, 5, 2, 7, false,
-     "4533406cdccb450819482cdbdedaaf6b9634158650e8f6fcd5aa18d146fb5e5d",
-     24488621, 185, 15643},
+     "ed13a6accc961c1cd9ea3f4bb7a7f0dc1a326765124cde193f28017e07d25288",
+     24232473, 185, 14343},
     {24, 4, 1, 11, false,
-     "9657860815b5dab899fc31b8173b100706284ac018d0e92927d3dc4ba55c2ca5",
-     24308138, 120, 11118},
+     "d94b4f541d9faa7c3d1a8b2e5020f7d06a0dd4c8be918fa9df766e74f5c177f6",
+     23840610, 120, 9319},
     {48, 7, 3, 5, true,
-     "fd60e91fbad69e57c8b0bae2f164d57b4a7fbfc9fce1902ae7be9a7182b60798",
-     25977660, 357, 38097},
+     "232082cdb7c6a1bdbc98f93a2c41ea726673a5236a225b1efba9b1a2c0786282",
+     24674948, 357, 32719},
     {16, 3, 1, 123, false,
-     "02a7a7c57c0a090f897ec945a86a6db95ddf4b4019cbc5018f4257bf2eeb524a",
-     23337103, 69, 5949},
+     "dca9f6878db018e5db911f0fc150ecf431a4ac8017af008eea8b54cb0d875160",
+     22992786, 69, 4971},
 };
 
 /// The auctioneer a golden run pins (epsilon 0.25 for standard-auction

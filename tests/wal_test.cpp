@@ -249,7 +249,7 @@ TEST(WalMetaGate, EachIdentityFieldProducesItsOwnDiagnostic) {
   EXPECT_NE(why.find("deployment shape"), std::string::npos);
 
   WalMeta version = expected;
-  version.version = 2;
+  version.version = kWalVersion + 1;
   EXPECT_FALSE(meta_matches(version, expected, &why));
   EXPECT_NE(why.find("version"), std::string::npos);
 
@@ -257,6 +257,30 @@ TEST(WalMetaGate, EachIdentityFieldProducesItsOwnDiagnostic) {
   eps.endpoint_seed = 1;
   EXPECT_FALSE(meta_matches(eps, expected, &why));
   EXPECT_NE(why.find("endpoint seed"), std::string::npos);
+}
+
+// A log written under record-format version 1 (fixed-width Money and ids in
+// its journaled bid frames and decision digests) reopens cleanly, but its
+// meta record fails the identity gate: replaying it would diverge.
+TEST(WalMetaGate, VersionOneLogIsRefused) {
+  ASSERT_EQ(kWalVersion, 2u);
+  WalMeta v1 = sample_meta();
+  v1.version = 1;
+  auto mem = std::make_shared<MemStorage>();
+  {
+    Wal wal(mem);
+    wal.open();
+    ASSERT_TRUE(wal.append(RecordType::kMeta, BytesView(encode_meta(v1))));
+    ASSERT_TRUE(wal.commit());
+  }
+  Wal wal(mem);
+  const WalScan scan = wal.open();
+  ASSERT_EQ(scan.records.size(), 1u);
+  const auto recovered = decode_meta(BytesView(scan.records[0].payload));
+  ASSERT_TRUE(recovered.has_value());
+  std::string why;
+  EXPECT_FALSE(meta_matches(*recovered, sample_meta(), &why));
+  EXPECT_EQ(why, "wal version 1 != 2");
 }
 
 // ---------------------------------------------------------------------------

@@ -92,7 +92,9 @@ protocol:
 execution:
   --runtime sim|thread|tcp    runtime (default sim: virtual-time simulation)
   --latency zero|lan|community  sim network model (default community)
-  --trace                     print the sim message trace (first 60 entries)
+  --trace                     print two phase times of a distributed sim
+                              run: when bid agreement finished and when the
+                              last provider finished (sim runtime only)
 
 single-node tcp deployment (one process per node; see docs/DURABILITY.md):
   --tcp-node J|client         run ONE node of a multi-process tcp cluster:
@@ -680,7 +682,7 @@ int main(int argc, char** argv) {
                     " on topic '" + run.equivocation_proof->topic + "'";
     }
     if (opt.trace) {
-      std::printf("# trace not recorded via CLI runtime API; phase times:\n");
+      std::printf("# phase times:\n");
       std::printf("#   bid agreement done: %s; providers done: %s\n",
                   sim::format_time(run.bid_agreement_makespan()).c_str(),
                   sim::format_time(run.provider_makespan()).c_str());
